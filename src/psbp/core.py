@@ -7,7 +7,7 @@ pixels with True.  Objects are treated as immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,14 +2,15 @@
 
 Orthographic shading consumes a normal field; perspective shading consumes
 per-pixel log-depth gradients and builds the normal direction
-(f*gx, f*gy, x*gx + y*gy + 1) internally.  All dot products are clamped at
+(f*gx, f*gy, x*gx + y*gy + 1) internally.  Renders clamp all dot products at
 zero, intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and
-may legitimately exceed 1 for light intensities above 1.
+may legitimately exceed 1 for light intensities above 1.  The perspective
+solver evaluates the same perspective_shading function, with derivatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,41 +34,6 @@ PROJECTION_PERSPECTIVE = "perspective"
 PROJECTION_ORTHOGRAPHIC = "orthographic"
 
 _VIEW_ORTHO = np.array([0.0, 0.0, 1.0])
-
-
-@dataclass
-class BlinnPhongTerms:
-    """Intermediate per-pixel quantities of the perspective specular model.
-
-    w: tilt term x*gx + y*gy + 1 of the unnormalized normal's third component
-    p: length of the pixel's view ray direction (x, y, f)
-    g: length of the light direction vector
-    r: squared in-plane normal magnitude f^2 * (gx^2 + gy^2)
-    d: gamma*p - f*g
-    D: halfway-proportional vector  L + G*(x, y, f)  (normalizes to the
-       halfway vector whenever it is nonzero)
-    G: ratio g / p
-    """
-
-    w: float
-    p: float
-    g: float
-    r: float
-    d: float
-    D: np.ndarray
-    G: float
-
-
-def blinn_phong_terms(point, gx, gy, light: LightSource, focal_length) -> BlinnPhongTerms:
-    """Evaluate the specular-geometry terms at one image point."""
-    w = point.x * gx + point.y * gy + 1.0
-    p = float(np.linalg.norm([point.x, point.y, focal_length]))
-    g = light.norm
-    r = focal_length * focal_length * (gx * gx + gy * gy)
-    G = g / p
-    d = light.direction[2] * p - focal_length * g
-    D = light.direction + G * np.array([point.x, point.y, focal_length])
-    return BlinnPhongTerms(w=w, p=p, g=g, r=r, d=d, D=D, G=G)
 
 
 def _diffuse_orthographic(normals: NormalField, light: LightSource, material: Material):
@@ -99,23 +65,61 @@ def render_blinn_phong_orthographic(
     return Image(data)
 
 
-def _perspective_geometry(grad: GradientField, intr: CameraIntrinsics, centerized):
-    X, Y = pixel_grid(grad.width, grad.height, intr, centerized)
-    f = intr.focal_length
-    w = X * grad.gx + Y * grad.gy + 1.0
-    norm = np.sqrt((f * grad.gx) ** 2 + (f * grad.gy) ** 2 + w * w)
-    return X, Y, w, norm
+def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, focal_length,
+                        halfway=None, clamp=True, derivatives=False):
+    """Perspective Blinn-Phong shading of one light at log-depth gradients.
 
-
-def _diffuse_perspective(grad, light, material, intr, centerized):
-    light.require_frontal()
-    X, Y, w, norm = _perspective_geometry(grad, intr, centerized)
-    f = intr.focal_length
+    gx, gy, x, y are broadcastable arrays (or scalars) of log-depth gradients
+    and metric image coordinates.  The normal direction is
+    (f*gx, f*gy, x*gx + y*gy + 1); the diffuse term is k_d*l_d times its
+    cosine with the light, the specular term k_s*l_s times max(u, 0)^n with
+    u its cosine with the per-pixel halfway vector (skipped when k_s == 0).
+    halfway may pass precomputed halfway vectors, shape (..., 3).  clamp
+    clamps the diffuse cosine at 0 as a renderer must; left unclamped the
+    shading is smooth in the gradient, as a least-squares residual needs.
+    With derivatives, returns (shading, d/dgx, d/dgy) computed in the same
+    pass; otherwise the shading alone.
+    """
+    f = focal_length
+    specular = material.k_s != 0.0
+    # Halfway vectors first, while few full-size arrays are alive: this keeps
+    # a render's peak memory, and with it its page faults, down.
+    if specular and halfway is None:
+        halfway = halfway_vector_grid(x, y, f, light)
     alpha, beta, gamma = light.direction
-    num = f * alpha * grad.gx + f * beta * grad.gy + gamma * w
-    dot = num / (norm * light.norm)
-    data = material.k_d * light.diffuse_intensity * np.maximum(dot, 0.0)
-    return data, X, Y, w, norm
+    w = x * gx + y * gy + 1.0
+    norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
+    cosine = (f * alpha * gx + f * beta * gy + gamma * w) / (norm * light.norm)
+    kd = material.k_d * light.diffuse_intensity
+    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
+    if specular:
+        u = (halfway[..., 0] * f * gx + halfway[..., 1] * f * gy + halfway[..., 2] * w) / norm
+        ks = material.k_s * light.specular_intensity
+        shade = shade + ks * np.maximum(u, 0.0) ** material.shininess
+    if not derivatives:
+        return shade
+
+    if specular:
+        up = np.maximum(u, 0.0)
+        lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0), 0.0)
+    out = [shade]
+    for comp, (l_c, coord, g) in enumerate(((alpha, x, gx), (beta, y, gy))):
+        dnorm = (f * f * g + w * coord) / norm
+        dcos = ((f * l_c + gamma * coord) / light.norm - cosine * dnorm) / norm
+        if clamp:
+            dcos = np.where(cosine > 0.0, dcos, 0.0)
+        d = kd * dcos
+        if specular:
+            d = d + lobe * (halfway[..., comp] * f + halfway[..., 2] * coord - u * dnorm) / norm
+        out.append(d)
+    return tuple(out)
+
+
+def _render_perspective(grad: GradientField, light, material, intr, centerized):
+    light.require_frontal()
+    X, Y = pixel_grid(grad.width, grad.height, intr, centerized)
+    return Image(perspective_shading(grad.gx, grad.gy, X, Y, light, material,
+                                     intr.focal_length))
 
 
 def render_lambertian_perspective(
@@ -123,8 +127,7 @@ def render_lambertian_perspective(
     centerized=True,
 ) -> Image:
     """Shade log-depth gradients under the perspective Lambertian model."""
-    data, *_ = _diffuse_perspective(grad, light, material, intr, centerized)
-    return Image(data)
+    return _render_perspective(grad, light, replace(material, k_s=0.0), intr, centerized)
 
 
 def render_blinn_phong_perspective(
@@ -133,14 +136,7 @@ def render_blinn_phong_perspective(
 ) -> Image:
     """Perspective Blinn-Phong: per-pixel view vector (x, y, f)/||.||, halfway
     vector against the light, specular lobe raised to the shininess."""
-    data, X, Y, w, norm = _diffuse_perspective(grad, light, material, intr, centerized)
-    if material.k_s != 0.0:
-        f = intr.focal_length
-        h = halfway_vector_grid(X, Y, f, light)
-        hdotn = (h[..., 0] * f * grad.gx + h[..., 1] * f * grad.gy + h[..., 2] * w) / norm
-        spec = np.maximum(hdotn, 0.0) ** material.shininess
-        data = data + material.k_s * light.specular_intensity * spec
-    return Image(data)
+    return _render_perspective(grad, light, material, intr, centerized)
 
 
 def make_sphere_depth(
@@ -189,7 +185,6 @@ def _masked_difference(values, mask, step, axis):
     mm[0] = False
 
     out = np.zeros_like(v)
-    ok = np.zeros_like(m)
     central = m & mp & mm
     fwd = m & mp & ~mm
     bwd = m & ~mp & mm

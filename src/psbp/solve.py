@@ -8,10 +8,13 @@ Four per-pixel solvers are provided:
 * blinn_phong_ortho_solve  -- damped least squares over (n1, n2) under the
                               orthographic Blinn-Phong model
 * blinn_phong_pps_solve    -- damped least squares over the log-depth
-                              gradient under the perspective Blinn-Phong
-                              model, using cross-multiplied intensity ratios
+                              gradient on the absolute shading residuals of
+                              the perspective Blinn-Phong model
 
-plus conditioning diagnostics for three-light rigs.
+plus conditioning diagnostics for three-light rigs.  The perspective
+Blinn-Phong shading and its derivatives come from render.perspective_shading,
+the function the renderer uses.  The paper's cross-multiplied intensity-ratio
+equations are kept as blinn_phong_residuals and blinn_phong_residual_jacobian.
 """
 
 from __future__ import annotations
@@ -25,15 +28,17 @@ from .core import (
     GradientField,
     Image,
     KIND_LOG_DEPTH,
-    LightSource,
     Material,
     NormalField,
     input_mask,
 )
 from .geometry import ImagePoint, halfway_vector_grid, pixel_grid
 from .optim import LMConfig, levenberg_marquardt_batch
+from .render import perspective_shading
 
 SINGULAR_DET_THRESHOLD = 1e-12
+# Largest absolute shading-residual norm at which bp-pps accepts a pixel.
+ACCEPT_TOL = 1e-3
 INDICATOR_THRESHOLD = 1e-12
 
 _RATIO_PAIRS = ((0, 1), (1, 2), (0, 2))
@@ -65,26 +70,13 @@ class ClosedFormTerms:
 
 
 @dataclass
-class RatioTerms:
-    """Diagnostic quantities of one intensity-ratio equation between lights
-    M and N at an image point: the light-vs-view difference vectors Q (for
-    M) and T (for N) and the scalars e, k pairing gamma*p - f*||L|| for M
-    and N respectively."""
-
-    Q: np.ndarray
-    T: np.ndarray
-    k: float
-    e: float
-
-
-@dataclass
 class ConditioningReport:
     """Light-rig conditioning diagnostics over a pixel grid.
 
     flags[i] marks pixels where indicator expression i (0-based) is below
     threshold; expressions 0-2 depend only on the rig and are broadcast.
-    det_proxy is |det M| of the closed-form system evaluated with unit test
-    intensities.
+    det_proxy is |det M| of the closed-form system evaluated at the
+    intensities I_k = l_d,k (scaled intensities r_k = ||L_k||).
     """
 
     flags: np.ndarray
@@ -148,14 +140,18 @@ def woodham_normals(images, lights, mask=None):
     return normals, AlbedoMap(values=np.where(ok, albedo, 0.0), mask=ok.copy())
 
 
-def _closed_form_system(grids, lights, X, Y, focal_length):
-    dirs, norms, ld, _ = _light_arrays(lights)
+def _scaled_intensities(grids, norms, ld):
+    return [grids[k] * norms[k] / ld[k] for k in range(3)]
+
+
+def _closed_form_system(r, dirs, X, Y, focal_length):
+    """Terms of the per-pixel 2x2 system from the scaled intensities
+    r_k = I_k * ||L_k|| / l_d,k and the light directions."""
     f = focal_length
     alpha, beta, gamma = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     # Per-light linear coefficients of the shading numerator.
     a = [f * alpha[k] + X * gamma[k] for k in range(3)]
     b = [f * beta[k] + Y * gamma[k] for k in range(3)]
-    r = [grids[k] * norms[k] / ld[k] for k in range(3)]
     terms = ClosedFormTerms(
         m1=r[1] * a[0] - r[0] * a[1],
         m2=r[1] * b[0] - r[0] * b[1],
@@ -173,8 +169,10 @@ def _closed_form_system(grids, lights, X, Y, focal_length):
 def closed_form_terms(images, lights, intr: CameraIntrinsics, centerized=True) -> ClosedFormTerms:
     """Expose the per-pixel 2x2 system of the perspective Lambertian solve."""
     grids = _image_stack(images)
+    dirs, norms, ld, _ = _light_arrays(lights)
     X, Y = pixel_grid(grids[0].shape[1], grids[0].shape[0], intr, centerized)
-    terms, _, _, _ = _closed_form_system(grids, lights, X, Y, intr.focal_length)
+    terms, _, _, _ = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs, X, Y,
+                                         intr.focal_length)
     return terms
 
 
@@ -198,7 +196,8 @@ def lambertian_pps_closed_form(
         mask = input_mask(grids)
     X, Y = pixel_grid(w, h, intr, centerized)
     f = intr.focal_length
-    terms, a, b, gamma = _closed_form_system(grids, lights, X, Y, f)
+    terms, a, b, gamma = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
+                                             X, Y, f)
 
     det = terms.m1 * terms.m4 - terms.m2 * terms.m3
     ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)
@@ -225,9 +224,9 @@ def sensitivity_indicator(
     expressions 4-11, the pixel coordinates) whose vanishing can make the
     per-pixel system singular; |expression| < threshold raises a flag.  The
     report also carries a global non-coplanarity check of the rig and the
-    per-pixel |det| of the system evaluated at unit test intensities.
+    per-pixel |det| of the system evaluated at the intensities I_k = l_d,k.
     """
-    dirs, norms, ld, _ = _light_arrays(lights)
+    dirs, norms, _, _ = _light_arrays(lights)
     X, Y = pixel_grid(width, height, intr, centerized)
     (a1, b1, g1), (a2, b2, g2), (a3, b3, g3) = dirs
 
@@ -252,16 +251,9 @@ def sensitivity_indicator(
     unit = dirs / norms[:, None]
     non_coplanar = bool(abs(np.linalg.det(unit)) >= SINGULAR_DET_THRESHOLD)
 
-    # det of the closed-form system at unit test intensities (I_k = 1).
-    r = norms
-    f = intr.focal_length
-    a = [f * dirs[k, 0] + X * dirs[k, 2] for k in range(3)]
-    b = [f * dirs[k, 1] + Y * dirs[k, 2] for k in range(3)]
-    m1 = r[1] * a[0] - r[0] * a[1]
-    m2 = r[1] * b[0] - r[0] * b[1]
-    m3 = r[2] * a[0] - r[0] * a[2]
-    m4 = r[2] * b[0] - r[0] * b[2]
-    det_proxy = np.abs(m1 * m4 - m2 * m3)
+    # I_k = l_d,k makes the scaled intensities r_k = ||L_k||.
+    terms, _, _, _ = _closed_form_system(norms, dirs, X, Y, intr.focal_length)
+    det_proxy = np.abs(terms.m1 * terms.m4 - terms.m2 * terms.m3)
 
     return ConditioningReport(
         flags=flags,
@@ -272,102 +264,44 @@ def sensitivity_indicator(
     )
 
 
-def ratio_terms(point: ImagePoint, light_m: LightSource, light_n: LightSource,
-                intr: CameraIntrinsics) -> RatioTerms:
-    """Diagnostic terms of the intensity-ratio equation for a light pair."""
-    f = intr.focal_length
-    p = float(np.linalg.norm([point.x, point.y, f]))
-    pix = np.array([point.x, point.y, f])
-    q = light_m.direction - light_m.norm * pix
-    t = light_n.direction - light_n.norm * pix
-    return RatioTerms(
-        Q=q,
-        T=t,
-        k=float(light_n.direction[2] * p - f * light_n.norm),
-        e=float(light_m.direction[2] * p - f * light_m.norm),
-    )
-
-
-class _PerspectiveRatioModel:
-    """Batched residuals/Jacobian of the cross-multiplied perspective
-    Blinn-Phong ratio equations over a set of pixels."""
+class _PerspectiveModel:
+    """Batched absolute shading residuals I_k - R_k of the perspective
+    Blinn-Phong model, and their Jacobian, over a set of pixels.  The
+    diffuse cosine is left unclamped so the residual stays smooth."""
 
     def __init__(self, x, y, intensities, lights, material: Material, focal_length):
-        dirs, norms, ld, ls = _light_arrays(lights)
-        f = float(focal_length)
-        self.f = f
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        self.I = np.asarray(intensities, dtype=np.float64)
-        self.gamma = dirs[:, 2]
-        self.A = f * dirs[:, 0][None, :] + self.x[:, None] * self.gamma[None, :]
-        self.B = f * dirs[:, 1][None, :] + self.y[:, None] * self.gamma[None, :]
-        hh = np.stack(
-            [halfway_vector_grid(self.x, self.y, f, li) for li in lights], axis=1
-        )  # (n, light, 3)
-        self.hx_lin = hh[..., 0] * f + hh[..., 2] * self.x[:, None]
-        self.hy_lin = hh[..., 1] * f + hh[..., 2] * self.y[:, None]
-        self.h0 = hh[..., 2]
-        self.cd = material.k_d * ld / norms
-        self.cs = material.k_s * ls
-        self.shiny = material.shininess
-
-    def _shade(self, nu, idx):
-        gx = nu[:, 0][:, None]
-        gy = nu[:, 1][:, None]
-        x = self.x[idx][:, None]
-        y = self.y[idx][:, None]
-        f = self.f
-        w = 1.0 + x * gx + y * gy
-        nn = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
-        num = self.A[idx] * gx + self.B[idx] * gy + self.gamma[None, :]
-        u = (self.hx_lin[idx] * gx + self.hy_lin[idx] * gy + self.h0[idx]) / nn
-        up = np.maximum(u, 0.0)
-        shade = self.cd[None, :] * num / nn + self.cs[None, :] * up ** self.shiny
-        return shade, num, u, up, w, nn, x, y
-
-    def _combine(self, per_light, idx):
-        i = self.I[idx]
-        out = [
-            i[:, m] * per_light[:, n] - i[:, n] * per_light[:, m]
-            for m, n in _RATIO_PAIRS
+        self.x = x
+        self.y = y
+        self.I = intensities
+        self.lights = lights
+        self.material = material
+        self.f = float(focal_length)
+        self.halfway = [
+            halfway_vector_grid(x, y, self.f, li) if material.k_s != 0.0 else None
+            for li in lights
         ]
-        return np.stack(out, axis=1)
 
-    def _shade_derivatives(self, nu, idx):
-        shade, num, u, up, w, nn, x, y = self._shade(nu, idx)
-        f = self.f
-        gx = nu[:, 0][:, None]
-        gy = nu[:, 1][:, None]
-        dn_dx = (f * f * gx + w * x) / nn
-        dn_dy = (f * f * gy + w * y) / nn
-        lobe = np.where(u > 0.0, self.shiny * up ** (self.shiny - 1.0), 0.0)
-        dshade = []
-        for dnum, hlin, dnn in (
-            (self.A[idx], self.hx_lin[idx], dn_dx),
-            (self.B[idx], self.hy_lin[idx], dn_dy),
-        ):
-            ddiff = self.cd[None, :] * (dnum - num * dnn / nn) / nn
-            dspec = self.cs[None, :] * lobe * (hlin - u * dnn) / nn
-            dshade.append(ddiff + dspec)
-        return shade, dshade
+    def _shading(self, nu, idx, derivatives):
+        x = self.x[idx]
+        y = self.y[idx]
+        return [
+            perspective_shading(nu[:, 0], nu[:, 1], x, y, li, self.material, self.f,
+                                halfway=None if h is None else h[idx], clamp=False,
+                                derivatives=derivatives)
+            for li, h in zip(self.lights, self.halfway)
+        ]
 
     def residuals(self, nu, idx):
-        shade = self._shade(nu, idx)[0]
-        return self._combine(shade, idx)
+        return self.I[idx] - np.stack(self._shading(nu, idx, False), axis=1)
 
     def jacobian(self, nu, idx):
-        _, dshade = self._shade_derivatives(nu, idx)
-        cols = [self._combine(d, idx) for d in dshade]
-        return np.stack(cols, axis=2)
+        per_light = self._shading(nu, idx, True)
+        return -np.stack([np.stack(d[1:], axis=1) for d in per_light], axis=1)
 
-    def absolute_residuals(self, nu, idx):
-        """Direct shading mismatch I_k - R_k; zero only at the physical root."""
-        return self.I[idx] - self._shade(nu, idx)[0]
 
-    def absolute_jacobian(self, nu, idx):
-        _, dshade = self._shade_derivatives(nu, idx)
-        return np.stack([-d for d in dshade], axis=2)
+def _pixel_shading(gx, gy, point: ImagePoint, lights, material, intr, derivatives=False):
+    return [perspective_shading(gx, gy, point.x, point.y, li, material, intr.focal_length,
+                                clamp=False, derivatives=derivatives) for li in lights]
 
 
 def blinn_phong_residuals(gx, gy, point: ImagePoint, intensities, lights,
@@ -375,27 +309,23 @@ def blinn_phong_residuals(gx, gy, point: ImagePoint, intensities, lights,
     """Ratio residuals of one pixel at a log-depth gradient hypothesis.
 
     For image pairs (1,2), (2,3), (1,3) returns
-    I_M * shade_N(gx, gy) - I_N * shade_M(gx, gy), which vanish exactly when
-    the gradient reproduces all three intensities under the perspective
-    Blinn-Phong model.
+    I_M * shade_N(gx, gy) - I_N * shade_M(gx, gy), the paper's
+    cross-multiplied ratio equations, which vanish when the gradient
+    reproduces all three intensities under the perspective Blinn-Phong
+    model.
     """
-    model = _PerspectiveRatioModel(
-        np.array([point.x]), np.array([point.y]),
-        np.asarray(intensities, dtype=np.float64).reshape(1, 3),
-        lights, material, intr.focal_length,
-    )
-    return model.residuals(np.array([[gx, gy]]), np.array([0]))[0]
+    i = np.asarray(intensities, dtype=np.float64)
+    shade = _pixel_shading(gx, gy, point, lights, material, intr)
+    return np.array([i[m] * shade[n] - i[n] * shade[m] for m, n in _RATIO_PAIRS])
 
 
 def blinn_phong_residual_jacobian(gx, gy, point: ImagePoint, intensities, lights,
                                   material: Material, intr: CameraIntrinsics):
     """Analytic Jacobian of blinn_phong_residuals w.r.t. (gx, gy); (3, 2)."""
-    model = _PerspectiveRatioModel(
-        np.array([point.x]), np.array([point.y]),
-        np.asarray(intensities, dtype=np.float64).reshape(1, 3),
-        lights, material, intr.focal_length,
-    )
-    return model.jacobian(np.array([[gx, gy]]), np.array([0]))[0]
+    i = np.asarray(intensities, dtype=np.float64)
+    shade = _pixel_shading(gx, gy, point, lights, material, intr, derivatives=True)
+    return np.array([[i[m] * shade[n][c] - i[n] * shade[m][c] for c in (1, 2)]
+                     for m, n in _RATIO_PAIRS])
 
 
 def _subset_calls(fn, sub):
@@ -404,48 +334,28 @@ def _subset_calls(fn, sub):
     return lambda nu, idx: fn(nu, sub[idx])
 
 
-def _ratio_attempt(model, x0, cfg, sub=None):
-    """One solve attempt: LM on the ratio residuals, then an absolute-residual
-    polish started at the ratio root.
-
-    The cross-multiplied ratio system is rank-2 (the third equation is a
-    combination of the other two) and can admit several exact roots; only
-    the physical one also zeroes the absolute residuals, so the polish both
-    refines the root and scores the attempt.  Returns (x, absolute residual
-    norm, ok).
-    """
+def _attempt(model, x0, sub=None):
+    """LM on the absolute residuals from x0, over the pixels sub (all when
+    None).  Returns (x, residual norm, ok) with ok marking convergence."""
     res = _subset_calls(model.residuals, sub)
     jac = _subset_calls(model.jacobian, sub)
-    ares = _subset_calls(model.absolute_residuals, sub)
-    ajac = _subset_calls(model.absolute_jacobian, sub)
-
-    xr, _, conv, fail = levenberg_marquardt_batch(res, jac, x0, cfg)
-    ok = conv & ~fail
-    xp, ap, conv_p, fail_p = levenberg_marquardt_batch(ares, ajac, xr, cfg)
-    fr = ares(xr, np.arange(xr.shape[0]))
-    ar = np.linalg.norm(fr, axis=1)
-    improved = conv_p & ~fail_p & (ap <= ar)
-    x = np.where(improved[:, None], xp, xr)
-    a = np.where(improved, ap, ar)
-    ok = ok | improved
-    return x, a, ok
+    x, a, conv, fail = levenberg_marquardt_batch(res, jac, x0, LMConfig())
+    return x, a, conv & ~fail
 
 
 def blinn_phong_pps_solve(
-    images, lights, material: Material, intr: CameraIntrinsics,
-    lm_config: LMConfig | None = None, centerized=True, mask=None,
-    accept_tol=1e-3,
+    images, lights, material: Material, intr: CameraIntrinsics, centerized=True, mask=None,
 ) -> GradientField:
     """Per-pixel perspective Blinn-Phong solve for the log-depth gradient.
 
-    Damped least squares on the intensity-ratio residuals, started from the
-    Lambertian closed-form estimate (exact wherever the specular lobe is
-    negligible; zero at pixels the closed form masks).  Because the ratio
-    system can have non-physical extra roots, every root is polished and
-    scored on the absolute shading residuals; pixels whose best root keeps
-    an absolute residual norm above accept_tol — or that never converge —
-    are masked out.  A second attempt from a zero start rescues pixels the
-    first start sends to a wrong root.
+    Damped least squares on the absolute shading residuals I_k - R_k(gx, gy)
+    of the three images, started from the Lambertian closed-form estimate
+    (exact wherever the specular lobe is negligible; zero at pixels the
+    closed form masks).  A pixel that does not converge, or keeps a residual
+    norm above ACCEPT_TOL, gets a second attempt from a zero start, which
+    rescues pixels the first start sends to a wrong minimum; the better
+    attempt is kept.  Pixels whose best fit still fails that test are masked
+    out.  The paper's ratio equations are blinn_phong_residuals.
     """
     grids = _image_stack(images)
     for li in lights:
@@ -464,24 +374,23 @@ def blinn_phong_pps_solve(
     X, Y = pixel_grid(w, h, intr, centerized)
     rows, cols = np.nonzero(mask)
     intensities = np.stack([g[rows, cols] for g in grids], axis=1)
-    model = _PerspectiveRatioModel(
+    model = _PerspectiveModel(
         X[rows, cols], Y[rows, cols], intensities, lights, material, intr.focal_length
     )
-    cfg = lm_config or LMConfig()
 
     x0 = np.stack([init_grad.gx[rows, cols], init_grad.gy[rows, cols]], axis=1)
-    x, a, ok = _ratio_attempt(model, x0, cfg)
+    x, a, ok = _attempt(model, x0)
 
-    retry = (~ok | (a > accept_tol)) & (np.abs(x0) > 0).any(axis=1)
+    retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
     if retry.any():
         sub = np.nonzero(retry)[0]
-        x2, a2, ok2 = _ratio_attempt(model, np.zeros((sub.size, 2)), cfg, sub=sub)
+        x2, a2, ok2 = _attempt(model, np.zeros((sub.size, 2)), sub=sub)
         better = (ok2 & ~ok[sub]) | (ok2 & (a2 < a[sub]))
         x[sub[better]] = x2[better]
         a[sub[better]] = a2[better]
         ok[sub[better]] = True
 
-    good = ok & (a <= accept_tol)
+    good = ok & (a <= ACCEPT_TOL)
     gx = np.zeros((h, w))
     gy = np.zeros((h, w))
     valid = np.zeros((h, w), dtype=bool)
@@ -545,7 +454,7 @@ class _OrthoModel:
 
 
 def blinn_phong_ortho_solve(
-    images, lights, material: Material, lm_config: LMConfig | None = None, mask=None
+    images, lights, material: Material, mask=None
 ) -> NormalField:
     """Per-pixel orthographic Blinn-Phong fit of the surface normal.
 
@@ -573,9 +482,8 @@ def blinn_phong_ortho_solve(
     x0 = model.project(
         np.stack([init_normals.n[rows, cols, 0], init_normals.n[rows, cols, 1]], axis=1)
     )
-    cfg = lm_config or LMConfig()
     xr, rnorm, conv, fail = levenberg_marquardt_batch(
-        model.residuals, model.jacobian, x0, cfg, project=model.project
+        model.residuals, model.jacobian, x0, LMConfig(), project=model.project
     )
     good = conv & ~fail
 

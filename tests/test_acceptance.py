@@ -7,7 +7,8 @@ before asserting, so a full run reads as a checklist of the guarantees:
 * exact closed-form recovery on noiseless diffuse renders,
 * closed-loop depth reconstruction through the CLI pipeline and file formats,
 * reduction / failure behavior of the reflectance models,
-* agreement of the per-pixel solver with an exhaustive grid search,
+* coverage and exactness of the per-pixel solver on the specular sphere,
+  and its agreement with an exhaustive grid search,
 * exactness properties of the integrator, Jacobians, and conditioning
   diagnostics, and placement of rendered specular highlights.
 """
@@ -266,6 +267,20 @@ def test_zero_specular_solver_reduces_to_closed_form():
     verdict("zero-specular reduction", fraction >= 0.99,
             f"{fraction:.4f} of {usable.sum()} px agree within 1e-06 "
             f"per component (need >= 0.99)")
+
+
+def test_specular_sphere_solve_coverage_and_accuracy():
+    material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    images, grad_true, usable = specular_sphere(material)
+    solved = blinn_phong_pps_solve(images, rig(1.2, 1.2), material,
+                                   SPHERE_INTR, mask=usable)
+    fraction = solved.mask.sum() / usable.sum()
+    joint = solved.mask & grad_true.mask
+    err = max(np.abs(solved.gx - grad_true.gx)[joint].max(),
+              np.abs(solved.gy - grad_true.gy)[joint].max())
+    verdict("specular sphere per-pixel solve", fraction >= 0.98 and err < 1e-8,
+            f"{solved.mask.sum()}/{usable.sum()} = {fraction:.4f} of usable px "
+            f"solved (need >= 0.98); max gradient error {err:.3e} < 1e-08")
 
 
 def test_diffuse_only_model_degrades_on_specular_data(sphere_loop):

@@ -1,5 +1,7 @@
 """Per-pixel reconstruction solvers: orthographic and perspective paths."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,17 @@ from psbp.core import (
     Material,
     input_mask,
 )
-from psbp.geometry import ImagePoint, pixel_grid
+from psbp.geometry import (
+    ImagePoint,
+    halfway_vector,
+    perspective_normal,
+    pixel_grid,
+)
 from psbp.optim import finite_difference_jacobian
 from psbp.render import (
     depth_to_normals_orthographic,
     log_depth_gradients,
+    perspective_shading,
     render_blinn_phong_perspective,
     render_lambertian_orthographic,
     render_lambertian_perspective,
@@ -28,7 +36,6 @@ from psbp.solve import (
     blinn_phong_residuals,
     closed_form_terms,
     lambertian_pps_closed_form,
-    ratio_terms,
     sensitivity_indicator,
     woodham_normals,
 )
@@ -276,25 +283,6 @@ def test_indicator_det_proxy_positive_for_good_rig():
     assert report.det_proxy.min() > 0.0
 
 
-# ------------------------------------------------------- ratio diagnostics
-
-def test_ratio_terms_values_and_symmetry():
-    intr = CameraIntrinsics(focal_length=2.0)
-    pt = ImagePoint(x=0.3, y=-0.1)
-    m = LightSource(np.array([1.0, 0.0, 2.0]))
-    n = LightSource(np.array([0.0, 1.0, 3.0]))
-    terms = ratio_terms(pt, m, n, intr)
-    p = np.linalg.norm([0.3, -0.1, 2.0])
-    pix = np.array([0.3, -0.1, 2.0])
-    assert np.allclose(terms.Q, m.direction - m.norm * pix)
-    assert np.allclose(terms.T, n.direction - n.norm * pix)
-    assert terms.e == pytest.approx(2.0 * p - 2.0 * m.norm)
-    assert terms.k == pytest.approx(3.0 * p - 2.0 * n.norm)
-    same = ratio_terms(pt, m, m, intr)
-    assert np.allclose(same.Q, same.T)
-    assert same.k == pytest.approx(same.e)
-
-
 # ------------------------------------------- perspective Blinn-Phong solve
 
 def specular_plane_scene(size=16, gx=0.4, gy=-0.25, seed=None):
@@ -350,20 +338,49 @@ def test_residuals_are_pairwise_cross_products():
     assert np.allclose(res, expected, atol=1e-12)
 
 
+def _ratio_model(pt, I, lights, mat, intr):
+    residual = lambda v: blinn_phong_residuals(v[0], v[1], pt, I, lights, mat, intr)
+    jacobian = lambda v: blinn_phong_residual_jacobian(v[0], v[1], pt, I, lights, mat, intr)
+    return residual, jacobian
+
+
+def _shading_model(pt, I, lights, mat, intr, clamp=False):
+    """Per-light shading and its derivatives: unclamped as bp-pps fits it,
+    clamped as the renderer draws it."""
+    def shade(v, derivatives=False):
+        return [perspective_shading(v[0], v[1], pt.x, pt.y, li, mat, intr.focal_length,
+                                    clamp=clamp, derivatives=derivatives) for li in lights]
+
+    residual = lambda v: np.array(shade(v))
+    jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
+    return residual, jacobian
+
+
 def test_residual_jacobian_matches_finite_differences():
     images, lights, intr, grad, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
+    models = (_ratio_model, _shading_model, functools.partial(_shading_model, clamp=True))
     rng = np.random.default_rng(4)
-    for _ in range(10):
+    # Random states near the surface, plus steep ones that turn the normal
+    # away from some light's halfway vector (u <= 0: that lobe is off; at
+    # shininess 1 its slope jumps there).
+    states = [*rng.uniform(-1.0, 1.0, size=(10, 2)), (-6.0, 0.0), (0.0, -6.0), (-4.0, -4.0)]
+    lobe_off = 0
+    for state in states:
         r, c = rng.integers(0, 16, size=2)
         I = [img.data[r, c] for img in images]
         pt = ImagePoint(X[r, c], Y[r, c])
-        state = rng.uniform(-1.0, 1.0, size=2)
-        jac = blinn_phong_residual_jacobian(state[0], state[1], pt, I, lights, mat, intr)
-        fd = finite_difference_jacobian(
-            lambda v: blinn_phong_residuals(v[0], v[1], pt, I, lights, mat, intr), state)
-        assert jac.shape == (3, 2)
-        assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
+        n = perspective_normal(pt, state[0], state[1], intr.focal_length)
+        lobe_off += any(n @ halfway_vector(pt, intr.focal_length, li) <= 0.0 for li in lights)
+        for shininess in (mat.shininess, 1.0):
+            material = Material(k_d=mat.k_d, k_s=mat.k_s, shininess=shininess)
+            for model in models:
+                residual, jacobian = model(pt, I, lights, material, intr)
+                jac = jacobian(np.asarray(state))
+                fd = finite_difference_jacobian(residual, state)
+                assert jac.shape == (3, 2)
+                assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
+    assert lobe_off >= 3
 
 
 def test_pps_solve_recovers_specular_plane():
