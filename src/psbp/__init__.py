@@ -20,18 +20,8 @@ from .core import (
     mse,
     normalize_unit_range,
 )
-from .geometry import (
-    ImagePoint,
-    centerize,
-    halfway_vector,
-    normals_to_perspective_gradient,
-    perspective_normal,
-    pixel_grid,
-    surface_point,
-    uncenterize,
-)
+from .geometry import ImagePoint, normals_to_perspective_gradient, pixel_grid
 from .integrate import IntegrationConfig, align_depth, exp_depth, poisson_integrate
-from .optim import LMConfig, LMResult, levenberg_marquardt
 from .render import (
     MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
@@ -71,8 +61,6 @@ __all__ = [
     "IntegrationConfig",
     "KIND_DEPTH",
     "KIND_LOG_DEPTH",
-    "LMConfig",
-    "LMResult",
     "LightSource",
     "Material",
     "MODEL_BLINN_PHONG",
@@ -86,18 +74,14 @@ __all__ = [
     "blinn_phong_ortho_solve",
     "blinn_phong_pps_solve",
     "blinn_phong_residuals",
-    "centerize",
     "exp_depth",
-    "halfway_vector",
     "input_mask",
     "lambertian_pps_closed_form",
-    "levenberg_marquardt",
     "log_depth_gradients",
     "make_sphere_depth",
     "mse",
     "normalize_unit_range",
     "normals_to_perspective_gradient",
-    "perspective_normal",
     "pixel_grid",
     "poisson_integrate",
     "render_blinn_phong_orthographic",
@@ -106,7 +90,5 @@ __all__ = [
     "render_lambertian_perspective",
     "render_scene",
     "sensitivity_indicator",
-    "surface_point",
-    "uncenterize",
     "woodham_normals",
 ]

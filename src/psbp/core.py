@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORIGIN_CORNER = "corner"
-ORIGIN_PRINCIPAL_POINT = "principal-point"
-
 KIND_LOG_DEPTH = "log-depth"
 KIND_DEPTH = "depth"
 
@@ -46,19 +43,12 @@ def _check_mask(mask, shape, name):
 
 @dataclass
 class Image:
-    """Single-channel intensity grid.
-
-    origin records whether pixel coordinates have been shifted to the
-    principal point; raw files are always 'corner'.
-    """
+    """Single-channel intensity grid."""
 
     data: np.ndarray
-    origin: str = ORIGIN_CORNER
 
     def __post_init__(self):
         self.data = _as_grid(self.data, "image")
-        if self.origin not in (ORIGIN_CORNER, ORIGIN_PRINCIPAL_POINT):
-            raise ValueError(f"unknown image origin {self.origin!r}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("image intensities must be finite")
         if np.any(self.data < 0):

@@ -83,17 +83,6 @@ def perspective_normal(point: ImagePoint, gx, gy, focal_length):
     return n / norm
 
 
-def perspective_normal_grid(X, Y, gx, gy, focal_length):
-    """Vectorized perspective_normal: returns (n, norm) with n unnormalized.
-
-    n has shape (h, w, 3); norm is the per-pixel length of n.
-    """
-    w = X * gx + Y * gy + 1.0
-    n = np.stack([focal_length * gx, focal_length * gy, w], axis=-1)
-    norm = np.linalg.norm(n, axis=-1)
-    return n, norm
-
-
 def view_direction(point: ImagePoint, focal_length):
     """Unit view vector used by the specular term, (x, y, f)/||(x, y, f)||."""
     v = np.array([point.x, point.y, focal_length], dtype=np.float64)

@@ -216,7 +216,7 @@ def run_reconstruct(cfg: PipelineConfig):
         else:
             # Depth-kind gradients integrate to depth directly, up to an
             # additive constant fixed by shifting the minimum to 1.
-            z = potential - (potential[grad.mask].min() if grad.mask.any() else 0.0) + 1.0
+            z = potential - potential[grad.mask].min() + 1.0
             depth = DepthMap(z=np.where(grad.mask, z, 0.0), mask=grad.mask)
 
     with timer.stage("write"):

@@ -1,11 +1,13 @@
 """Forward rendering under Lambertian and Blinn-Phong reflectance.
 
-Orthographic shading consumes a normal field; perspective shading consumes
-per-pixel log-depth gradients and builds the normal direction
-(f*gx, f*gy, x*gx + y*gy + 1) internally.  Renders clamp all dot products at
-zero, intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and
-may legitimately exceed 1 for light intensities above 1.  The perspective
-solver evaluates the same perspective_shading function, with derivatives.
+Each projection has one shading function, evaluated per light and shared
+with the solvers: orthographic_shading takes unit normals, and
+perspective_shading takes per-pixel log-depth gradients and builds the
+normal direction (f*gx, f*gy, x*gx + y*gy + 1) internally.  Both return the
+shading and, on request, its derivatives.  The Lambertian renderers are the
+Blinn-Phong ones with k_s = 0.  Renders clamp all dot products at zero;
+intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
+legitimately exceed 1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
     LightSource,
     Material,
     NormalField,
-    ORIGIN_CORNER,
 )
 from .geometry import grid_spacing, halfway_vector_grid, pixel_grid
 
@@ -36,17 +37,53 @@ PROJECTION_ORTHOGRAPHIC = "orthographic"
 _VIEW_ORTHO = np.array([0.0, 0.0, 1.0])
 
 
-def _diffuse_orthographic(normals: NormalField, light: LightSource, material: Material):
-    light.require_frontal()
-    dot = normals.n @ light.unit
-    return material.k_d * light.diffuse_intensity * np.maximum(dot, 0.0)
+def orthographic_shading(n, light: LightSource, material: Material, derivatives=False):
+    """Orthographic Blinn-Phong shading of one light at unit normals.
+
+    n has shape (..., 3).  The diffuse term is k_d*l_d*max(n.l, 0) with l the
+    unit light direction; the specular term is k_s*l_s*max(n.h, 0)^n with h
+    the fixed halfway vector of the light and the (0, 0, 1) view direction
+    (skipped when k_s == 0).  With derivatives, returns (shading, d/dn1,
+    d/dn2), n3 = sqrt(1 - n1^2 - n2^2) being the dependent component;
+    otherwise the shading alone.
+    """
+    specular = material.k_s != 0.0
+    lhat = light.unit
+    if specular:
+        h = lhat + _VIEW_ORTHO
+        hn = np.linalg.norm(h)
+        if hn < 1e-12:
+            raise ValueError("degenerate halfway vector: light opposes the view direction")
+        h = h / hn
+    u = n @ lhat
+    kd = material.k_d * light.diffuse_intensity
+    shade = kd * np.maximum(u, 0.0)
+    if specular:
+        v = n @ h
+        ks = material.k_s * light.specular_intensity
+        shade = shade + ks * np.maximum(v, 0.0) ** material.shininess
+    if not derivatives:
+        return shade
+
+    gate = (u > 0.0).astype(np.float64)
+    if specular:
+        vp = np.maximum(v, 0.0)
+        lobe = ks * np.where(v > 0.0, material.shininess * vp ** (material.shininess - 1.0), 0.0)
+    out = [shade]
+    for comp in (0, 1):
+        slope = -n[..., comp] / n[..., 2]
+        d = kd * gate * (lhat[comp] + lhat[2] * slope)
+        if specular:
+            d = d + lobe * (h[comp] + h[2] * slope)
+        out.append(d)
+    return tuple(out)
 
 
 def render_lambertian_orthographic(
     normals: NormalField, light: LightSource, material: Material
 ) -> Image:
     """Shade a normal field under a distant light, orthographic view."""
-    return Image(_diffuse_orthographic(normals, light, material))
+    return render_blinn_phong_orthographic(normals, light, replace(material, k_s=0.0))
 
 
 def render_blinn_phong_orthographic(
@@ -54,15 +91,8 @@ def render_blinn_phong_orthographic(
 ) -> Image:
     """Orthographic Blinn-Phong: adds a specular lobe around the fixed
     halfway vector of the light and the (0, 0, 1) view direction."""
-    data = _diffuse_orthographic(normals, light, material)
-    if material.k_s != 0.0:
-        h = light.unit + _VIEW_ORTHO
-        hn = np.linalg.norm(h)
-        if hn < 1e-12:
-            raise ValueError("degenerate halfway vector: light opposes the view direction")
-        spec = np.maximum(normals.n @ (h / hn), 0.0) ** material.shininess
-        data = data + material.k_s * light.specular_intensity * spec
-    return Image(data)
+    light.require_frontal()
+    return Image(orthographic_shading(normals.n, light, material))
 
 
 def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, focal_length,
@@ -247,24 +277,17 @@ def render_scene(scene: SceneSpec):
     (perspective) or normal field (orthographic) the images were shaded
     from; pixels outside the scene mask render as 0.
     """
+    material = scene.material
+    if scene.model == MODEL_LAMBERTIAN:
+        material = replace(material, k_s=0.0)
     if scene.projection == PROJECTION_PERSPECTIVE:
         geom = log_depth_gradients(scene.depth, scene.intrinsics)
-        if scene.model == MODEL_BLINN_PHONG:
-            shade = lambda li: render_blinn_phong_perspective(
-                geom, li, scene.material, scene.intrinsics
-            )
-        else:
-            shade = lambda li: render_lambertian_perspective(
-                geom, li, scene.material, scene.intrinsics
-            )
+        shade = lambda li: render_blinn_phong_perspective(geom, li, material, scene.intrinsics)
     else:
         geom = depth_to_normals_orthographic(scene.depth, scene.intrinsics)
-        if scene.model == MODEL_BLINN_PHONG:
-            shade = lambda li: render_blinn_phong_orthographic(geom, li, scene.material)
-        else:
-            shade = lambda li: render_lambertian_orthographic(geom, li, scene.material)
+        shade = lambda li: render_blinn_phong_orthographic(geom, li, material)
     images = []
     for li in scene.lights:
         img = shade(li)
-        images.append(Image(np.where(geom.mask, img.data, 0.0), origin=ORIGIN_CORNER))
+        images.append(Image(np.where(geom.mask, img.data, 0.0)))
     return images, geom, geom.mask.copy()

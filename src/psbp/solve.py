@@ -11,10 +11,11 @@ Four per-pixel solvers are provided:
                               gradient on the absolute shading residuals of
                               the perspective Blinn-Phong model
 
-plus conditioning diagnostics for three-light rigs.  The perspective
-Blinn-Phong shading and its derivatives come from render.perspective_shading,
-the function the renderer uses.  The paper's cross-multiplied intensity-ratio
-equations are kept as blinn_phong_residuals and blinn_phong_residual_jacobian.
+plus conditioning diagnostics for three-light rigs.  The Blinn-Phong shading
+and its derivatives come from render.orthographic_shading and
+render.perspective_shading, the functions the renderers use.  The paper's
+cross-multiplied intensity-ratio equations are kept as blinn_phong_residuals
+and blinn_phong_residual_jacobian.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .core import (
     input_mask,
 )
 from .geometry import ImagePoint, halfway_vector_grid, pixel_grid
-from .optim import LMConfig, levenberg_marquardt_batch
-from .render import perspective_shading
+from .optim import levenberg_marquardt_batch
+from .render import orthographic_shading, perspective_shading
 
 SINGULAR_DET_THRESHOLD = 1e-12
 # Largest absolute shading-residual norm at which bp-pps accepts a pixel.
@@ -106,8 +107,7 @@ def _light_arrays(lights):
     dirs = np.stack([li.direction for li in lights])
     norms = np.array([li.norm for li in lights])
     ld = np.array([li.diffuse_intensity for li in lights])
-    ls = np.array([li.specular_intensity for li in lights])
-    return dirs, norms, ld, ls
+    return dirs, norms, ld
 
 
 def woodham_normals(images, lights, mask=None):
@@ -118,7 +118,7 @@ def woodham_normals(images, lights, mask=None):
     (shadowed or empty pixels) are masked out.
     """
     grids = _image_stack(images)
-    dirs, norms, ld, ls = _light_arrays(lights)
+    dirs, norms, ld = _light_arrays(lights)
     for li in lights:
         li.require_frontal()
     lmat = dirs / norms[:, None]
@@ -169,7 +169,7 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
 def closed_form_terms(images, lights, intr: CameraIntrinsics, centerized=True) -> ClosedFormTerms:
     """Expose the per-pixel 2x2 system of the perspective Lambertian solve."""
     grids = _image_stack(images)
-    dirs, norms, ld, _ = _light_arrays(lights)
+    dirs, norms, ld = _light_arrays(lights)
     X, Y = pixel_grid(grids[0].shape[1], grids[0].shape[0], intr, centerized)
     terms, _, _, _ = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs, X, Y,
                                          intr.focal_length)
@@ -188,7 +188,7 @@ def lambertian_pps_closed_form(
     field and the diffuse albedo recovered by back-substitution.
     """
     grids = _image_stack(images)
-    dirs, norms, ld, _ = _light_arrays(lights)
+    dirs, norms, ld = _light_arrays(lights)
     for li in lights:
         li.require_frontal()
     h, w = grids[0].shape
@@ -226,7 +226,7 @@ def sensitivity_indicator(
     report also carries a global non-coplanarity check of the rig and the
     per-pixel |det| of the system evaluated at the intensities I_k = l_d,k.
     """
-    dirs, norms, _, _ = _light_arrays(lights)
+    dirs, norms, _ = _light_arrays(lights)
     X, Y = pixel_grid(width, height, intr, centerized)
     (a1, b1, g1), (a2, b2, g2), (a3, b3, g3) = dirs
 
@@ -339,7 +339,7 @@ def _attempt(model, x0, sub=None):
     None).  Returns (x, residual norm, ok) with ok marking convergence."""
     res = _subset_calls(model.residuals, sub)
     jac = _subset_calls(model.jacobian, sub)
-    x, a, conv, fail = levenberg_marquardt_batch(res, jac, x0, LMConfig())
+    x, a, conv, fail = levenberg_marquardt_batch(res, jac, x0)
     return x, a, conv & ~fail
 
 
@@ -405,45 +405,25 @@ class _OrthoModel:
     the first two normal components."""
 
     def __init__(self, intensities, lights, material: Material):
-        dirs, norms, ld, ls = _light_arrays(lights)
         self.I = np.asarray(intensities, dtype=np.float64)
-        self.lhat = dirs / norms[:, None]
-        hh = self.lhat + np.array([0.0, 0.0, 1.0])
-        hn = np.linalg.norm(hh, axis=1)
-        if np.any(hn < 1e-12):
-            raise ValueError("degenerate halfway vector: light opposes the view direction")
-        self.hhat = hh / hn[:, None]
-        self.cd = material.k_d * ld
-        self.cs = material.k_s * ls
-        self.shiny = material.shininess
+        self.lights = lights
+        self.material = material
 
     @staticmethod
     def _n3(n12):
         return np.sqrt(np.maximum(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2, 1e-12))
 
-    def _dots(self, n12):
-        n3 = self._n3(n12)
-        n = np.stack([n12[:, 0], n12[:, 1], n3], axis=1)
-        return n @ self.lhat.T, n @ self.hhat.T, n3
+    def _shading(self, n12, derivatives):
+        n = np.stack([n12[:, 0], n12[:, 1], self._n3(n12)], axis=1)
+        return [orthographic_shading(n, li, self.material, derivatives=derivatives)
+                for li in self.lights]
 
     def residuals(self, n12, idx):
-        u, v, _ = self._dots(n12)
-        shade = self.cd[None, :] * np.maximum(u, 0.0) \
-            + self.cs[None, :] * np.maximum(v, 0.0) ** self.shiny
-        return self.I[idx] - shade
+        return self.I[idx] - np.stack(self._shading(n12, False), axis=1)
 
     def jacobian(self, n12, idx):
-        u, v, n3 = self._dots(n12)
-        vp = np.maximum(v, 0.0)
-        lobe = np.where(v > 0.0, self.shiny * vp ** (self.shiny - 1.0), 0.0)
-        gate = (u > 0.0).astype(np.float64)
-        cols = []
-        for comp in (0, 1):
-            slope = -n12[:, comp] / n3
-            du = self.lhat[None, :, comp] + self.lhat[None, :, 2] * slope[:, None]
-            dv = self.hhat[None, :, comp] + self.hhat[None, :, 2] * slope[:, None]
-            cols.append(-(self.cd[None, :] * gate * du + self.cs[None, :] * lobe * dv))
-        return np.stack(cols, axis=2)
+        per_light = self._shading(n12, True)
+        return -np.stack([np.stack(d[1:], axis=1) for d in per_light], axis=1)
 
     @staticmethod
     def project(n12):
@@ -483,7 +463,7 @@ def blinn_phong_ortho_solve(
         np.stack([init_normals.n[rows, cols, 0], init_normals.n[rows, cols, 1]], axis=1)
     )
     xr, rnorm, conv, fail = levenberg_marquardt_batch(
-        model.residuals, model.jacobian, x0, LMConfig(), project=model.project
+        model.residuals, model.jacobian, x0, project=model.project
     )
     good = conv & ~fail
 

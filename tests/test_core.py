@@ -23,7 +23,6 @@ def test_image_basic():
     img = Image(np.ones((4, 6)))
     assert img.width == 6
     assert img.height == 4
-    assert img.origin == "corner"
 
 
 def test_image_rejects_negative_and_nonfinite():
@@ -31,8 +30,6 @@ def test_image_rejects_negative_and_nonfinite():
         Image(np.array([[0.5, -0.1]]))
     with pytest.raises(ValueError):
         Image(np.array([[np.nan, 0.0]]))
-    with pytest.raises(ValueError):
-        Image(np.ones((3, 3)), origin="upper-left")
 
 
 def test_light_source_unit_and_norm():

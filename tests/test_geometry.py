@@ -12,7 +12,6 @@ from psbp.geometry import (
     halfway_vector_grid,
     normals_to_perspective_gradient,
     perspective_normal,
-    perspective_normal_grid,
     pixel_grid,
     surface_point,
     uncenterize,
@@ -86,19 +85,6 @@ def test_perspective_normal_components():
     assert np.linalg.norm(n) == pytest.approx(1.0)
 
 
-def test_perspective_normal_grid_matches_scalar():
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-0.3, 0.3, size=(4, 5))
-    Y = rng.uniform(-0.3, 0.3, size=(4, 5))
-    gx = rng.uniform(-1.0, 1.0, size=(4, 5))
-    gy = rng.uniform(-1.0, 1.0, size=(4, 5))
-    n, norm = perspective_normal_grid(X, Y, gx, gy, 1.5)
-    for i in range(4):
-        for j in range(5):
-            ns = perspective_normal(ImagePoint(X[i, j], Y[i, j]), gx[i, j], gy[i, j], 1.5)
-            assert np.allclose(n[i, j] / norm[i, j], ns, atol=1e-14)
-
-
 def test_view_direction_and_halfway_vector():
     pt = ImagePoint(x=0.3, y=-0.4)
     v = view_direction(pt, 1.2)
@@ -137,8 +123,9 @@ def test_normals_to_perspective_gradient_round_trip():
     gx = rng.uniform(-1.5, 1.5, size=(12, 16))
     gy = rng.uniform(-1.5, 1.5, size=(12, 16))
     X, Y = pixel_grid(16, 12, intr)
-    n, norm = perspective_normal_grid(X, Y, gx, gy, intr.focal_length)
-    n = n / norm[..., None]
+    n = np.stack([intr.focal_length * gx, intr.focal_length * gy, X * gx + Y * gy + 1.0],
+                 axis=-1)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
     flip = n[..., 2] < 0  # frontal convention before constructing the field
     n[flip] *= -1.0
     grad = normals_to_perspective_gradient(NormalField(n), intr)

@@ -24,6 +24,7 @@ from psbp.optim import finite_difference_jacobian
 from psbp.render import (
     depth_to_normals_orthographic,
     log_depth_gradients,
+    orthographic_shading,
     perspective_shading,
     render_blinn_phong_perspective,
     render_lambertian_orthographic,
@@ -356,6 +357,18 @@ def _shading_model(pt, I, lights, mat, intr, clamp=False):
     return residual, jacobian
 
 
+def _ortho_model(pt, I, lights, mat, intr):
+    """Orthographic shading and its derivatives over (n1, n2), with
+    n3 = sqrt(1 - n1^2 - n2^2), as bp-ppn fits it."""
+    def shade(v, derivatives=False):
+        n = np.array([v[0], v[1], np.sqrt(1.0 - v[0] ** 2 - v[1] ** 2)])
+        return [orthographic_shading(n, li, mat, derivatives=derivatives) for li in lights]
+
+    residual = lambda v: np.array(shade(v))
+    jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
+    return residual, jacobian
+
+
 def test_residual_jacobian_matches_finite_differences():
     images, lights, intr, grad, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
@@ -363,24 +376,32 @@ def test_residual_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     # Random states near the surface, plus steep ones that turn the normal
     # away from some light's halfway vector (u <= 0: that lobe is off; at
-    # shininess 1 its slope jumps there).
+    # shininess 1 its slope jumps there) and, orthographically, away from
+    # some light (the diffuse term is off).  The orthographic model is
+    # checked at the normal (gx, gy, 1)/||.|| of each state, the convention
+    # of depth_to_normals_orthographic.
     states = [*rng.uniform(-1.0, 1.0, size=(10, 2)), (-6.0, 0.0), (0.0, -6.0), (-4.0, -4.0)]
     lobe_off = 0
+    diffuse_off = 0
     for state in states:
         r, c = rng.integers(0, 16, size=2)
         I = [img.data[r, c] for img in images]
         pt = ImagePoint(X[r, c], Y[r, c])
         n = perspective_normal(pt, state[0], state[1], intr.focal_length)
         lobe_off += any(n @ halfway_vector(pt, intr.focal_length, li) <= 0.0 for li in lights)
+        n_ortho = np.array([state[0], state[1], 1.0]) / np.hypot(np.hypot(*state), 1.0)
+        diffuse_off += any(n_ortho @ li.unit <= 0.0 for li in lights)
+        cases = [(model, np.asarray(state)) for model in models] + [(_ortho_model, n_ortho[:2])]
         for shininess in (mat.shininess, 1.0):
             material = Material(k_d=mat.k_d, k_s=mat.k_s, shininess=shininess)
-            for model in models:
+            for model, at in cases:
                 residual, jacobian = model(pt, I, lights, material, intr)
-                jac = jacobian(np.asarray(state))
-                fd = finite_difference_jacobian(residual, state)
+                jac = jacobian(at)
+                fd = finite_difference_jacobian(residual, at)
                 assert jac.shape == (3, 2)
                 assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
     assert lobe_off >= 3
+    assert diffuse_off >= 3
 
 
 def test_pps_solve_recovers_specular_plane():
