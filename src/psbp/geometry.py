@@ -24,19 +24,6 @@ class ImagePoint:
     y: float
 
 
-def centerize(col, row, intr: CameraIntrinsics) -> ImagePoint:
-    """Map pixel coordinates to metric image coordinates."""
-    return ImagePoint(
-        x=intr.h_x * (col - intr.delta_x),
-        y=intr.h_y * (row - intr.delta_y),
-    )
-
-
-def uncenterize(x, y, intr: CameraIntrinsics):
-    """Inverse of centerize: metric image coordinates back to pixel coordinates."""
-    return x / intr.h_x + intr.delta_x, y / intr.h_y + intr.delta_y
-
-
 def pixel_grid(width, height, intr: CameraIntrinsics, centerized=True):
     """Per-pixel coordinate grids (X, Y), metric if centerized else raw indices."""
     cols = np.arange(width, dtype=np.float64)
@@ -54,18 +41,6 @@ def grid_spacing(intr: CameraIntrinsics, centerized=True):
     if centerized:
         return intr.h_x, intr.h_y
     return 1.0, 1.0
-
-
-def surface_point(point: ImagePoint, z, focal_length):
-    """3-d point seen at an image point with depth z.
-
-    Uses the sensor-plane parameterization (z/f) * (-x, -y, f); depth z is
-    the coordinate along the optical axis.
-    """
-    if z <= 0:
-        raise ValueError("depth must be positive")
-    s = z / focal_length
-    return np.array([-point.x * s, -point.y * s, z], dtype=np.float64)
 
 
 def perspective_normal(point: ImagePoint, gx, gy, focal_length):

@@ -3,9 +3,11 @@
 poisson_integrate recovers the potential u minimizing the discrete
 least-squares misfit sum ||grad u - g||^2 with free (homogeneous Neumann)
 boundaries, i.e. it solves the five-point Laplacian with the divergence of g
-on the right-hand side.  The full-rectangle reference solver diagonalizes
-the operator with a cosine transform; masked domains fall back to conjugate
-gradients on the sparse normal equations.
+on the right-hand side.  The full-rectangle solver diagonalizes the operator
+with a cosine transform.  Masked domains use conjugate gradients on the
+sparse normal equations, preconditioned by that full-rectangle cosine-transform
+solve (Simchony, Chellappa & Shao, PAMI 1990); the result has zero mean on
+each 4-connected component of the mask, and an isolated pixel is 0.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -25,6 +28,11 @@ SOLVER_CG = "cg"
 
 SAMPLING_EDGE = "edge"
 SAMPLING_PIXEL = "pixel-centered"
+
+# conjugate gradients stop at this residual norm relative to the right-hand
+# side, or fail after CG_MAX_ITER_PER_PIXEL * h * w iterations
+CG_RTOL = 1e-10
+CG_MAX_ITER_PER_PIXEL = 10
 
 
 @dataclass
@@ -40,8 +48,6 @@ class IntegrationConfig:
     """
 
     solver: str = SOLVER_AUTO
-    cg_tol: float = 1e-10
-    cg_max_iter: int | None = None
     gradient_sampling: str = SAMPLING_PIXEL
 
 
@@ -82,29 +88,64 @@ def _divergence(ex, ey, hx, hy):
     return -b
 
 
+def _neumann_eigenvalues(h, w, hx, hy):
+    """Eigenvalues of +grad^T grad on the full h x w rectangle with free
+    boundaries, in the cosine basis; the zero mode's entry reads 1."""
+    lam_x = (2.0 - 2.0 * np.cos(np.pi * np.arange(w) / w)) / (hx * hx)
+    lam_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(h) / h)) / (hy * hy)
+    lam = lam_x[None, :] + lam_y[:, None]
+    lam[0, 0] = 1.0
+    return lam
+
+
+def _neumann_solve(b, lam):
+    """Zero-mean solution u of +grad^T grad u = b on the full rectangle,
+    given the operator's eigenvalues lam; the cosine transform diagonalizes
+    the operator.  Both transforms run in place, so b is overwritten."""
+    bh = scipy.fft.dctn(b, type=2, norm="ortho", overwrite_x=True)
+    bh /= lam
+    bh[0, 0] = 0.0
+    return scipy.fft.idctn(bh, type=2, norm="ortho", overwrite_x=True)
+
+
 def _poisson_dct(ex, ey, hx, hy):
     h, w = ex.shape[0], ey.shape[1]
-    # The cosine eigenvalues below belong to +grad^T grad, whose matching
+    # The cosine eigenvalues belong to +grad^T grad, whose matching
     # right-hand side is the negated divergence.
     b = -_divergence(ex, ey, hx, hy)
-    bh = scipy.fft.dctn(b, type=2, norm="ortho")
-    kx = np.arange(w)
-    ky = np.arange(h)
-    lam_x = (2.0 - 2.0 * np.cos(np.pi * kx / w)) / (hx * hx)
-    lam_y = (2.0 - 2.0 * np.cos(np.pi * ky / h)) / (hy * hy)
-    denom = lam_x[None, :] + lam_y[:, None]
-    denom[0, 0] = 1.0
-    bh /= denom
-    bh[0, 0] = 0.0
-    return scipy.fft.idctn(bh, type=2, norm="ortho")
+    return _neumann_solve(b, _neumann_eigenvalues(h, w, hx, hy))
 
 
-def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy, cfg):
+def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
     h, w = mask.shape
     idx = -np.ones((h, w), dtype=np.int64)
     ii, jj = np.nonzero(mask)
     n = ii.size
     idx[ii, jj] = np.arange(n)
+
+    # The labels and frame buffers below are allocated before the matrix:
+    # allocated after it, they left the top of the heap free once the solve
+    # returned, and the next 512^2 render paid ~2.5k page faults to map it
+    # again.
+
+    # +grad^T grad is singular once per 4-connected component; the solution
+    # is kept in its range by removing each component's mean
+    labels, _ = scipy.ndimage.label(mask)
+    comp = labels[mask] - 1
+    size = np.bincount(comp)
+
+    def center(v):
+        return v - (np.bincount(comp, weights=v) / size)[comp]
+
+    # preconditioner: the full-rectangle solve of the residual, zero off the
+    # mask, in one frame buffer reused across iterations
+    lam = _neumann_eigenvalues(h, w, hx, hy)
+    grid = np.empty((h, w))
+
+    def precondition(r):
+        grid.fill(0.0)
+        grid[mask] = r
+        return center(_neumann_solve(grid, lam)[mask])
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
@@ -130,19 +171,14 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy, cfg):
     vals = np.concatenate(vals)
     a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 10 * h * w
-    bnorm = np.linalg.norm(rhs)
-    if bnorm == 0.0:
+    max_iter = CG_MAX_ITER_PER_PIXEL * h * w
+    if np.linalg.norm(rhs) == 0.0:
         sol = np.zeros(n)
     else:
-        try:
-            sol, info = scipy.sparse.linalg.cg(
-                a, rhs, rtol=cfg.cg_tol, atol=0.0, maxiter=max_iter
-            )
-        except TypeError:  # older scipy spells the tolerance 'tol'
-            sol, info = scipy.sparse.linalg.cg(
-                a, rhs, tol=cfg.cg_tol, atol=0.0, maxiter=max_iter
-            )
+        m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
+        sol, info = scipy.sparse.linalg.cg(
+            a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=m
+        )
         if info > 0:
             raise NumericalError(
                 f"conjugate-gradient integration did not converge in {max_iter} iterations"
@@ -150,13 +186,16 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy, cfg):
         if info < 0:
             raise NumericalError("conjugate-gradient integration failed")
     out = np.zeros((h, w))
-    out[ii, jj] = sol
+    out[mask] = center(sol)
     return out
 
 
 def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0, config: IntegrationConfig | None = None):
-    """Integrate a gradient field to a potential, returned with zero mean
-    over the valid mask; masked-out pixels are zero."""
+    """Integrate a gradient field to a potential; masked-out pixels are zero.
+
+    The potential has zero mean on each 4-connected component of the mask
+    (an isolated pixel is 0); the 'dct' solver forced onto a partial mask
+    gives zero mean over the whole mask instead."""
     cfg = config or IntegrationConfig()
     mask = grad.mask
     if not mask.any():
@@ -170,11 +209,12 @@ def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0, config: IntegrationCo
         # The reference solver works on the full rectangle; missing edges
         # carry zero gradient.
         u = _poisson_dct(ex, ey, hx, hy)
+        u -= np.mean(u[mask])
     elif solver == SOLVER_CG:
-        u = _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy, cfg)
+        u = _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy)
     else:
         raise ValueError(f"unknown integration solver {solver!r}")
-    return np.where(mask, u - np.mean(u[mask]), 0.0)
+    return np.where(mask, u, 0.0)
 
 
 def exp_depth(potential, mask=None) -> DepthMap:

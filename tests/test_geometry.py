@@ -6,38 +6,14 @@ import pytest
 from psbp.core import CameraIntrinsics, KIND_DEPTH, LightSource, NormalField
 from psbp.geometry import (
     ImagePoint,
-    centerize,
     grid_spacing,
     halfway_vector,
     halfway_vector_grid,
     normals_to_perspective_gradient,
     perspective_normal,
     pixel_grid,
-    surface_point,
-    uncenterize,
     view_direction,
 )
-
-INTR = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
-                        delta_x=63.5, delta_y=63.5)
-
-
-def test_centerize_matches_definition():
-    pt = centerize(83, 20, INTR)
-    assert pt.x == pytest.approx(0.0046875 * (83 - 63.5))
-    assert pt.y == pytest.approx(0.0046875 * (20 - 63.5))
-    assert centerize(63.5, 63.5, INTR) == ImagePoint(0.0, 0.0)
-
-
-def test_centerize_uncenterize_round_trip():
-    intr = CameraIntrinsics(focal_length=2.0, h_x=0.01, h_y=0.02, delta_x=10.0, delta_y=7.5)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        col, row = rng.uniform(0, 30, size=2)
-        pt = centerize(col, row, intr)
-        col2, row2 = uncenterize(pt.x, pt.y, intr)
-        assert col2 == pytest.approx(col, abs=1e-12)
-        assert row2 == pytest.approx(row, abs=1e-12)
 
 
 def test_pixel_grid_centerized_and_raw():
@@ -55,17 +31,6 @@ def test_grid_spacing():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.5, h_y=0.25)
     assert grid_spacing(intr) == (0.5, 0.25)
     assert grid_spacing(intr, centerized=False) == (1.0, 1.0)
-
-
-def test_surface_point_lies_on_view_ray():
-    pt = ImagePoint(x=0.1, y=-0.2)
-    s = surface_point(pt, 3.0, 1.0)
-    assert np.allclose(s, [-0.3, 0.6, 3.0])
-    assert s[2] == 3.0
-    # scaling depth scales the whole point
-    assert np.allclose(surface_point(pt, 6.0, 1.0), 2.0 * s)
-    with pytest.raises(ValueError):
-        surface_point(pt, 0.0, 1.0)
 
 
 def test_perspective_normal_flat_surface():
@@ -140,8 +105,8 @@ def test_normals_to_perspective_gradient_masks_grazing_normals():
     intr = CameraIntrinsics(focal_length=1.0)
     n = np.zeros((1, 2, 3))
     n[0, 0] = (0.0, 0.0, 1.0)
-    pt = centerize(1, 0, intr)  # x = 1 => d = f*n3 - x*n1 vanishes for n=(1,0,eps)/||.||
-    v = np.array([1.0, 0.0, 1.0 / pt.x * 1.0])  # choose n1/n3 = f/x exactly
+    X, _ = pixel_grid(2, 1, intr)  # x = 1 => d = f*n3 - x*n1 vanishes for n=(1,0,eps)/||.||
+    v = np.array([1.0, 0.0, 1.0 / X[0, 1] * 1.0])  # choose n1/n3 = f/x exactly
     n[0, 1] = v / np.linalg.norm(v)
     grad = normals_to_perspective_gradient(NormalField(n), intr)
     assert grad.mask[0, 0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage
+import scipy.sparse.linalg
 
 from psbp.core import DepthMap, GradientField, NumericalError
 from psbp.integrate import (
@@ -54,7 +56,7 @@ def test_projection_property_masked_domain():
     mask[20:25, 10:18] = False  # carve a hole
     gx, gy = discrete_gradient(u, hx=0.5, hy=0.25)
     grad = GradientField(gx=gx, gy=gy, mask=mask)
-    cfg = IntegrationConfig(gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG, cg_tol=1e-13)
+    cfg = IntegrationConfig(gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG)
     v = poisson_integrate(grad, hx=0.5, hy=0.25, config=cfg)
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
     assert np.all(v[~mask] == 0.0)
@@ -68,8 +70,46 @@ def test_dct_and_cg_agree_on_full_rectangle():
     v1 = poisson_integrate(grad, config=IntegrationConfig(
         gradient_sampling=SAMPLING_EDGE, solver=SOLVER_DCT))
     v2 = poisson_integrate(grad, config=IntegrationConfig(
-        gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG, cg_tol=1e-14))
+        gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG))
     assert np.abs(v1 - v2).max() < 1e-9
+
+
+def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch):
+    """On a mask with several 4-connected components the preconditioned CG
+    recovers the field minus its mean on each component, leaves an isolated
+    pixel at 0, and converges in a few dozen iterations."""
+    n = 128
+    rows, cols = np.mgrid[0:n, 0:n]
+    mask = (rows - 60.0) ** 2 + (cols - 60.0) ** 2 < 50.0**2
+    mask[50:62, 40:75] = False  # rectangular hole
+    mask[118:122, 118:122] = True  # separate 4x4 component
+    mask[124, 4] = True  # isolated pixel
+    u = np.random.default_rng(8).standard_normal((n, n))
+    gx, gy = discrete_gradient(u, hx=0.5, hy=0.25)
+
+    cg = scipy.sparse.linalg.cg
+    iterations = []
+
+    def counting_cg(a, b, *args, **kwargs):
+        iterations.append(0)
+
+        def count(xk):
+            iterations[-1] += 1
+
+        return cg(a, b, *args, callback=count, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
+    v = poisson_integrate(GradientField(gx=gx, gy=gy, mask=mask), hx=0.5, hy=0.25,
+                          config=EDGE_CFG)
+
+    labels, count = scipy.ndimage.label(mask)
+    assert count == 3
+    for k in range(1, count + 1):
+        comp = labels == k
+        assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8
+    assert v[124, 4] == 0.0
+    assert np.all(v[~mask] == 0.0)
+    assert len(iterations) == 1 and iterations[0] <= 50
 
 
 def test_smooth_analytic_gradients_default_sampling():
