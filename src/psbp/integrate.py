@@ -7,7 +7,11 @@ on the right-hand side.  The full-rectangle solver diagonalizes the operator
 with a cosine transform.  Masked domains use conjugate gradients on the
 sparse normal equations, preconditioned by that full-rectangle cosine-transform
 solve (Simchony, Chellappa & Shao, PAMI 1990); the result has zero mean on
-each 4-connected component of the mask, and an isolated pixel is 0.
+each 4-connected component of the mask, and an isolated pixel is 0.  The
+preconditioner runs in single precision on a normalized residual and
+normalized eigenvalues; CG's recurrences and stopping test stay in double,
+as an inexact preconditioner only changes the iteration count (Golub & Ye,
+SIAM J. Sci. Comput. 1999).
 """
 
 from __future__ import annotations
@@ -138,14 +142,22 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
         return v - (np.bincount(comp, weights=v) / size)[comp]
 
     # preconditioner: the full-rectangle solve of the residual, zero off the
-    # mask, in one frame buffer reused across iterations
+    # mask, in one single-precision frame buffer reused across iterations
     lam = _neumann_eigenvalues(h, w, hx, hy)
-    grid = np.empty((h, w))
+    top = lam.flat[1:].max()
+    lam = (lam / top).astype(np.float32)
+    lam[0, 0] = 1.0
+    grid = np.empty((h, w), dtype=np.float32)
 
     def precondition(r):
+        # float32 spans only ~1e-38 to 3e38, which a residual or 1/spacing^2
+        # can leave; both enter normalized to a largest magnitude of 1, and
+        # the scale comes back in double
+        scale = np.abs(r).max()
         grid.fill(0.0)
-        grid[mask] = r
-        return center(_neumann_solve(grid, lam)[mask])
+        grid[mask] = r / scale
+        return center(np.multiply(_neumann_solve(grid, lam)[mask], scale / top,
+                                  dtype=np.float64))
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)

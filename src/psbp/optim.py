@@ -5,8 +5,10 @@ per pixel) in lockstep with vectorized numpy arithmetic.  Steps solve
 (J^T J + lam*I) d = -J^T F (Madsen, Nielsen & Tingleff, "Methods for
 Non-Linear Least Squares Problems", 2004) on one fixed schedule: lam starts
 at LAMBDA0, is divided by LAMBDA_FACTOR after an accepted step and
-multiplied by it after a rejected one.  finite_difference_jacobian is the
-reference the analytic Jacobians are tested against.
+multiplied by it after a rejected one.  J^T F and the symmetric J^T J are
+built one Jacobian column pair at a time (the bits of a batched einsum in
+a fraction of its time).  finite_difference_jacobian is the reference the
+analytic Jacobians are tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +39,20 @@ def finite_difference_jacobian(residual, x, step_scale=1e-6):
         fm = np.atleast_1d(np.asarray(residual(xm), dtype=np.float64))
         jac[:, i] = (fp - fm) / (2.0 * h)
     return jac
+
+
+def _normal_equations(jac, f):
+    """J^T f and the symmetric J^T J of stacks jac (k, m, p) and f (k, m),
+    one Jacobian column pair at a time: the sums of a batched einsum in the
+    same order, several times faster for small m and p."""
+    k, _, p = jac.shape
+    grad = np.empty((k, p))
+    hess = np.empty((k, p, p))
+    for a in range(p):
+        grad[:, a] = np.einsum("nm,nm->n", jac[:, :, a], f)
+        for b in range(a + 1):
+            hess[:, a, b] = hess[:, b, a] = np.einsum("nm,nm->n", jac[:, :, a], jac[:, :, b])
+    return grad, hess
 
 
 def _solve_damped(hess, grad, lam):
@@ -85,8 +101,7 @@ def levenberg_marquardt_batch(residual, jacobian, x0, project=None):
         xa = x[idx]
         ja = jacobian(xa, idx)
         fa = f[idx]
-        grad = np.einsum("nmp,nm->np", ja, fa)
-        hess = np.einsum("nmp,nmq->npq", ja, ja)
+        grad, hess = _normal_equations(ja, fa)
         d = _solve_damped(hess, grad, lam[idx])
         bad_step = ~np.all(np.isfinite(d), axis=1)
         d = np.where(bad_step[:, None], 0.0, d)

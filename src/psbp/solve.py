@@ -276,8 +276,11 @@ class _PerspectiveModel:
         self.lights = lights
         self.material = material
         self.f = float(focal_length)
+        # halfway vectors components first, (3, n): a gather reads three
+        # contiguous rows and the shading reads contiguous components
         self.halfway = [
-            halfway_vector_grid(x, y, self.f, li) if material.k_s != 0.0 else None
+            np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
+            if material.k_s != 0.0 else None
             for li in lights
         ]
 
@@ -286,7 +289,7 @@ class _PerspectiveModel:
         y = self.y[idx]
         return [
             perspective_shading(nu[:, 0], nu[:, 1], x, y, li, self.material, self.f,
-                                halfway=None if h is None else h[idx], clamp=False,
+                                halfway=None if h is None else h[:, idx].T, clamp=False,
                                 derivatives=derivatives)
             for li, h in zip(self.lights, self.halfway)
         ]

@@ -74,18 +74,25 @@ def test_dct_and_cg_agree_on_full_rectangle():
     assert np.abs(v1 - v2).max() < 1e-9
 
 
-def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch):
+@pytest.mark.parametrize("u_scale, spacing_scale", [
+    (1.0, 1.0), (1e-30, 1.0), (1e30, 1.0), (1.0, 1e-20), (1.0, 1e20), (1e-150, 1e-150),
+])
+def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_scale,
+                                                                spacing_scale):
     """On a mask with several 4-connected components the preconditioned CG
     recovers the field minus its mean on each component, leaves an isolated
-    pixel at 0, and converges in a few dozen iterations."""
+    pixel at 0, and converges in a few dozen iterations, at field magnitudes
+    and pixel spacings far outside the single-precision preconditioner's
+    range."""
     n = 128
     rows, cols = np.mgrid[0:n, 0:n]
     mask = (rows - 60.0) ** 2 + (cols - 60.0) ** 2 < 50.0**2
     mask[50:62, 40:75] = False  # rectangular hole
     mask[118:122, 118:122] = True  # separate 4x4 component
     mask[124, 4] = True  # isolated pixel
-    u = np.random.default_rng(8).standard_normal((n, n))
-    gx, gy = discrete_gradient(u, hx=0.5, hy=0.25)
+    u = u_scale * np.random.default_rng(8).standard_normal((n, n))
+    hx, hy = 0.5 * spacing_scale, 0.25 * spacing_scale
+    gx, gy = discrete_gradient(u, hx=hx, hy=hy)
 
     cg = scipy.sparse.linalg.cg
     iterations = []
@@ -99,14 +106,14 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch):
         return cg(a, b, *args, callback=count, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
-    v = poisson_integrate(GradientField(gx=gx, gy=gy, mask=mask), hx=0.5, hy=0.25,
+    v = poisson_integrate(GradientField(gx=gx, gy=gy, mask=mask), hx=hx, hy=hy,
                           config=EDGE_CFG)
 
     labels, count = scipy.ndimage.label(mask)
     assert count == 3
     for k in range(1, count + 1):
         comp = labels == k
-        assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8
+        assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8 * u_scale
     assert v[124, 4] == 0.0
     assert np.all(v[~mask] == 0.0)
     assert len(iterations) == 1 and iterations[0] <= 50

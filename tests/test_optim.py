@@ -4,7 +4,12 @@ finite-difference reference Jacobian."""
 import numpy as np
 import pytest
 
-from psbp.optim import MAX_ITER, finite_difference_jacobian, levenberg_marquardt_batch
+from psbp.optim import (
+    MAX_ITER,
+    _normal_equations,
+    finite_difference_jacobian,
+    levenberg_marquardt_batch,
+)
 
 
 def solve_one(residual, jacobian, x0):
@@ -163,6 +168,45 @@ def test_batch_nonlinear_problems():
     x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian, x0)
     assert converged.all() and not failed.any()
     assert np.allclose(x[:, 0], roots, atol=1e-8)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_normal_equations_match_batched_einsum_exactly(p):
+    # the column-pair build sums the same products in the same order as the
+    # batched einsum it replaced, so the bits must agree
+    rng = np.random.default_rng(p)
+    jac = rng.standard_normal((1000, 3, p)) * np.exp(rng.uniform(-20.0, 20.0, (1000, 3, p)))
+    f = rng.standard_normal((1000, 3))
+    grad, hess = _normal_equations(jac, f)
+    assert np.array_equal(grad, np.einsum("nmp,nm->np", jac, f))
+    assert np.array_equal(hess, np.einsum("nmp,nmq->npq", jac, jac))
+
+
+def test_batch_three_parameter_least_squares_matches_lstsq():
+    # p = 3 takes the general damped solve and the off-diagonal column pairs
+    # (0, 2) and (1, 2) of J^T J that two-parameter problems never build, on
+    # an over-determined linear fit.  A step is accepted only if the cost
+    # falls, which resolves x to about sqrt(eps) * |residual| / sigma_min, so
+    # the optimal residuals are kept near 1e-4 (accepted bp-pps pixels have
+    # at most 1e-3); unit residuals would stop about 1e-8 from the optimum.
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((30, 4, 3))
+    b = np.einsum("nmp,np->nm", a, rng.standard_normal((30, 3)))
+    b += 1e-4 * rng.standard_normal((30, 4))
+
+    def residual(x, idx):
+        return np.einsum("nmp,np->nm", a[idx], x) - b[idx]
+
+    def jacobian(x, idx):
+        return a[idx]
+
+    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian,
+                                                            np.zeros((30, 3)))
+    assert converged.all() and not failed.any()
+    for i in range(30):
+        expected = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+        assert np.abs(x[i] - expected).max() < 1e-10
+        assert rnorm[i] == pytest.approx(np.linalg.norm(a[i] @ expected - b[i]), rel=1e-10)
 
 
 def test_batch_flags_failures_without_poisoning_others():
