@@ -20,8 +20,8 @@ from .core import (
     mse,
     normalize_unit_range,
 )
-from .geometry import ImagePoint, normals_to_perspective_gradient, pixel_grid
-from .integrate import IntegrationConfig, align_depth, exp_depth, poisson_integrate
+from .geometry import normals_to_perspective_gradient, pixel_grid
+from .integrate import align_depth, exp_depth, poisson_integrate
 from .render import (
     MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
@@ -41,7 +41,6 @@ from .solve import (
     ConditioningReport,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
-    blinn_phong_residuals,
     lambertian_pps_closed_form,
     sensitivity_indicator,
     woodham_normals,
@@ -57,8 +56,6 @@ __all__ = [
     "DepthMap",
     "GradientField",
     "Image",
-    "ImagePoint",
-    "IntegrationConfig",
     "KIND_DEPTH",
     "KIND_LOG_DEPTH",
     "LightSource",
@@ -73,7 +70,6 @@ __all__ = [
     "align_depth",
     "blinn_phong_ortho_solve",
     "blinn_phong_pps_solve",
-    "blinn_phong_residuals",
     "exp_depth",
     "input_mask",
     "lambertian_pps_closed_form",

@@ -122,7 +122,8 @@ class CameraIntrinsics:
     """Pinhole camera with CCD pixel pitch and principal point.
 
     focal_length and pixel pitch share one metric unit; delta_x/delta_y are
-    the principal point in pixel coordinates.  Skew is fixed at zero.
+    the principal point in pixel coordinates.  The pixel axes are
+    orthogonal (zero skew).
     """
 
     focal_length: float
@@ -130,15 +131,12 @@ class CameraIntrinsics:
     h_y: float = 1.0
     delta_x: float = 0.0
     delta_y: float = 0.0
-    skew: float = 0.0
 
     def __post_init__(self):
         if self.focal_length <= 0:
             raise ValueError("focal_length must be positive")
         if self.h_x <= 0 or self.h_y <= 0:
             raise ValueError("pixel pitch must be positive")
-        if self.skew != 0.0:
-            raise ValueError("nonzero skew is not supported")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Camera geometry: CCD centerizing, perspective normals, halfway vectors.
+"""Camera geometry: CCD centerizing, halfway vectors, normals to gradients.
 
 Coordinates: a pixel (col, row) is mapped to metric image coordinates
 x = h_x * (col - delta_x), y = h_y * (row - delta_y); the viewing ray of a
@@ -9,19 +9,9 @@ third component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CameraIntrinsics, GradientField, KIND_DEPTH, LightSource, NormalField
-
-
-@dataclass(frozen=True)
-class ImagePoint:
-    """Metric image-plane coordinates relative to the principal point."""
-
-    x: float
-    y: float
 
 
 def pixel_grid(width, height, intr: CameraIntrinsics, centerized=True):
@@ -43,38 +33,9 @@ def grid_spacing(intr: CameraIntrinsics, centerized=True):
     return 1.0, 1.0
 
 
-def perspective_normal(point: ImagePoint, gx, gy, focal_length):
-    """Unit surface normal at an image point from log-depth gradients.
-
-    The unnormalized direction is (f*gx, f*gy, w) with w = x*gx + y*gy + 1;
-    the positive depth-dependent prefactor of the underlying tangent cross
-    product is dropped.
-    """
-    w = point.x * gx + point.y * gy + 1.0
-    n = np.array([focal_length * gx, focal_length * gy, w], dtype=np.float64)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise ValueError("degenerate normal: zero direction vector")
-    return n / norm
-
-
-def view_direction(point: ImagePoint, focal_length):
-    """Unit view vector used by the specular term, (x, y, f)/||(x, y, f)||."""
-    v = np.array([point.x, point.y, focal_length], dtype=np.float64)
-    return v / np.linalg.norm(v)
-
-
-def halfway_vector(point: ImagePoint, focal_length, light: LightSource):
-    """Unit halfway vector between the light and the per-pixel view vector."""
-    h = light.unit + view_direction(point, focal_length)
-    norm = np.linalg.norm(h)
-    if norm < 1e-12:
-        raise ValueError("degenerate halfway vector: light opposes the view direction")
-    return h / norm
-
-
 def halfway_vector_grid(X, Y, focal_length, light: LightSource):
-    """Vectorized halfway_vector over coordinate grids; shape (h, w, 3)."""
+    """Unit halfway vectors between the light and the per-pixel view vector
+    (x, y, f)/||(x, y, f)|| over coordinate grids; shape (h, w, 3)."""
     p = np.sqrt(X * X + Y * Y + focal_length * focal_length)
     h = np.stack(
         [

@@ -3,8 +3,10 @@
 poisson_integrate recovers the potential u minimizing the discrete
 least-squares misfit sum ||grad u - g||^2 with free (homogeneous Neumann)
 boundaries, i.e. it solves the five-point Laplacian with the divergence of g
-on the right-hand side.  The full-rectangle solver diagonalizes the operator
-with a cosine transform.  Masked domains use conjugate gradients on the
+on the right-hand side.  The input gradients are per-pixel, as the solvers
+return them; each edge between two neighbouring pixels of the mask takes the
+mean of its two pixels' gradients.  On the full rectangle a cosine transform
+diagonalizes the operator.  Masked domains use conjugate gradients on the
 sparse normal equations, preconditioned by that full-rectangle cosine-transform
 solve (Simchony, Chellappa & Shao, PAMI 1990); the result has zero mean on
 each 4-connected component of the mask, and an isolated pixel is 0.  The
@@ -16,8 +18,6 @@ SIAM J. Sci. Comput. 1999).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 import scipy.ndimage
@@ -26,59 +26,11 @@ import scipy.sparse.linalg
 
 from .core import DepthMap, GradientField, NumericalError, mse, normalize_unit_range
 
-SOLVER_AUTO = "auto"
-SOLVER_DCT = "dct"
-SOLVER_CG = "cg"
-
-SAMPLING_EDGE = "edge"
-SAMPLING_PIXEL = "pixel-centered"
-
 # conjugate gradients stop at this residual norm relative to the right-hand
-# side, or fail after CG_MAX_ITER_PER_PIXEL * h * w iterations
+# side, or fail after CG_MAX_ITER iterations; preconditioned solves that
+# converge take a few hundred at most
 CG_RTOL = 1e-10
-CG_MAX_ITER_PER_PIXEL = 10
-
-
-@dataclass
-class IntegrationConfig:
-    """Options for poisson_integrate.
-
-    gradient_sampling declares where the input gradients live: 'edge' means
-    gx[i, j] is the forward difference on the edge (j, j+1) (the operator's
-    matched sampling, making integration an exact projection), while
-    'pixel-centered' means gx[i, j] approximates the derivative at the pixel
-    center (e.g. central differences or per-pixel solver output) and is
-    averaged onto edges first.
-    """
-
-    solver: str = SOLVER_AUTO
-    gradient_sampling: str = SAMPLING_PIXEL
-
-
-def discrete_gradient(u, hx=1.0, hy=1.0):
-    """Forward-difference gradient matched to poisson_integrate's operator;
-    the last column of gx and last row of gy are zero."""
-    u = np.asarray(u, dtype=np.float64)
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:, :-1] = (u[:, 1:] - u[:, :-1]) / hx
-    gy[:-1, :] = (u[1:, :] - u[:-1, :]) / hy
-    return gx, gy
-
-
-def _edge_values(gx, gy, mask, sampling):
-    """Per-edge gradient samples; an edge exists where both endpoints are valid."""
-    ex_ok = mask[:, :-1] & mask[:, 1:]
-    ey_ok = mask[:-1, :] & mask[1:, :]
-    if sampling == SAMPLING_EDGE:
-        ex = gx[:, :-1]
-        ey = gy[:-1, :]
-    elif sampling == SAMPLING_PIXEL:
-        ex = 0.5 * (gx[:, :-1] + gx[:, 1:])
-        ey = 0.5 * (gy[:-1, :] + gy[1:, :])
-    else:
-        raise ValueError(f"unknown gradient sampling {sampling!r}")
-    return np.where(ex_ok, ex, 0.0), np.where(ey_ok, ey, 0.0), ex_ok, ey_ok
+CG_MAX_ITER = 2000
 
 
 def _divergence(ex, ey, hx, hy):
@@ -120,7 +72,7 @@ def _poisson_dct(ex, ey, hx, hy):
     return _neumann_solve(b, _neumann_eigenvalues(h, w, hx, hy))
 
 
-def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
+def _poisson_cg(ex, ey, mask, hx, hy):
     h, w = mask.shape
     idx = -np.ones((h, w), dtype=np.int64)
     ii, jj = np.nonzero(mask)
@@ -174,8 +126,9 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
         np.add.at(rhs, p, -ge)
         np.add.at(rhs, q, ge)
 
-    add_edges(ex_ok, ex, idx[:, :-1], idx[:, 1:], hx)
-    add_edges(ey_ok, ey, idx[:-1, :], idx[1:, :], hy)
+    # an edge exists where both of its pixels lie in the mask
+    add_edges(mask[:, :-1] & mask[:, 1:], ex, idx[:, :-1], idx[:, 1:], hx)
+    add_edges(mask[:-1, :] & mask[1:, :], ey, idx[:-1, :], idx[1:, :], hy)
     if not rows:
         return np.zeros((h, w))
     rows = np.concatenate(rows)
@@ -183,17 +136,16 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
     vals = np.concatenate(vals)
     a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    max_iter = CG_MAX_ITER_PER_PIXEL * h * w
     if np.linalg.norm(rhs) == 0.0:
         sol = np.zeros(n)
     else:
         m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
         sol, info = scipy.sparse.linalg.cg(
-            a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=max_iter, M=m
+            a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER, M=m
         )
         if info > 0:
             raise NumericalError(
-                f"conjugate-gradient integration did not converge in {max_iter} iterations"
+                f"conjugate-gradient integration did not converge in {CG_MAX_ITER} iterations"
             )
         if info < 0:
             raise NumericalError("conjugate-gradient integration failed")
@@ -202,31 +154,25 @@ def _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy):
     return out
 
 
-def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0, config: IntegrationConfig | None = None):
-    """Integrate a gradient field to a potential; masked-out pixels are zero.
-
-    The potential has zero mean on each 4-connected component of the mask
-    (an isolated pixel is 0); the 'dct' solver forced onto a partial mask
-    gives zero mean over the whole mask instead."""
-    cfg = config or IntegrationConfig()
-    mask = grad.mask
-    if not mask.any():
-        raise NumericalError("cannot integrate a fully masked gradient field")
-    ex, ey, ex_ok, ey_ok = _edge_values(grad.gx, grad.gy, mask, cfg.gradient_sampling)
-
-    solver = cfg.solver
-    if solver == SOLVER_AUTO:
-        solver = SOLVER_DCT if mask.all() else SOLVER_CG
-    if solver == SOLVER_DCT:
-        # The reference solver works on the full rectangle; missing edges
-        # carry zero gradient.
+def _integrate_edges(ex, ey, mask, hx, hy):
+    """Potential of edge gradients ex (h, w-1) and ey (h-1, w) on the mask;
+    edges that leave the mask are dropped and masked-out pixels are zero."""
+    if mask.all():
         u = _poisson_dct(ex, ey, hx, hy)
         u -= np.mean(u[mask])
-    elif solver == SOLVER_CG:
-        u = _poisson_cg(ex, ey, ex_ok, ey_ok, mask, hx, hy)
-    else:
-        raise ValueError(f"unknown integration solver {solver!r}")
-    return np.where(mask, u, 0.0)
+        return u
+    return _poisson_cg(ex, ey, mask, hx, hy)
+
+
+def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0):
+    """Integrate a per-pixel gradient field to a potential; masked-out pixels
+    are zero.  The potential has zero mean on each 4-connected component of
+    the mask (an isolated pixel is 0)."""
+    if not grad.mask.any():
+        raise NumericalError("cannot integrate a fully masked gradient field")
+    ex = 0.5 * (grad.gx[:, :-1] + grad.gx[:, 1:])
+    ey = 0.5 * (grad.gy[:-1, :] + grad.gy[1:, :])
+    return _integrate_edges(ex, ey, grad.mask, hx, hy)
 
 
 def exp_depth(potential, mask=None) -> DepthMap:

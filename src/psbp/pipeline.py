@@ -54,7 +54,7 @@ from .fileio import (
     write_pfm,
 )
 from .geometry import grid_spacing, normals_to_perspective_gradient
-from .integrate import IntegrationConfig, align_depth, exp_depth, poisson_integrate
+from .integrate import align_depth, exp_depth, poisson_integrate
 from .render import (
     MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
@@ -65,6 +65,7 @@ from .render import (
     render_scene,
 )
 from .solve import (
+    INDICATOR_THRESHOLD,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
     lambertian_pps_closed_form,
@@ -210,7 +211,7 @@ def run_reconstruct(cfg: PipelineConfig):
 
     with timer.stage("integrate"):
         hx, hy = grid_spacing(cfg.intrinsics, cfg.centerize)
-        potential = poisson_integrate(grad, hx, hy, IntegrationConfig())
+        potential = poisson_integrate(grad, hx, hy)
         if grad.kind == KIND_LOG_DEPTH:
             depth = exp_depth(potential, grad.mask)
         else:
@@ -374,7 +375,7 @@ def run_conditioning(cfg: PipelineConfig):
             "flagged_counts": report.flagged_counts(),
             "non_coplanar": report.non_coplanar,
             "det_proxy_min": float(report.det_proxy.min()),
-            "threshold": report.threshold,
+            "threshold": INDICATOR_THRESHOLD,
         }
         write_json(cfg.out / "conditioning.json", payload)
     write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})

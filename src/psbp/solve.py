@@ -13,9 +13,7 @@ Four per-pixel solvers are provided:
 
 plus conditioning diagnostics for three-light rigs.  The Blinn-Phong shading
 and its derivatives come from render.orthographic_shading and
-render.perspective_shading, the functions the renderers use.  The paper's
-cross-multiplied intensity-ratio equations are kept as blinn_phong_residuals
-and blinn_phong_residual_jacobian.
+render.perspective_shading, the functions the renderers use.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .core import (
     NormalField,
     input_mask,
 )
-from .geometry import ImagePoint, halfway_vector_grid, pixel_grid
+from .geometry import halfway_vector_grid, pixel_grid
 from .optim import levenberg_marquardt_batch
 from .render import orthographic_shading, perspective_shading
 
@@ -41,8 +39,6 @@ SINGULAR_DET_THRESHOLD = 1e-12
 # Largest absolute shading-residual norm at which bp-pps accepts a pixel.
 ACCEPT_TOL = 1e-3
 INDICATOR_THRESHOLD = 1e-12
-
-_RATIO_PAIRS = ((0, 1), (1, 2), (0, 2))
 
 
 @dataclass
@@ -75,7 +71,8 @@ class ConditioningReport:
     """Light-rig conditioning diagnostics over a pixel grid.
 
     flags[i] marks pixels where indicator expression i (0-based) is below
-    threshold; expressions 0-2 depend only on the rig and are broadcast.
+    INDICATOR_THRESHOLD in magnitude; expressions 0-2 depend only on the rig
+    and are broadcast.
     det_proxy is |det M| of the closed-form system evaluated at the
     intensities I_k = l_d,k (scaled intensities r_k = ||L_k||).
     """
@@ -84,7 +81,6 @@ class ConditioningReport:
     expressions: np.ndarray
     non_coplanar: bool
     det_proxy: np.ndarray
-    threshold: float
 
     def flagged_counts(self):
         return [int(f.sum()) for f in self.flags]
@@ -215,16 +211,16 @@ def lambertian_pps_closed_form(
 
 
 def sensitivity_indicator(
-    lights, width, height, intr: CameraIntrinsics, centerized=True,
-    threshold=INDICATOR_THRESHOLD,
+    lights, width, height, intr: CameraIntrinsics, centerized=True
 ) -> ConditioningReport:
     """Evaluate the 11 degeneracy expressions of the closed-form solve.
 
     Each expression is a product combination of light components (and, for
     expressions 4-11, the pixel coordinates) whose vanishing can make the
-    per-pixel system singular; |expression| < threshold raises a flag.  The
-    report also carries a global non-coplanarity check of the rig and the
-    per-pixel |det| of the system evaluated at the intensities I_k = l_d,k.
+    per-pixel system singular; |expression| < INDICATOR_THRESHOLD raises a
+    flag.  The report also carries a global non-coplanarity check of the rig
+    and the per-pixel |det| of the system evaluated at the intensities
+    I_k = l_d,k.
     """
     dirs, norms, _ = _light_arrays(lights)
     X, Y = pixel_grid(width, height, intr, centerized)
@@ -246,7 +242,7 @@ def sensitivity_indicator(
             X * g2 * b3 - Y * g2 * a3,
         ]
     )
-    flags = np.abs(exprs) < threshold
+    flags = np.abs(exprs) < INDICATOR_THRESHOLD
 
     unit = dirs / norms[:, None]
     non_coplanar = bool(abs(np.linalg.det(unit)) >= SINGULAR_DET_THRESHOLD)
@@ -260,7 +256,6 @@ def sensitivity_indicator(
         expressions=exprs,
         non_coplanar=non_coplanar,
         det_proxy=det_proxy,
-        threshold=threshold,
     )
 
 
@@ -302,35 +297,6 @@ class _PerspectiveModel:
         return -np.stack([np.stack(d[1:], axis=1) for d in per_light], axis=1)
 
 
-def _pixel_shading(gx, gy, point: ImagePoint, lights, material, intr, derivatives=False):
-    return [perspective_shading(gx, gy, point.x, point.y, li, material, intr.focal_length,
-                                clamp=False, derivatives=derivatives) for li in lights]
-
-
-def blinn_phong_residuals(gx, gy, point: ImagePoint, intensities, lights,
-                          material: Material, intr: CameraIntrinsics):
-    """Ratio residuals of one pixel at a log-depth gradient hypothesis.
-
-    For image pairs (1,2), (2,3), (1,3) returns
-    I_M * shade_N(gx, gy) - I_N * shade_M(gx, gy), the paper's
-    cross-multiplied ratio equations, which vanish when the gradient
-    reproduces all three intensities under the perspective Blinn-Phong
-    model.
-    """
-    i = np.asarray(intensities, dtype=np.float64)
-    shade = _pixel_shading(gx, gy, point, lights, material, intr)
-    return np.array([i[m] * shade[n] - i[n] * shade[m] for m, n in _RATIO_PAIRS])
-
-
-def blinn_phong_residual_jacobian(gx, gy, point: ImagePoint, intensities, lights,
-                                  material: Material, intr: CameraIntrinsics):
-    """Analytic Jacobian of blinn_phong_residuals w.r.t. (gx, gy); (3, 2)."""
-    i = np.asarray(intensities, dtype=np.float64)
-    shade = _pixel_shading(gx, gy, point, lights, material, intr, derivatives=True)
-    return np.array([[i[m] * shade[n][c] - i[n] * shade[m][c] for c in (1, 2)]
-                     for m, n in _RATIO_PAIRS])
-
-
 def _subset_calls(fn, sub):
     if sub is None:
         return fn
@@ -358,7 +324,7 @@ def blinn_phong_pps_solve(
     norm above ACCEPT_TOL, gets a second attempt from a zero start, which
     rescues pixels the first start sends to a wrong minimum; the better
     attempt is kept.  Pixels whose best fit still fails that test are masked
-    out.  The paper's ratio equations are blinn_phong_residuals.
+    out.
     """
     grids = _image_stack(images)
     for li in lights:

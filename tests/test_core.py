@@ -74,13 +74,13 @@ def test_material_defaults_and_energy_budget():
 
 
 def test_camera_intrinsics_validation():
-    intr = CameraIntrinsics(focal_length=1.0, h_x=0.01, h_y=0.02, delta_x=3.0, delta_y=4.0)
-    assert intr.skew == 0.0
+    CameraIntrinsics(focal_length=1.0, h_x=0.01, h_y=0.02, delta_x=3.0, delta_y=4.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(focal_length=0.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(focal_length=1.0, h_x=-1.0)
-    with pytest.raises(ValueError):
+    # the camera model has no skew parameter
+    with pytest.raises(TypeError):
         CameraIntrinsics(focal_length=1.0, skew=0.1)
 
 

@@ -1,18 +1,14 @@
-"""Camera geometry: centerizing, perspective normals, halfway vectors."""
+"""Camera geometry: centerizing, halfway vectors, normal-to-gradient conversion."""
 
 import numpy as np
 import pytest
 
 from psbp.core import CameraIntrinsics, KIND_DEPTH, LightSource, NormalField
 from psbp.geometry import (
-    ImagePoint,
     grid_spacing,
-    halfway_vector,
     halfway_vector_grid,
     normals_to_perspective_gradient,
-    perspective_normal,
     pixel_grid,
-    view_direction,
 )
 
 
@@ -33,36 +29,6 @@ def test_grid_spacing():
     assert grid_spacing(intr, centerized=False) == (1.0, 1.0)
 
 
-def test_perspective_normal_flat_surface():
-    # constant depth => zero log-depth gradient => frontal normal everywhere
-    n = perspective_normal(ImagePoint(0.2, -0.1), 0.0, 0.0, 1.0)
-    assert np.allclose(n, [0.0, 0.0, 1.0])
-
-
-def test_perspective_normal_components():
-    pt = ImagePoint(x=0.1, y=0.2)
-    gx, gy, f = 0.3, -0.4, 2.0
-    n = perspective_normal(pt, gx, gy, f)
-    w = pt.x * gx + pt.y * gy + 1.0
-    expected = np.array([f * gx, f * gy, w])
-    expected /= np.linalg.norm(expected)
-    assert np.allclose(n, expected, atol=1e-15)
-    assert np.linalg.norm(n) == pytest.approx(1.0)
-
-
-def test_view_direction_and_halfway_vector():
-    pt = ImagePoint(x=0.3, y=-0.4)
-    v = view_direction(pt, 1.2)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-    assert np.allclose(v, np.array([0.3, -0.4, 1.2]) / np.linalg.norm([0.3, -0.4, 1.2]))
-
-    light = LightSource(np.array([1.0, 0.0, 2.0]))
-    h = halfway_vector(pt, 1.2, light)
-    expected = light.unit + v
-    expected /= np.linalg.norm(expected)
-    assert np.allclose(h, expected, atol=1e-15)
-
-
 def test_halfway_vector_grid_matches_scalar():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.01, h_y=0.01, delta_x=2.0, delta_y=2.0)
     light = LightSource(np.array([0.0, 1.0, 2.0]))
@@ -70,14 +36,17 @@ def test_halfway_vector_grid_matches_scalar():
     h = halfway_vector_grid(X, Y, 1.0, light)
     for i in range(5):
         for j in range(5):
-            hs = halfway_vector(ImagePoint(X[i, j], Y[i, j]), 1.0, light)
+            view = np.array([X[i, j], Y[i, j], 1.0])
+            hs = light.unit + view / np.linalg.norm(view)
+            hs /= np.linalg.norm(hs)
             assert np.allclose(h[i, j], hs, atol=1e-14)
 
 
 def test_halfway_vector_degenerate_light():
     # light exactly opposing the view direction has no halfway vector
     with pytest.raises(ValueError):
-        halfway_vector(ImagePoint(0.0, 0.0), 1.0, LightSource(np.array([0.0, 0.0, -1.0])))
+        halfway_vector_grid(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
+                            LightSource(np.array([0.0, 0.0, -1.0])))
 
 
 def test_normals_to_perspective_gradient_round_trip():

@@ -5,19 +5,26 @@ import pytest
 import scipy.ndimage
 import scipy.sparse.linalg
 
+import psbp.integrate
 from psbp.core import DepthMap, GradientField, NumericalError
 from psbp.integrate import (
-    IntegrationConfig,
-    SAMPLING_EDGE,
-    SOLVER_CG,
-    SOLVER_DCT,
+    _integrate_edges,
+    _poisson_cg,
+    _poisson_dct,
     align_depth,
-    discrete_gradient,
     exp_depth,
     poisson_integrate,
 )
 
-EDGE_CFG = IntegrationConfig(gradient_sampling=SAMPLING_EDGE)
+
+def edge_gradient(u, hx=1.0, hy=1.0):
+    """Forward differences of u on the horizontal and vertical edges."""
+    return np.diff(u, axis=1) / hx, np.diff(u, axis=0) / hy
+
+
+def disc_mask(n=128):
+    rows, cols = np.mgrid[0:n, 0:n]
+    return (rows - 60.0) ** 2 + (cols - 60.0) ** 2 < 50.0**2
 
 
 def test_zero_gradient_integrates_to_zero():
@@ -42,9 +49,8 @@ def test_projection_property_on_random_fields():
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = rng.standard_normal((64, 64))
-        gx, gy = discrete_gradient(u, hx=0.5, hy=0.25)
-        grad = GradientField(gx=gx, gy=gy)
-        v = poisson_integrate(grad, hx=0.5, hy=0.25, config=EDGE_CFG)
+        ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+        v = _integrate_edges(ex, ey, np.ones((64, 64), dtype=bool), 0.5, 0.25)
         assert np.abs(v - (u - u.mean())).max() < 1e-8
 
 
@@ -54,10 +60,8 @@ def test_projection_property_masked_domain():
     mask = np.zeros((48, 40), dtype=bool)
     mask[6:44, 4:32] = True
     mask[20:25, 10:18] = False  # carve a hole
-    gx, gy = discrete_gradient(u, hx=0.5, hy=0.25)
-    grad = GradientField(gx=gx, gy=gy, mask=mask)
-    cfg = IntegrationConfig(gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG)
-    v = poisson_integrate(grad, hx=0.5, hy=0.25, config=cfg)
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+    v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
     assert np.all(v[~mask] == 0.0)
 
@@ -65,12 +69,9 @@ def test_projection_property_masked_domain():
 def test_dct_and_cg_agree_on_full_rectangle():
     rng = np.random.default_rng(9)
     u = rng.standard_normal((32, 48))
-    gx, gy = discrete_gradient(u)
-    grad = GradientField(gx=gx, gy=gy)
-    v1 = poisson_integrate(grad, config=IntegrationConfig(
-        gradient_sampling=SAMPLING_EDGE, solver=SOLVER_DCT))
-    v2 = poisson_integrate(grad, config=IntegrationConfig(
-        gradient_sampling=SAMPLING_EDGE, solver=SOLVER_CG))
+    ex, ey = edge_gradient(u)
+    v1 = _poisson_dct(ex, ey, 1.0, 1.0)
+    v2 = _poisson_cg(ex, ey, np.ones((32, 48), dtype=bool), 1.0, 1.0)
     assert np.abs(v1 - v2).max() < 1e-9
 
 
@@ -85,14 +86,13 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
     and pixel spacings far outside the single-precision preconditioner's
     range."""
     n = 128
-    rows, cols = np.mgrid[0:n, 0:n]
-    mask = (rows - 60.0) ** 2 + (cols - 60.0) ** 2 < 50.0**2
+    mask = disc_mask(n)
     mask[50:62, 40:75] = False  # rectangular hole
     mask[118:122, 118:122] = True  # separate 4x4 component
     mask[124, 4] = True  # isolated pixel
     u = u_scale * np.random.default_rng(8).standard_normal((n, n))
     hx, hy = 0.5 * spacing_scale, 0.25 * spacing_scale
-    gx, gy = discrete_gradient(u, hx=hx, hy=hy)
+    ex, ey = edge_gradient(u, hx=hx, hy=hy)
 
     cg = scipy.sparse.linalg.cg
     iterations = []
@@ -106,8 +106,7 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
         return cg(a, b, *args, callback=count, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
-    v = poisson_integrate(GradientField(gx=gx, gy=gy, mask=mask), hx=hx, hy=hy,
-                          config=EDGE_CFG)
+    v = _integrate_edges(ex, ey, mask, hx, hy)
 
     labels, count = scipy.ndimage.label(mask)
     assert count == 3
@@ -148,12 +147,29 @@ def test_fully_masked_field_raises():
         poisson_integrate(grad)
 
 
-def test_unknown_options_raise():
-    grad = GradientField(gx=np.zeros((4, 4)), gy=np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        poisson_integrate(grad, config=IntegrationConfig(solver="multigrid"))
-    with pytest.raises(ValueError):
-        poisson_integrate(grad, config=IntegrationConfig(gradient_sampling="corner"))
+def test_masked_solve_that_cannot_converge_raises_at_the_iteration_cap(monkeypatch):
+    """A CG solve that never meets its tolerance stops after CG_MAX_ITER
+    iterations and raises, whatever the size of the mask."""
+    mask = disc_mask()
+    u = np.random.default_rng(13).standard_normal(mask.shape)
+    ex, ey = edge_gradient(u)
+
+    cg = scipy.sparse.linalg.cg
+    iterations = [0]
+
+    def count(xk):
+        iterations[0] += 1
+        if iterations[0] > 2001:
+            raise AssertionError("CG ran past 2001 iterations")
+
+    def counting_cg(a, b, *args, **kwargs):
+        return cg(a, b, *args, callback=count, **kwargs)
+
+    monkeypatch.setattr(psbp.integrate, "CG_RTOL", 0.0)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
+    with pytest.raises(NumericalError, match="did not converge"):
+        _integrate_edges(ex, ey, mask, 1.0, 1.0)
+    assert iterations[0] == psbp.integrate.CG_MAX_ITER
 
 
 def test_exp_depth_basic_and_overflow():

@@ -1,5 +1,6 @@
 """The top-level package: README's library example and psbp.__all__."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -25,3 +26,35 @@ def test_every_exported_name_resolves():
     assert len(set(psbp.__all__)) == len(psbp.__all__)
     missing = [name for name in psbp.__all__ if not hasattr(psbp, name)]
     assert missing == []
+
+
+# Top-level public names that stay without a caller in src/, with the reason.
+UNREFERENCED_ALLOWED = {
+    "finite_difference_jacobian": "the tests' reference for every analytic Jacobian",
+    "closed_form_terms": "the only direct check of the closed-form 2x2 system",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    """A top-level public function or class in src/psbp/ is exported in
+    psbp.__all__ or referred to from some other place in the package."""
+    package = Path(psbp.__file__).resolve().parent
+    defined = {}
+    referred = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.name
+    dead = sorted(f"{file}:{name}" for name, file in defined.items()
+                  if name not in referred and name not in psbp.__all__
+                  and name not in UNREFERENCED_ALLOWED)
+    assert dead == []
