@@ -10,8 +10,6 @@ from .core import (
     DepthMap,
     GradientField,
     Image,
-    KIND_DEPTH,
-    KIND_LOG_DEPTH,
     LightSource,
     Material,
     NormalField,
@@ -56,8 +54,6 @@ __all__ = [
     "DepthMap",
     "GradientField",
     "Image",
-    "KIND_DEPTH",
-    "KIND_LOG_DEPTH",
     "LightSource",
     "Material",
     "MODEL_BLINN_PHONG",

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KIND_LOG_DEPTH = "log-depth"
-KIND_DEPTH = "depth"
-
 
 class ConfigError(ValueError):
     """Invalid configuration or input naming the offending field."""
@@ -141,16 +138,12 @@ class CameraIntrinsics:
 
 @dataclass
 class GradientField:
-    """Per-pixel surface gradient (gx, gy) with a validity mask.
-
-    kind is 'log-depth' for gradients of ln z (integrated then exponentiated)
-    or 'depth' for gradients integrated to a depth-like potential directly.
-    Masked entries are stored as zero.
+    """Per-pixel gradient (gx, gy) of the log depth ln z with a validity
+    mask.  Masked entries are stored as zero.
     """
 
     gx: np.ndarray
     gy: np.ndarray
-    kind: str = KIND_LOG_DEPTH
     mask: np.ndarray = None
 
     def __post_init__(self):
@@ -158,8 +151,6 @@ class GradientField:
         self.gy = _as_grid(self.gy, "gy")
         if self.gx.shape != self.gy.shape:
             raise ValueError("gx and gy must have identical shapes")
-        if self.kind not in (KIND_LOG_DEPTH, KIND_DEPTH):
-            raise ValueError(f"unknown gradient kind {self.kind!r}")
         if self.mask is None:
             self.mask = _default_mask(self.gx)
         self.mask = _check_mask(self.mask, self.gx.shape, "gradient")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CameraIntrinsics, GradientField, KIND_DEPTH, LightSource, NormalField
+from .core import CameraIntrinsics, GradientField, LightSource, NormalField
 
 
 def pixel_grid(width, height, intr: CameraIntrinsics, centerized=True):
@@ -54,13 +54,13 @@ def halfway_vector_grid(X, Y, focal_length, light: LightSource):
 def normals_to_perspective_gradient(
     normals: NormalField, intr: CameraIntrinsics, centerized=True
 ) -> GradientField:
-    """Convert a normal field to per-pixel perspective depth gradients.
+    """Convert a normal field to per-pixel log-depth gradients.
 
-    At image point (x, y) a normal (n1, n2, n3) yields
+    At image point (x, y) a normal (n1, n2, n3) yields the gradient of ln z
         p = n1 / d,  q = n2 / d,  d = f*n3 - x*n1 - y*n2,
-    the orientation for which rendering normals round-trip exactly to their
-    generating log-depth gradients.  Pixels with |d| < 1e-8 (normal nearly
-    orthogonal to the viewing ray) are masked out.
+    so rendering normals round-trip exactly to their generating log-depth
+    gradients.  Pixels with |d| < 1e-8 (normal nearly orthogonal to the
+    viewing ray) are masked out.
     """
     X, Y = pixel_grid(normals.width, normals.height, intr, centerized)
     n1 = normals.n[..., 0]
@@ -71,4 +71,4 @@ def normals_to_perspective_gradient(
     safe = np.where(ok, d, 1.0)
     p = np.where(ok, n1 / safe, 0.0)
     q = np.where(ok, n2 / safe, 0.0)
-    return GradientField(gx=p, gy=q, kind=KIND_DEPTH, mask=ok)
+    return GradientField(gx=p, gy=q, mask=ok)

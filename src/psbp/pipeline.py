@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .core import (
     ConfigError,
     DepthMap,
     GradientField,
-    KIND_LOG_DEPTH,
     Material,
     mse,
     input_mask,
@@ -75,37 +73,6 @@ from .solve import (
 
 IMAGE_NAMES = ("image_1.pgm", "image_2.pgm", "image_3.pgm")
 SATURATION_THRESHOLD = 0.999
-
-
-@dataclass
-class EvaluationReport:
-    """Depth-accuracy and reprojection summary of one reconstruction."""
-
-    method: str
-    mse_raw: float
-    mse_normalized: float
-    mse_reprojection: list
-    pixels_estimate: int
-    pixels_reference: int
-    pixels_joint: int
-
-    def __post_init__(self):
-        values = [self.mse_raw, self.mse_normalized, *self.mse_reprojection]
-        if not all(np.isfinite(v) and v >= 0 for v in values):
-            raise ValueError("evaluation metrics must be finite and non-negative")
-
-    def as_payload(self):
-        return {
-            "method": self.method,
-            "mse_raw": self.mse_raw,
-            "mse_normalized": self.mse_normalized,
-            "mse_reprojection": list(self.mse_reprojection),
-            "pixels": {
-                "estimate": self.pixels_estimate,
-                "reference": self.pixels_reference,
-                "joint": self.pixels_joint,
-            },
-        }
 
 
 class _StageTimer:
@@ -211,14 +178,7 @@ def run_reconstruct(cfg: PipelineConfig):
 
     with timer.stage("integrate"):
         hx, hy = grid_spacing(cfg.intrinsics, cfg.centerize)
-        potential = poisson_integrate(grad, hx, hy)
-        if grad.kind == KIND_LOG_DEPTH:
-            depth = exp_depth(potential, grad.mask)
-        else:
-            # Depth-kind gradients integrate to depth directly, up to an
-            # additive constant fixed by shifting the minimum to 1.
-            z = potential - potential[grad.mask].min() + 1.0
-            depth = DepthMap(z=np.where(grad.mask, z, 0.0), mask=grad.mask)
+        depth = exp_depth(poisson_integrate(grad, hx, hy), grad.mask)
 
     with timer.stage("write"):
         write_pfm(cfg.out / "grad_x.pfm", grad.gx)
@@ -233,7 +193,6 @@ def run_reconstruct(cfg: PipelineConfig):
             "mode": MODE_RECONSTRUCT,
             "method": cfg.method,
             "centerize": cfg.centerize,
-            "gradient_kind": grad.kind,
             "size": [int(grad.width), int(grad.height)],
             "input_pixels": int(mask.sum()),
             "solved_pixels": int(grad.mask.sum()),
@@ -321,10 +280,7 @@ def run_evaluate(cfg: PipelineConfig):
         _, mse_raw, mse_normalized = align_depth(estimate, reference)
 
     with timer.stage("reproject"):
-        # Reprojection treats the stored gradients as log-depth gradients;
-        # both pipeline families estimate that quantity (the normal-based
-        # conversion reproduces it identically on consistent inputs).
-        grad = GradientField(gx=gx, gy=gy, kind=KIND_LOG_DEPTH, mask=est_mask)
+        grad = GradientField(gx=gx, gy=gy, mask=est_mask)
         albedo = None
         if cfg.reprojection_model == MODEL_LAMBERTIAN and (
             cfg.estimate_dir / "albedo.pfm"
@@ -343,18 +299,20 @@ def run_evaluate(cfg: PipelineConfig):
             albedo=albedo, mask=photometric,
         )
 
-    report = EvaluationReport(
-        method=method,
-        mse_raw=mse_raw,
-        mse_normalized=mse_normalized,
-        mse_reprojection=reprojection,
-        pixels_estimate=int(est_mask.sum()),
-        pixels_reference=int(gt_mask.sum()),
-        pixels_joint=int((est_mask & gt_mask).sum()),
-    )
-    write_json(cfg.out / "evaluation.json", report.as_payload())
+    payload = {
+        "method": method,
+        "mse_raw": mse_raw,
+        "mse_normalized": mse_normalized,
+        "mse_reprojection": reprojection,
+        "pixels": {
+            "estimate": int(est_mask.sum()),
+            "reference": int(gt_mask.sum()),
+            "joint": int((est_mask & gt_mask).sum()),
+        },
+    }
+    write_json(cfg.out / "evaluation.json", payload)
     write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
-    return report.as_payload()
+    return payload
 
 
 def run_conditioning(cfg: PipelineConfig):

@@ -21,7 +21,6 @@ from .core import (
     DepthMap,
     GradientField,
     Image,
-    KIND_LOG_DEPTH,
     LightSource,
     Material,
     NormalField,
@@ -234,7 +233,7 @@ def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics, centerized=True
     gx, okx = _masked_difference(nu, depth.mask, hx, axis=1)
     gy, oky = _masked_difference(nu, depth.mask, hy, axis=0)
     mask = depth.mask & okx & oky
-    return GradientField(gx=gx, gy=gy, kind=KIND_LOG_DEPTH, mask=mask)
+    return GradientField(gx=gx, gy=gy, mask=mask)
 
 
 def depth_to_normals_orthographic(depth: DepthMap, intr: CameraIntrinsics) -> NormalField:

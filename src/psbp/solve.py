@@ -26,7 +26,6 @@ from .core import (
     CameraIntrinsics,
     GradientField,
     Image,
-    KIND_LOG_DEPTH,
     Material,
     NormalField,
     input_mask,
@@ -47,23 +46,6 @@ class AlbedoMap:
 
     values: np.ndarray
     mask: np.ndarray
-
-
-@dataclass
-class ClosedFormTerms:
-    """Per-pixel linear-system terms of the perspective Lambertian solve:
-    m1*gx + m2*gy = h1 and m3*gx + m4*gy = h2, plus the scaled intensities
-    r_i the system is built from."""
-
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-    m4: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
 
 
 @dataclass
@@ -141,35 +123,23 @@ def _scaled_intensities(grids, norms, ld):
 
 
 def _closed_form_system(r, dirs, X, Y, focal_length):
-    """Terms of the per-pixel 2x2 system from the scaled intensities
-    r_k = I_k * ||L_k|| / l_d,k and the light directions."""
+    """Coefficients (m1, m2, m3, m4, h1, h2) of the per-pixel 2x2 system
+    m1*gx + m2*gy = h1, m3*gx + m4*gy = h2 of the perspective Lambertian
+    solve, from the scaled intensities r_k = I_k * ||L_k|| / l_d,k and the
+    light directions."""
     f = focal_length
     alpha, beta, gamma = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     # Per-light linear coefficients of the shading numerator.
     a = [f * alpha[k] + X * gamma[k] for k in range(3)]
     b = [f * beta[k] + Y * gamma[k] for k in range(3)]
-    terms = ClosedFormTerms(
-        m1=r[1] * a[0] - r[0] * a[1],
-        m2=r[1] * b[0] - r[0] * b[1],
-        m3=r[2] * a[0] - r[0] * a[2],
-        m4=r[2] * b[0] - r[0] * b[2],
-        h1=-r[1] * gamma[0] + r[0] * gamma[1],
-        h2=-r[2] * gamma[0] + r[0] * gamma[2],
-        r1=r[0],
-        r2=r[1],
-        r3=r[2],
+    return (
+        r[1] * a[0] - r[0] * a[1],
+        r[1] * b[0] - r[0] * b[1],
+        r[2] * a[0] - r[0] * a[2],
+        r[2] * b[0] - r[0] * b[2],
+        -r[1] * gamma[0] + r[0] * gamma[1],
+        -r[2] * gamma[0] + r[0] * gamma[2],
     )
-    return terms, a, b, gamma
-
-
-def closed_form_terms(images, lights, intr: CameraIntrinsics, centerized=True) -> ClosedFormTerms:
-    """Expose the per-pixel 2x2 system of the perspective Lambertian solve."""
-    grids = _image_stack(images)
-    dirs, norms, ld = _light_arrays(lights)
-    X, Y = pixel_grid(grids[0].shape[1], grids[0].shape[0], intr, centerized)
-    terms, _, _, _ = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs, X, Y,
-                                         intr.focal_length)
-    return terms
 
 
 def lambertian_pps_closed_form(
@@ -192,19 +162,20 @@ def lambertian_pps_closed_form(
         mask = input_mask(grids)
     X, Y = pixel_grid(w, h, intr, centerized)
     f = intr.focal_length
-    terms, a, b, gamma = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
-                                             X, Y, f)
+    m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
+                                                 X, Y, f)
 
-    det = terms.m1 * terms.m4 - terms.m2 * terms.m3
+    det = m1 * m4 - m2 * m3
     ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)
     safe = np.where(ok, det, 1.0)
-    gx = np.where(ok, (terms.h1 * terms.m4 - terms.m2 * terms.h2) / safe, 0.0)
-    gy = np.where(ok, (terms.m1 * terms.h2 - terms.h1 * terms.m3) / safe, 0.0)
-    grad = GradientField(gx=gx, gy=gy, kind=KIND_LOG_DEPTH, mask=ok)
+    gx = np.where(ok, (h1 * m4 - m2 * h2) / safe, 0.0)
+    gy = np.where(ok, (m1 * h2 - h1 * m3) / safe, 0.0)
+    grad = GradientField(gx=gx, gy=gy, mask=ok)
 
     wterm = X * gx + Y * gy + 1.0
     nn = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + wterm * wterm)
-    denom = ld[0] * (a[0] * gx + b[0] * gy + gamma[0])
+    alpha, beta, gamma = dirs[0]
+    denom = ld[0] * ((f * alpha + X * gamma) * gx + (f * beta + Y * gamma) * gy + gamma)
     ok_alb = ok & (np.abs(denom) > 1e-12)
     albedo = np.where(ok_alb, grids[0] * norms[0] * nn / np.where(ok_alb, denom, 1.0), 0.0)
     return grad, AlbedoMap(values=albedo, mask=ok_alb)
@@ -248,8 +219,8 @@ def sensitivity_indicator(
     non_coplanar = bool(abs(np.linalg.det(unit)) >= SINGULAR_DET_THRESHOLD)
 
     # I_k = l_d,k makes the scaled intensities r_k = ||L_k||.
-    terms, _, _, _ = _closed_form_system(norms, dirs, X, Y, intr.focal_length)
-    det_proxy = np.abs(terms.m1 * terms.m4 - terms.m2 * terms.m3)
+    m1, m2, m3, m4, _, _ = _closed_form_system(norms, dirs, X, Y, intr.focal_length)
+    det_proxy = np.abs(m1 * m4 - m2 * m3)
 
     return ConditioningReport(
         flags=flags,
@@ -334,8 +305,7 @@ def blinn_phong_pps_solve(
         mask = input_mask(grids)
     if not mask.any():
         return GradientField(
-            gx=np.zeros((h, w)), gy=np.zeros((h, w)), kind=KIND_LOG_DEPTH,
-            mask=np.zeros((h, w), dtype=bool),
+            gx=np.zeros((h, w)), gy=np.zeros((h, w)), mask=np.zeros((h, w), dtype=bool),
         )
 
     init_grad, _ = lambertian_pps_closed_form(grids, lights, intr, centerized, mask=mask)
@@ -366,7 +336,7 @@ def blinn_phong_pps_solve(
     gx[rows, cols] = np.where(good, x[:, 0], 0.0)
     gy[rows, cols] = np.where(good, x[:, 1], 0.0)
     valid[rows, cols] = good
-    return GradientField(gx=gx, gy=gy, kind=KIND_LOG_DEPTH, mask=valid)
+    return GradientField(gx=gx, gy=gy, mask=valid)
 
 
 class _OrthoModel:

@@ -237,8 +237,8 @@ def test_specular_sphere_loop_perspective_solver(sphere_loop):
 
 def test_specular_sphere_loop_normal_field_route(sphere_loop):
     err, _ = sphere_loop["ppn"]
-    verdict("specular sphere loop (normal-field route)", err < 0.02,
-            f"mse_normalized {err:.3e} < 2e-02")
+    verdict("specular sphere loop (normal-field route)", err < 2e-4,
+            f"mse_normalized {err:.3e} < 2e-04")
 
 
 def test_loaded_depth_map_loop_both_methods(relief_loop):

@@ -200,7 +200,6 @@ def test_cli_closed_loop_reconstruct_and_evaluate(rendered_sphere, tmp_path):
                  _write_cfg(tmp_path, reconstruct_payload(rendered_sphere, recon))]) == 0
     report = read_json(recon / "report.json")
     assert report["method"] == "bp-pps"
-    assert report["gradient_kind"] == "log-depth"
     assert report["solved_pixels"] > 0.8 * report["input_pixels"]
     for name in ("grad_x.pfm", "grad_y.pfm", "depth.pfm", "mask.pgm"):
         assert (recon / name).exists()
@@ -219,12 +218,10 @@ def test_cli_ppn_loop(rendered_sphere, tmp_path):
     recon = tmp_path / "recon"
     cfgp = reconstruct_payload(rendered_sphere, recon, method="bp-ppn")
     assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 0
-    report = read_json(recon / "report.json")
-    assert report["gradient_kind"] == "depth"
     assert (recon / "normals.pfm").exists()
     depth = read_pfm(recon / "depth.pfm")
     mask = load_mask(recon / "mask.pgm")
-    assert depth[mask].min() >= 1.0  # shifted to a positive floor
+    assert depth[mask].min() > 0.0
 
     ev = tmp_path / "eval"
     assert main(["evaluate", "--config",
@@ -240,6 +237,26 @@ def test_cli_lambert_ppn_writes_albedo(rendered_sphere, tmp_path):
     assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 0
     assert (recon / "albedo.pfm").exists()
     assert (recon / "normals.pfm").exists()
+
+
+def test_lambert_ppn_and_pps_write_the_same_depth(rendered_sphere, tmp_path):
+    # Both routes solve the same per-pixel 3x3 Lambertian system, so the
+    # normal-field route's log-depth gradients and depth match the closed form.
+    outs = {}
+    for method in ("lambert-ppn", "lambert-pps"):
+        out = tmp_path / method
+        cfgp = reconstruct_payload(rendered_sphere, out, method=method)
+        del cfgp["material"]
+        assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 0
+        outs[method] = out
+    ppn, pps = outs["lambert-ppn"], outs["lambert-pps"]
+    mask = load_mask(ppn / "mask.pgm")
+    assert mask.any()
+    assert np.array_equal(mask, load_mask(pps / "mask.pgm"))
+    for name in ("grad_x.pfm", "grad_y.pfm", "depth.pfm"):
+        a = read_pfm(ppn / name)[mask]
+        b = read_pfm(pps / name)[mask]
+        assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), name
 
 
 def test_reconstruct_outputs_are_deterministic(rendered_sphere, tmp_path):
@@ -291,6 +308,25 @@ def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
                                 model="blinn-phong", mask=usable)
     # file quantization is the only error source left
     assert max(errors) < 1e-8
+
+
+def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypatch):
+    import psbp.pipeline
+
+    recon = tmp_path / "recon"
+    cfgp = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
+    assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 0
+    align = psbp.pipeline.align_depth
+
+    def nan_raw(estimate, reference):
+        aligned, _, normalized = align(estimate, reference)
+        return aligned, float("nan"), normalized
+
+    monkeypatch.setattr(psbp.pipeline, "align_depth", nan_raw)
+    ev = tmp_path / "eval"
+    assert main(["evaluate", "--config",
+                 _write_cfg(tmp_path, evaluate_payload(rendered_sphere, recon, ev))]) == 1
+    assert not (ev / "evaluation.json").exists()
 
 
 def test_cli_exit_codes(tmp_path):

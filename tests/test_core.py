@@ -8,8 +8,6 @@ from psbp.core import (
     DepthMap,
     GradientField,
     Image,
-    KIND_DEPTH,
-    KIND_LOG_DEPTH,
     LightSource,
     Material,
     NormalField,
@@ -89,15 +87,12 @@ def test_gradient_field_zeroes_masked_entries():
     gy = -gx
     mask = np.array([[True, False], [False, True]])
     grad = GradientField(gx=gx, gy=gy, mask=mask)
-    assert grad.kind == KIND_LOG_DEPTH
     assert grad.gx[0, 1] == 0.0 and grad.gy[1, 0] == 0.0
     assert grad.gx[0, 0] == 1.0 and grad.gy[1, 1] == -4.0
 
 
-def test_gradient_field_kind_and_mask_validation():
+def test_gradient_field_mask_validation():
     g = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        GradientField(gx=g, gy=g, kind="slope")
     with pytest.raises(ValueError):
         GradientField(gx=g, gy=np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -107,7 +102,6 @@ def test_gradient_field_kind_and_mask_validation():
     GradientField(gx=gx, gy=np.zeros((1, 2)), mask=np.array([[False, True]]))
     with pytest.raises(ValueError):
         GradientField(gx=gx, gy=np.zeros((1, 2)))
-    assert GradientField(gx=g, gy=g, kind=KIND_DEPTH).kind == KIND_DEPTH
 
 
 def test_depth_map_validation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from psbp.core import CameraIntrinsics, KIND_DEPTH, LightSource, NormalField
+from psbp.core import CameraIntrinsics, LightSource, NormalField
 from psbp.geometry import (
     grid_spacing,
     halfway_vector_grid,
@@ -63,7 +63,6 @@ def test_normals_to_perspective_gradient_round_trip():
     flip = n[..., 2] < 0  # frontal convention before constructing the field
     n[flip] *= -1.0
     grad = normals_to_perspective_gradient(NormalField(n), intr)
-    assert grad.kind == KIND_DEPTH
     assert grad.mask.all()
     assert np.allclose(grad.gx, gx, atol=1e-12)
     assert np.allclose(grad.gy, gy, atol=1e-12)

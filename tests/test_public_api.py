@@ -31,7 +31,6 @@ def test_every_exported_name_resolves():
 # Top-level public names that stay without a caller in src/, with the reason.
 UNREFERENCED_ALLOWED = {
     "finite_difference_jacobian": "the tests' reference for every analytic Jacobian",
-    "closed_form_terms": "the only direct check of the closed-form 2x2 system",
 }
 
 

@@ -26,9 +26,11 @@ from psbp.render import (
     render_lambertian_perspective,
 )
 from psbp.solve import (
+    _closed_form_system,
+    _light_arrays,
+    _scaled_intensities,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
-    closed_form_terms,
     lambertian_pps_closed_form,
     sensitivity_indicator,
     woodham_normals,
@@ -165,33 +167,32 @@ def test_closed_form_recovers_generating_gradients():
     assert np.abs(albedo.values - 0.6)[albedo.mask].max() < 1e-8
 
 
-def test_closed_form_terms_single_pixel_by_hand():
+def test_closed_form_system_single_pixel_by_hand():
     images, lights, intr, grad, _ = smooth_log_depth_scene(seed=2)
-    terms = closed_form_terms(images, lights, intr)
     r, c = 10, 20
     X, Y = pixel_grid(32, 32, intr)
     x, y = X[r, c], Y[r, c]
     f = intr.focal_length
+    dirs, norms, ld = _light_arrays(lights)
+    scaled = _scaled_intensities([img.data for img in images], norms, ld)
+    m1, m2, m3, m4, h1, h2 = _closed_form_system(scaled, dirs, X, Y, f)
     ri = []
     for img, li in zip(images, lights):
         ri.append(img.data[r, c] * li.norm / li.diffuse_intensity)
     a = [f * li.direction[0] + x * li.direction[2] for li in lights]
     b = [f * li.direction[1] + y * li.direction[2] for li in lights]
     g = [li.direction[2] for li in lights]
-    assert terms.r1[r, c] == pytest.approx(ri[0], abs=1e-15)
-    assert terms.r2[r, c] == pytest.approx(ri[1], abs=1e-15)
-    assert terms.r3[r, c] == pytest.approx(ri[2], abs=1e-15)
-    assert terms.m1[r, c] == pytest.approx(ri[1] * a[0] - ri[0] * a[1], abs=1e-14)
-    assert terms.m2[r, c] == pytest.approx(ri[1] * b[0] - ri[0] * b[1], abs=1e-14)
-    assert terms.m3[r, c] == pytest.approx(ri[2] * a[0] - ri[0] * a[2], abs=1e-14)
-    assert terms.m4[r, c] == pytest.approx(ri[2] * b[0] - ri[0] * b[2], abs=1e-14)
-    assert terms.h1[r, c] == pytest.approx(-ri[1] * g[0] + ri[0] * g[1], abs=1e-14)
-    assert terms.h2[r, c] == pytest.approx(-ri[2] * g[0] + ri[0] * g[2], abs=1e-14)
+    assert m1[r, c] == pytest.approx(ri[1] * a[0] - ri[0] * a[1], abs=1e-14)
+    assert m2[r, c] == pytest.approx(ri[1] * b[0] - ri[0] * b[1], abs=1e-14)
+    assert m3[r, c] == pytest.approx(ri[2] * a[0] - ri[0] * a[2], abs=1e-14)
+    assert m4[r, c] == pytest.approx(ri[2] * b[0] - ri[0] * b[2], abs=1e-14)
+    assert h1[r, c] == pytest.approx(-ri[1] * g[0] + ri[0] * g[1], abs=1e-14)
+    assert h2[r, c] == pytest.approx(-ri[2] * g[0] + ri[0] * g[2], abs=1e-14)
     # ... and the 2x2 solution of those hand terms matches the solver
     est, _ = lambertian_pps_closed_form(images, lights, intr)
-    det = (terms.m1 * terms.m4 - terms.m2 * terms.m3)[r, c]
-    gx = (terms.h1[r, c] * terms.m4[r, c] - terms.m2[r, c] * terms.h2[r, c]) / det
-    gy = (terms.m1[r, c] * terms.h2[r, c] - terms.h1[r, c] * terms.m3[r, c]) / det
+    det = (m1 * m4 - m2 * m3)[r, c]
+    gx = (h1[r, c] * m4[r, c] - m2[r, c] * h2[r, c]) / det
+    gy = (m1[r, c] * h2[r, c] - h1[r, c] * m3[r, c]) / det
     assert est.gx[r, c] == pytest.approx(gx, abs=1e-12)
     assert est.gy[r, c] == pytest.approx(gy, abs=1e-12)
 
