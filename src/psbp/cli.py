@@ -1,10 +1,11 @@
 """Command-line interface.
 
     psbp <render|reconstruct|evaluate|conditioning> --config cfg.json
-         [--out DIR] [--method NAME] [--no-centerize]
+         [--out DIR] [--method NAME]
 
-Flags override the corresponding config fields.  Exit codes: 0 on success,
-1 on configuration/validation errors, 2 on numerical failures.
+Flags override the corresponding config fields.  Exit codes: 0 on success
+(and for --help), 1 on usage, configuration and validation errors, 2 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--method", default=None, help="override the reconstruction method")
-        p.add_argument(
-            "--no-centerize", action="store_true",
-            help="keep raw pixel coordinates (skip CCD centerizing)",
-        )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     overrides = {"mode": args.mode, "out": args.out, "method": args.method}
-    if args.no_centerize:
-        overrides["centerize"] = False
     try:
         cfg = load_config(args.config, overrides)
         payload = run_pipeline(cfg)

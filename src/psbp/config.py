@@ -4,9 +4,11 @@ A configuration is a single JSON object.  Common blocks:
 
     "mode":        "render" | "reconstruct" | "evaluate" | "conditioning"
     "out":         output directory (created if missing)
-    "centerize":   bool, default true — convert pixel to metric coordinates
     "intrinsics":  {"focal_length", "pixel_pitch" (scalar or [hx, hy]),
-                    "principal_point" [dx, dy]}
+                    "principal_point" [dx, dy]}; pixel (col, row) maps to
+                   x = hx*(col - dx), y = hy*(row - dy).  A raw-pixel camera
+                   is pixel_pitch 1, principal_point [0, 0] and the focal
+                   length in pixels.
     "lights":      exactly 3 of {"direction" [a, b, c],
                     "diffuse_intensity", "specular_intensity"}
     "material":    {"diffuse", "specular", "shininess"}
@@ -24,12 +26,14 @@ Mode-specific blocks:
                    "reprojection_model"
     conditioning:  "conditioning": {"size" [W, H]}
 
-Relative paths are resolved against the config file's directory.  Every
-validation failure raises ConfigError naming the offending field.
+Every number must be finite.  Relative paths are resolved against the
+config file's directory.  Every validation failure raises ConfigError
+naming the offending field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +64,7 @@ SCENE_SPHERE = "sphere"
 SCENE_DEPTH_MAP = "depth-map"
 
 _TOP_LEVEL_KEYS = {
-    "mode", "method", "out", "centerize", "intrinsics", "lights", "material",
+    "mode", "method", "out", "intrinsics", "lights", "material",
     "scene", "images", "ground_truth", "ground_truth_mask", "estimate_dir",
     "conditioning", "reprojection_model",
 }
@@ -86,7 +90,6 @@ class PipelineConfig:
     mode: str
     out: Path
     intrinsics: CameraIntrinsics
-    centerize: bool = True
     method: str | None = None
     lights: list = field(default_factory=list)
     material: Material | None = None
@@ -111,24 +114,35 @@ def _get(payload, name, required, default=None):
     return payload[name]
 
 
+def _finite(value):
+    """value as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _number(payload, name, required=False, default=None):
     value = _get(payload, name, required, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(name, f"expected a number, got {value!r}")
-    return float(value)
+    number = _finite(value)
+    if number is None:
+        _fail(name, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _vector(payload, name, length, required=False, default=None):
     value = _get(payload, name, required, default)
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)) or len(value) != length or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        _fail(name, f"expected a list of {length} numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    numbers = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(numbers) != length or None in numbers:
+        _fail(name, f"expected a list of {length} finite numbers, got {value!r}")
+    return tuple(numbers)
 
 
 def _string(payload, name, required=False, default=None, choices=None):
@@ -152,11 +166,10 @@ def _parse_intrinsics(payload):
     if not isinstance(block, dict):
         _fail("intrinsics", "expected an object")
     f = _number(block, "focal_length", required=True)
-    pitch = block.get("pixel_pitch", 1.0)
-    if isinstance(pitch, (int, float)) and not isinstance(pitch, bool):
-        hx = hy = float(pitch)
+    if isinstance(block.get("pixel_pitch"), list):
+        hx, hy = _vector(block, "pixel_pitch", 2)
     else:
-        hx, hy = _vector(block, "pixel_pitch", 2, default=(1.0, 1.0))
+        hx = hy = _number(block, "pixel_pitch", default=1.0)
     delta = _vector(block, "principal_point", 2, default=(0.0, 0.0))
     try:
         return CameraIntrinsics(focal_length=f, h_x=hx, h_y=hy,
@@ -249,13 +262,8 @@ def parse_config(payload, base_dir=".") -> PipelineConfig:
 
     mode = _string(payload, "mode", required=True, choices=set(MODES))
     out = _path(base_dir, _string(payload, "out", required=True))
-    centerize = _get(payload, "centerize", False, True)
-    if not isinstance(centerize, bool):
-        _fail("centerize", f"expected a boolean, got {centerize!r}")
 
-    cfg = PipelineConfig(
-        mode=mode, out=out, intrinsics=_parse_intrinsics(payload), centerize=centerize
-    )
+    cfg = PipelineConfig(mode=mode, out=out, intrinsics=_parse_intrinsics(payload))
     cfg.lights = _parse_lights(payload)
     cfg.reprojection_model = _string(
         payload, "reprojection_model", default=MODEL_LAMBERTIAN,

@@ -1,10 +1,12 @@
-"""Camera geometry: CCD centerizing, halfway vectors, normals to gradients.
+"""Camera geometry: pixel to image coordinates, halfway vectors, normals to
+gradients.
 
 Coordinates: a pixel (col, row) is mapped to metric image coordinates
 x = h_x * (col - delta_x), y = h_y * (row - delta_y); the viewing ray of a
-pixel is t * (x, y, f).  Surface normals follow the frontal convention in
-which a fronto-parallel plane has normal (0, 0, 1) and lights have positive
-third component.
+pixel is t * (x, y, f).  A camera in raw pixel units is the special case
+h_x = h_y = 1, delta_x = delta_y = 0 with f in pixels.  Surface normals
+follow the frontal convention in which a fronto-parallel plane has normal
+(0, 0, 1) and lights have positive third component.
 """
 
 from __future__ import annotations
@@ -14,23 +16,12 @@ import numpy as np
 from .core import CameraIntrinsics, GradientField, LightSource, NormalField
 
 
-def pixel_grid(width, height, intr: CameraIntrinsics, centerized=True):
-    """Per-pixel coordinate grids (X, Y), metric if centerized else raw indices."""
-    cols = np.arange(width, dtype=np.float64)
-    rows = np.arange(height, dtype=np.float64)
-    if centerized:
-        xs = intr.h_x * (cols - intr.delta_x)
-        ys = intr.h_y * (rows - intr.delta_y)
-    else:
-        xs, ys = cols, rows
+def pixel_grid(width, height, intr: CameraIntrinsics):
+    """Per-pixel image coordinate grids (X, Y); adjacent pixels are h_x and
+    h_y apart."""
+    xs = intr.h_x * (np.arange(width, dtype=np.float64) - intr.delta_x)
+    ys = intr.h_y * (np.arange(height, dtype=np.float64) - intr.delta_y)
     return np.meshgrid(xs, ys)
-
-
-def grid_spacing(intr: CameraIntrinsics, centerized=True):
-    """Step between adjacent pixels in the coordinate system of pixel_grid."""
-    if centerized:
-        return intr.h_x, intr.h_y
-    return 1.0, 1.0
 
 
 def halfway_vector_grid(X, Y, focal_length, light: LightSource):
@@ -51,9 +42,8 @@ def halfway_vector_grid(X, Y, focal_length, light: LightSource):
     return h / norm[..., None]
 
 
-def normals_to_perspective_gradient(
-    normals: NormalField, intr: CameraIntrinsics, centerized=True
-) -> GradientField:
+def normals_to_perspective_gradient(normals: NormalField,
+                                    intr: CameraIntrinsics) -> GradientField:
     """Convert a normal field to per-pixel log-depth gradients.
 
     At image point (x, y) a normal (n1, n2, n3) yields the gradient of ln z
@@ -62,7 +52,7 @@ def normals_to_perspective_gradient(
     gradients.  Pixels with |d| < 1e-8 (normal nearly orthogonal to the
     viewing ray) are masked out.
     """
-    X, Y = pixel_grid(normals.width, normals.height, intr, centerized)
+    X, Y = pixel_grid(normals.width, normals.height, intr)
     n1 = normals.n[..., 0]
     n2 = normals.n[..., 1]
     n3 = normals.n[..., 2]

@@ -16,6 +16,7 @@ byte-identical across reruns of the same config on the same inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -38,6 +39,7 @@ from .core import (
     DepthMap,
     GradientField,
     Material,
+    NumericalError,
     mse,
     input_mask,
 )
@@ -51,7 +53,7 @@ from .fileio import (
     write_json,
     write_pfm,
 )
-from .geometry import grid_spacing, normals_to_perspective_gradient
+from .geometry import normals_to_perspective_gradient
 from .integrate import align_depth, exp_depth, poisson_integrate
 from .render import (
     MODEL_BLINN_PHONG,
@@ -160,25 +162,24 @@ def run_reconstruct(cfg: PipelineConfig):
     with timer.stage("solve"):
         if cfg.method == METHOD_LAMBERT_PPS:
             grad, albedo = lambertian_pps_closed_form(
-                grids, cfg.lights, cfg.intrinsics, cfg.centerize, mask=mask
+                grids, cfg.lights, cfg.intrinsics, mask=mask
             )
         elif cfg.method == METHOD_BP_PPS:
             grad = blinn_phong_pps_solve(
-                grids, cfg.lights, cfg.material, cfg.intrinsics,
-                centerized=cfg.centerize, mask=mask,
+                grids, cfg.lights, cfg.material, cfg.intrinsics, mask=mask
             )
         elif cfg.method == METHOD_LAMBERT_PPN:
             normals, albedo = woodham_normals(grids, cfg.lights, mask=mask)
-            grad = normals_to_perspective_gradient(normals, cfg.intrinsics, cfg.centerize)
+            grad = normals_to_perspective_gradient(normals, cfg.intrinsics)
         elif cfg.method == METHOD_BP_PPN:
             normals = blinn_phong_ortho_solve(grids, cfg.lights, cfg.material, mask=mask)
-            grad = normals_to_perspective_gradient(normals, cfg.intrinsics, cfg.centerize)
+            grad = normals_to_perspective_gradient(normals, cfg.intrinsics)
         else:
             raise ConfigError(f"config field 'method': unknown method {cfg.method!r}")
 
     with timer.stage("integrate"):
-        hx, hy = grid_spacing(cfg.intrinsics, cfg.centerize)
-        depth = exp_depth(poisson_integrate(grad, hx, hy), grad.mask)
+        potential = poisson_integrate(grad, cfg.intrinsics.h_x, cfg.intrinsics.h_y)
+        depth = exp_depth(potential, grad.mask)
 
     with timer.stage("write"):
         write_pfm(cfg.out / "grad_x.pfm", grad.gx)
@@ -192,7 +193,6 @@ def run_reconstruct(cfg: PipelineConfig):
         payload = {
             "mode": MODE_RECONSTRUCT,
             "method": cfg.method,
-            "centerize": cfg.centerize,
             "size": [int(grad.width), int(grad.height)],
             "input_pixels": int(mask.sum()),
             "solved_pixels": int(grad.mask.sum()),
@@ -203,8 +203,7 @@ def run_reconstruct(cfg: PipelineConfig):
 
 
 def reprojection_error(grad: GradientField, images, lights, material, intr,
-                       model=MODEL_LAMBERTIAN, centerized=True, albedo=None,
-                       mask=None):
+                       model=MODEL_LAMBERTIAN, albedo=None, mask=None):
     """Per-image MSE between inputs and re-rendered images from a gradient.
 
     The gradient is shaded back through the chosen reflectance model; the
@@ -216,12 +215,12 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     errors = []
     for light, grid in zip(lights, grids):
         if model == MODEL_BLINN_PHONG:
-            pred = render_blinn_phong_perspective(grad, light, material, intr, centerized).data
+            pred = render_blinn_phong_perspective(grad, light, material, intr).data
         elif albedo is not None:
             unit = Material(k_d=1.0, k_s=0.0, shininess=1.0)
-            pred = albedo * render_lambertian_perspective(grad, light, unit, intr, centerized).data
+            pred = albedo * render_lambertian_perspective(grad, light, unit, intr).data
         else:
-            pred = render_lambertian_perspective(grad, light, material, intr, centerized).data
+            pred = render_lambertian_perspective(grad, light, material, intr).data
         errors.append(mse(pred, grid, joint))
     return errors
 
@@ -295,9 +294,14 @@ def run_evaluate(cfg: PipelineConfig):
         photometric = input_mask(grids, high=SATURATION_THRESHOLD)
         reprojection = reprojection_error(
             grad, grids, cfg.lights, cfg.material, cfg.intrinsics,
-            model=cfg.reprojection_model, centerized=cfg.centerize,
-            albedo=albedo, mask=photometric,
+            model=cfg.reprojection_model, albedo=albedo, mask=photometric,
         )
+
+    metrics = [("mse_raw", mse_raw), ("mse_normalized", mse_normalized),
+               *((f"mse_reprojection[{i}]", e) for i, e in enumerate(reprojection))]
+    for name, value in metrics:
+        if not math.isfinite(value):
+            raise NumericalError(f"evaluation metric {name} is {value}")
 
     payload = {
         "method": method,
@@ -321,9 +325,7 @@ def run_conditioning(cfg: PipelineConfig):
     cfg.out.mkdir(parents=True, exist_ok=True)
     width, height = cfg.conditioning_size
     with timer.stage("indicator"):
-        report = sensitivity_indicator(
-            cfg.lights, width, height, cfg.intrinsics, cfg.centerize
-        )
+        report = sensitivity_indicator(cfg.lights, width, height, cfg.intrinsics)
     with timer.stage("write"):
         for i, flags in enumerate(report.flags, start=1):
             save_mask(cfg.out / f"indicator_{i:02d}.pgm", flags)

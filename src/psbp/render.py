@@ -25,7 +25,7 @@ from .core import (
     Material,
     NormalField,
 )
-from .geometry import grid_spacing, halfway_vector_grid, pixel_grid
+from .geometry import halfway_vector_grid, pixel_grid
 
 MODEL_LAMBERTIAN = "lambertian"
 MODEL_BLINN_PHONG = "blinn-phong"
@@ -144,28 +144,26 @@ def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, fo
     return tuple(out)
 
 
-def _render_perspective(grad: GradientField, light, material, intr, centerized):
+def _render_perspective(grad: GradientField, light, material, intr):
     light.require_frontal()
-    X, Y = pixel_grid(grad.width, grad.height, intr, centerized)
+    X, Y = pixel_grid(grad.width, grad.height, intr)
     return Image(perspective_shading(grad.gx, grad.gy, X, Y, light, material,
                                      intr.focal_length))
 
 
 def render_lambertian_perspective(
     grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
-    centerized=True,
 ) -> Image:
     """Shade log-depth gradients under the perspective Lambertian model."""
-    return _render_perspective(grad, light, replace(material, k_s=0.0), intr, centerized)
+    return _render_perspective(grad, light, replace(material, k_s=0.0), intr)
 
 
 def render_blinn_phong_perspective(
     grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
-    centerized=True,
 ) -> Image:
     """Perspective Blinn-Phong: per-pixel view vector (x, y, f)/||.||, halfway
     vector against the light, specular lobe raised to the shininess."""
-    return _render_perspective(grad, light, material, intr, centerized)
+    return _render_perspective(grad, light, material, intr)
 
 
 def make_sphere_depth(
@@ -181,7 +179,7 @@ def make_sphere_depth(
     center = np.asarray(center, dtype=np.float64).reshape(3)
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
-    X, Y = pixel_grid(width, height, intr, centerized=True)
+    X, Y = pixel_grid(width, height, intr)
     f = intr.focal_length
     if projection == PROJECTION_PERSPECTIVE:
         dd = X * X + Y * Y + f * f
@@ -224,14 +222,13 @@ def _masked_difference(values, mask, step, axis):
     return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
 
 
-def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics, centerized=True) -> GradientField:
+def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics) -> GradientField:
     """Log-depth gradient field of a depth map by masked central differences."""
     if np.any(depth.z[depth.mask] <= 0):
         raise ValueError("log-depth gradients require strictly positive depth")
     nu = np.where(depth.mask, np.log(np.where(depth.mask, depth.z, 1.0)), 0.0)
-    hx, hy = grid_spacing(intr, centerized)
-    gx, okx = _masked_difference(nu, depth.mask, hx, axis=1)
-    gy, oky = _masked_difference(nu, depth.mask, hy, axis=0)
+    gx, okx = _masked_difference(nu, depth.mask, intr.h_x, axis=1)
+    gy, oky = _masked_difference(nu, depth.mask, intr.h_y, axis=0)
     mask = depth.mask & okx & oky
     return GradientField(gx=gx, gy=gy, mask=mask)
 
@@ -239,9 +236,8 @@ def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics, centerized=True
 def depth_to_normals_orthographic(depth: DepthMap, intr: CameraIntrinsics) -> NormalField:
     """Normals of a depth map under orthographic viewing, frontal convention:
     unnormalized direction (z_x, z_y, 1)."""
-    hx, hy = grid_spacing(intr, centerized=True)
-    zx, okx = _masked_difference(depth.z, depth.mask, hx, axis=1)
-    zy, oky = _masked_difference(depth.z, depth.mask, hy, axis=0)
+    zx, okx = _masked_difference(depth.z, depth.mask, intr.h_x, axis=1)
+    zy, oky = _masked_difference(depth.z, depth.mask, intr.h_y, axis=0)
     mask = depth.mask & okx & oky
     n = np.stack([zx, zy, np.ones_like(zx)], axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)

@@ -142,9 +142,7 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
     )
 
 
-def lambertian_pps_closed_form(
-    images, lights, intr: CameraIntrinsics, centerized=True, mask=None
-):
+def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None):
     """Algebraic perspective Lambertian solve.
 
     Cross-multiplying the shading equations of image pairs (1,2) and (1,3)
@@ -160,7 +158,7 @@ def lambertian_pps_closed_form(
     h, w = grids[0].shape
     if mask is None:
         mask = input_mask(grids)
-    X, Y = pixel_grid(w, h, intr, centerized)
+    X, Y = pixel_grid(w, h, intr)
     f = intr.focal_length
     m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
                                                  X, Y, f)
@@ -181,9 +179,7 @@ def lambertian_pps_closed_form(
     return grad, AlbedoMap(values=albedo, mask=ok_alb)
 
 
-def sensitivity_indicator(
-    lights, width, height, intr: CameraIntrinsics, centerized=True
-) -> ConditioningReport:
+def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> ConditioningReport:
     """Evaluate the 11 degeneracy expressions of the closed-form solve.
 
     Each expression is a product combination of light components (and, for
@@ -194,7 +190,7 @@ def sensitivity_indicator(
     I_k = l_d,k.
     """
     dirs, norms, _ = _light_arrays(lights)
-    X, Y = pixel_grid(width, height, intr, centerized)
+    X, Y = pixel_grid(width, height, intr)
     (a1, b1, g1), (a2, b2, g2), (a3, b3, g3) = dirs
 
     ones = np.ones_like(X)
@@ -284,7 +280,7 @@ def _attempt(model, x0, sub=None):
 
 
 def blinn_phong_pps_solve(
-    images, lights, material: Material, intr: CameraIntrinsics, centerized=True, mask=None,
+    images, lights, material: Material, intr: CameraIntrinsics, mask=None,
 ) -> GradientField:
     """Per-pixel perspective Blinn-Phong solve for the log-depth gradient.
 
@@ -308,9 +304,9 @@ def blinn_phong_pps_solve(
             gx=np.zeros((h, w)), gy=np.zeros((h, w)), mask=np.zeros((h, w), dtype=bool),
         )
 
-    init_grad, _ = lambertian_pps_closed_form(grids, lights, intr, centerized, mask=mask)
+    init_grad, _ = lambertian_pps_closed_form(grids, lights, intr, mask=mask)
 
-    X, Y = pixel_grid(w, h, intr, centerized)
+    X, Y = pixel_grid(w, h, intr)
     rows, cols = np.nonzero(mask)
     intensities = np.stack([g[rows, cols] for g in grids], axis=1)
     model = _PerspectiveModel(

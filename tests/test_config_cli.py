@@ -1,5 +1,7 @@
 """Configuration validation and end-to-end command-line runs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,12 +50,20 @@ def evaluate_payload(render_dir, estimate_dir, out):
     return payload
 
 
+def conditioning_payload(out):
+    payload = sphere_render_payload(out)
+    payload["mode"] = "conditioning"
+    payload["conditioning"] = {"size": [32, 24]}
+    del payload["scene"]
+    del payload["material"]
+    return payload
+
+
 # ------------------------------------------------------------- validation
 
 def test_parse_minimal_render_config(tmp_path):
     cfg = parse_config(sphere_render_payload(tmp_path / "out"), base_dir=tmp_path)
     assert cfg.mode == "render"
-    assert cfg.centerize is True
     assert cfg.scene.type == "sphere"
     assert cfg.scene.size == (64, 64)
     assert cfg.material.k_s == 0.5
@@ -132,8 +142,9 @@ def test_load_config_resolves_relative_paths_and_overrides(tmp_path):
     assert cfg.method == "lambert-pps"
     assert cfg.out == tmp_path / "result"
     assert cfg.images[0] == tmp_path / "image_1.pgm"
-    cfg2 = load_config(cfg_path, overrides={"centerize": False})
-    assert cfg2.centerize is False
+    cfg2 = load_config(cfg_path, overrides={"method": "bp-ppn", "out": str(tmp_path / "alt")})
+    assert cfg2.method == "bp-ppn"
+    assert cfg2.out == tmp_path / "alt"
 
 
 def test_load_config_bad_file(tmp_path):
@@ -270,21 +281,8 @@ def test_reconstruct_outputs_are_deterministic(rendered_sphere, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_no_centerize_flag_plumbs_through(rendered_sphere, tmp_path):
-    recon = tmp_path / "recon"
-    cfgp = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
-    assert main(["reconstruct", "--no-centerize", "--config",
-                 _write_cfg(tmp_path, cfgp)]) == 0
-    report = read_json(recon / "report.json")
-    assert report["centerize"] is False
-
-
 def test_conditioning_mode_artifacts(tmp_path):
-    payload = sphere_render_payload(tmp_path / "out")
-    payload["mode"] = "conditioning"
-    payload["conditioning"] = {"size": [32, 24]}
-    del payload["scene"]
-    del payload["material"]
+    payload = conditioning_payload(tmp_path / "out")
     assert main(["conditioning", "--config", _write_cfg(tmp_path, payload)]) == 0
     out = tmp_path / "out"
     for i in range(1, 12):
@@ -310,7 +308,7 @@ def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
     assert max(errors) < 1e-8
 
 
-def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypatch):
+def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypatch, capsys):
     import psbp.pipeline
 
     recon = tmp_path / "recon"
@@ -324,12 +322,50 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
 
     monkeypatch.setattr(psbp.pipeline, "align_depth", nan_raw)
     ev = tmp_path / "eval"
+    capsys.readouterr()
     assert main(["evaluate", "--config",
-                 _write_cfg(tmp_path, evaluate_payload(rendered_sphere, recon, ev))]) == 1
+                 _write_cfg(tmp_path, evaluate_payload(rendered_sphere, recon, ev))]) == 2
+    assert "mse_raw" in capsys.readouterr().err
     assert not (ev / "evaluation.json").exists()
 
 
-def test_cli_exit_codes(tmp_path):
+INF = float("inf")
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("mode, keys, value, field", [
+    ("render", ("scene", "size"), [INF, 32], "size"),
+    ("conditioning", ("conditioning", "size"), [INF, 8], "size"),
+    ("render", ("scene", "radius"), NAN, "radius"),
+    ("render", ("intrinsics", "focal_length"), NAN, "focal_length"),
+    ("render", ("intrinsics", "pixel_pitch"), INF, "pixel_pitch"),
+    ("render", ("material", "shininess"), NAN, "shininess"),
+    ("render", ("lights", 1, "diffuse_intensity"), INF, "diffuse_intensity"),
+], ids=["scene.size", "conditioning.size", "radius", "focal_length", "pixel_pitch",
+        "shininess", "diffuse_intensity"])
+def test_nonfinite_config_numbers_are_rejected(tmp_path, capsys, mode, keys, value, field):
+    out = tmp_path / "out"
+    payload = sphere_render_payload(out) if mode == "render" else conditioning_payload(out)
+    block = payload
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="ascii")  # NaN / Infinity literals
+    assert main([mode, "--config", str(path)]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.pgm"))
+
+
+def test_cli_exit_codes(tmp_path, capsys):
+    # 0: help; 1: usage errors, which argparse alone would exit with 2
+    cfg = _write_cfg(tmp_path, sphere_render_payload(tmp_path / "out"))
+    assert main(["render", "--help"]) == 0
+    assert main(["render", "--config", cfg, "--fast"]) == 1
+    assert main(["render"]) == 1
+    assert main(["reconstruct", "--no-centerize", "--config", cfg]) == 1
+    assert "unrecognized arguments: --no-centerize" in capsys.readouterr().err
+
     # 1: unreadable / invalid configuration
     assert main(["render", "--config", str(tmp_path / "nope.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -338,6 +374,12 @@ def test_cli_exit_codes(tmp_path):
     payload = sphere_render_payload(tmp_path / "out")
     payload["extra"] = 1
     assert main(["render", "--config", _write_cfg(tmp_path, payload)]) == 1
+    # a raw-pixel camera is written as intrinsics: pitch 1, principal point 0
+    del payload["extra"]
+    payload["centerize"] = False
+    assert main(["render", "--config", _write_cfg(tmp_path, payload)]) == 1
+    assert "config field 'centerize': unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
     # 1: reconstruct pointed at missing images
     recon_cfg = reconstruct_payload(tmp_path / "nowhere", tmp_path / "out")

@@ -1,32 +1,28 @@
-"""Camera geometry: centerizing, halfway vectors, normal-to-gradient conversion."""
+"""Camera geometry: pixel to image coordinates, halfway vectors, normal-to-gradient
+conversion."""
 
 import numpy as np
 import pytest
 
 from psbp.core import CameraIntrinsics, LightSource, NormalField
 from psbp.geometry import (
-    grid_spacing,
     halfway_vector_grid,
     normals_to_perspective_gradient,
     pixel_grid,
 )
 
 
-def test_pixel_grid_centerized_and_raw():
+def test_pixel_grid_metric_and_raw():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.5, h_y=0.25, delta_x=1.0, delta_y=2.0)
     X, Y = pixel_grid(3, 4, intr)
     assert X.shape == (4, 3)
     assert np.allclose(X[0], [-0.5, 0.0, 0.5])
     assert np.allclose(Y[:, 0], [-0.5, -0.25, 0.0, 0.25])
-    Xr, Yr = pixel_grid(3, 4, intr, centerized=False)
-    assert np.allclose(Xr[0], [0.0, 1.0, 2.0])
-    assert np.allclose(Yr[:, 0], [0.0, 1.0, 2.0, 3.0])
-
-
-def test_grid_spacing():
-    intr = CameraIntrinsics(focal_length=1.0, h_x=0.5, h_y=0.25)
-    assert grid_spacing(intr) == (0.5, 0.25)
-    assert grid_spacing(intr, centerized=False) == (1.0, 1.0)
+    # a raw-pixel camera: pitch 1 and principal point 0 give the pixel indices
+    raw = pixel_grid(3, 4, CameraIntrinsics(1.0, 1.0, 1.0, 0.0, 0.0))
+    expected = np.meshgrid(np.arange(3, dtype=float), np.arange(4, dtype=float))
+    for got, want in zip(raw, expected):
+        assert np.array_equal(got, want)
 
 
 def test_halfway_vector_grid_matches_scalar():

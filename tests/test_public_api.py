@@ -1,17 +1,25 @@
-"""The top-level package: README's library example and psbp.__all__."""
+"""The top-level package: README's library example and CLI section,
+psbp.__all__ and the config schema docstring."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import psbp
+from psbp import config
+from psbp.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_use_block():
+def readme_section(heading):
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Library use", 1)[1]
+    return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_use_block():
+    section = readme_section("Library use")
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
@@ -57,3 +65,20 @@ def test_every_public_definition_has_a_caller():
                   if name not in referred and name not in psbp.__all__
                   and name not in UNREFERENCED_ALLOWED)
     assert dead == []
+
+
+def test_readme_cli_options_match_the_parser():
+    """The long options README's CLI section names are the subcommands'
+    options, -h/--help left out on both sides."""
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {option for sub in subparsers.choices.values()
+              for action in sub._actions for option in action.option_strings
+              if option.startswith("--")}
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme_section("CLI usage")))
+    assert documented - {"--help"} == parsed - {"--help"}
+
+
+def test_config_docstring_names_every_top_level_key():
+    missing = sorted(k for k in config._TOP_LEVEL_KEYS if f'"{k}"' not in config.__doc__)
+    assert missing == []
