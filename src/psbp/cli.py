@@ -3,7 +3,9 @@
     psbp <render|reconstruct|evaluate|conditioning> --config cfg.json
          [--out DIR] [--method NAME]
 
-Flags override the corresponding config fields.  Exit codes: 0 on success
+Flags override the corresponding config fields; a relative --out is taken
+from the working directory, while relative paths in the config file resolve
+against the file's directory.  Exit codes: 0 on success
 (and for --help), 1 on usage, configuration and validation errors, 2 on
 numerical failures.
 """

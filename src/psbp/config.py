@@ -27,7 +27,8 @@ Mode-specific blocks:
     conditioning:  "conditioning": {"size" [W, H]}
 
 Every number must be finite.  Relative paths are resolved against the
-config file's directory.  Every validation failure raises ConfigError
+config file's directory (a relative --out flag against the working
+directory).  Every validation failure raises ConfigError
 naming the offending field.
 """
 
@@ -298,7 +299,12 @@ def parse_config(payload, base_dir=".") -> PipelineConfig:
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
-    """Read a JSON config file and apply CLI overrides before validation."""
+    """Read a JSON config file and apply CLI overrides before validation.
+
+    Paths in the file resolve against the file's directory; a relative
+    "out" override is a command-line path and resolves against the working
+    directory.
+    """
     path = Path(path)
     try:
         payload = read_json(path)
@@ -306,7 +312,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-    if overrides:
-        payload = dict(payload)
-        payload.update({k: v for k, v in overrides.items() if v is not None})
-    return parse_config(payload, base_dir=path.parent)
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    cfg = parse_config(dict(payload, **overrides), base_dir=path.parent)
+    if "out" in overrides:
+        cfg.out = Path(overrides["out"])
+    return cfg

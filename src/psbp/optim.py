@@ -5,10 +5,14 @@ per pixel) in lockstep with vectorized numpy arithmetic.  Steps solve
 (J^T J + lam*I) d = -J^T F (Madsen, Nielsen & Tingleff, "Methods for
 Non-Linear Least Squares Problems", 2004) on one fixed schedule: lam starts
 at LAMBDA0, is divided by LAMBDA_FACTOR after an accepted step and
-multiplied by it after a rejected one.  J^T F and the symmetric J^T J are
-built one Jacobian column pair at a time (the bits of a batched einsum in
-a fraction of its time).  finite_difference_jacobian is the reference the
-analytic Jacobians are tested against.
+multiplied by it after a rejected one.  The model is evaluated once per
+step: one fused callback returns F and J at the trial state, an accepted
+step keeps both, and a rejected one keeps the current ones, exact because
+the state did not move.  The unfinished problems' state is held in compact
+arrays, updated in place and shrunk as problems finish.  J^T F and the
+symmetric J^T J are built one Jacobian column pair at a time (the bits of a
+batched einsum in a fraction of its time).  finite_difference_jacobian is
+the reference the analytic Jacobians are tested against.
 """
 
 from __future__ import annotations
@@ -71,62 +75,90 @@ def _solve_damped(hess, grad, lam):
     return -np.linalg.solve(damped, grad[..., None])[..., 0]
 
 
-def levenberg_marquardt_batch(residual, jacobian, x0, project=None):
+def _cost(f):
+    """Squared norms of the residual rows f (k, m); inf where not finite."""
+    cost = np.einsum("nm,nm->n", f, f)
+    return np.where(np.isfinite(cost), cost, np.inf)
+
+
+def _damped_step(jac, f, lam):
+    """The LM step of each problem, 0 where it is not finite, and a mask of
+    those rows.  J^T J and J^T f are dropped before the caller evaluates the
+    trial, so they do not add to its peak memory."""
+    grad, hess = _normal_equations(jac, f)
+    d = _solve_damped(hess, grad, lam)
+    bad = ~np.all(np.isfinite(d), axis=1)
+    return np.where(bad[:, None], 0.0, d), bad
+
+
+def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None):
     """Run independent LM problems in parallel.
 
-    residual(x, idx) -> (k, m) and jacobian(x, idx) -> (k, m, p) evaluate the
-    subset of problems listed in idx at states x (k, p).  project, if given,
-    maps trial states back into the feasible set before evaluation.  Returns
-    (x, residual_norm, converged, failed) arrays; failed marks problems whose
-    damping escalated past 1e12.
+    residual(x, idx) -> f (k, m) and residual_and_jacobian(x, idx) -> (f, J)
+    with J (k, m, p) evaluate the subset of problems listed in idx at states
+    x (k, p); both must return the same f at the same state.  residual runs
+    once, on every problem at x0.  residual_and_jacobian runs once on the
+    problems that are still unfinished after that, then once per step at the
+    trial states: an accepted step keeps the trial's f and J, a rejected one
+    keeps the current ones, which are exact because the state did not move.
+    project, if given, maps trial states back into the feasible set before
+    evaluation.  Returns (x, residual_norm, converged, failed) arrays; failed
+    marks problems whose start is not finite or whose damping escalated past
+    1e12.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     n = x.shape[0]
-    all_idx = np.arange(n)
 
-    f = residual(x, all_idx)
-    cost = np.einsum("nm,nm->n", f, f)
-    bad0 = ~np.isfinite(cost)
-    if np.any(bad0):
-        cost = np.where(bad0, np.inf, cost)
-    lam = np.full(n, LAMBDA0)
+    cost = _cost(residual(x, np.arange(n)))
     converged = np.sqrt(np.maximum(cost, 0.0)) <= RESIDUAL_TOL
-    failed = bad0.copy()
+    failed = np.isinf(cost)
+
+    # The unfinished problems, compacted: ids into the batch, their states,
+    # residuals, Jacobians, costs and damping.  Steps update them in place;
+    # finished problems are written back and dropped.
+    ids = np.flatnonzero(~converged & ~failed)
+    if ids.size == 0:
+        return x, np.sqrt(np.maximum(cost, 0.0)), converged, failed
+    xa = x[ids]
+    fa, ja = residual_and_jacobian(xa, ids)
+    # own copies, as steps write into them
+    fa = np.array(fa, dtype=np.float64)
+    ja = np.array(ja, dtype=np.float64)
+    ca = cost[ids]
+    lam = np.full(ids.size, LAMBDA0)
 
     for _ in range(MAX_ITER):
-        active = ~converged & ~failed
-        if not active.any():
-            break
-        idx = all_idx[active]
-        xa = x[idx]
-        ja = jacobian(xa, idx)
-        fa = f[idx]
-        grad, hess = _normal_equations(ja, fa)
-        d = _solve_damped(hess, grad, lam[idx])
-        bad_step = ~np.all(np.isfinite(d), axis=1)
-        d = np.where(bad_step[:, None], 0.0, d)
+        d, bad_step = _damped_step(ja, fa, lam)
 
         small = np.linalg.norm(d, axis=1) <= STEP_TOL
         xt = xa + d
         if project is not None:
             xt = project(xt)
-        ft = residual(xt, idx)
-        cost_t = np.einsum("nm,nm->n", ft, ft)
-        cost_t = np.where(np.all(np.isfinite(ft), axis=1), cost_t, np.inf)
+        ft, jt = residual_and_jacobian(xt, ids)
+        cost_t = _cost(ft)
 
-        accept = (cost_t < cost[idx]) & ~bad_step
-        acc = idx[accept]
-        x[acc] = xt[accept]
-        f[acc] = ft[accept]
-        cost[acc] = cost_t[accept]
-        lam[acc] = np.maximum(lam[acc] / LAMBDA_FACTOR, 1e-15)
-        rej = idx[~accept]
-        lam[rej] *= LAMBDA_FACTOR
+        accept = (cost_t < ca) & ~bad_step
+        np.copyto(xa, xt, where=accept[:, None])
+        np.copyto(fa, ft, where=accept[:, None])
+        np.copyto(ja, jt, where=accept[:, None, None])
+        np.copyto(ca, cost_t, where=accept)
+        lam = np.where(accept, np.maximum(lam / LAMBDA_FACTOR, 1e-15), lam * LAMBDA_FACTOR)
 
-        done = np.zeros(len(idx), dtype=bool)
-        done |= small & ~bad_step
-        done |= np.sqrt(np.maximum(cost[idx], 0.0)) <= RESIDUAL_TOL
-        converged[idx[done]] = True
-        failed[idx] |= (lam[idx] > _LAMBDA_CEILING) & ~done
+        done = (small & ~bad_step) | (np.sqrt(np.maximum(ca, 0.0)) <= RESIDUAL_TOL)
+        fail = (lam > _LAMBDA_CEILING) & ~done
+        finished = done | fail
+        if finished.any():
+            out = ids[finished]
+            x[out] = xa[finished]
+            cost[out] = ca[finished]
+            converged[out] = done[finished]
+            failed[out] = fail[finished]
+            keep = np.flatnonzero(~finished)
+            if keep.size == 0:
+                return x, np.sqrt(np.maximum(cost, 0.0)), converged, failed
+            ids, xa, fa, ja, ca, lam = (np.take(a, keep, axis=0)
+                                        for a in (ids, xa, fa, ja, ca, lam))
 
+    x[ids] = xa
+    cost[ids] = ca
     return x, np.sqrt(np.maximum(cost, 0.0)), converged, failed

@@ -226,10 +226,24 @@ def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> Cond
     )
 
 
+def _residuals_and_jacobian(intensities, per_light):
+    """Residuals I_k - R_k (k, 3) and their Jacobian (k, 3, 2) from one
+    derivative shading pass per light, (R, dR/dx0, dR/dx1)."""
+    f = np.empty(intensities.shape)
+    jac = np.empty(intensities.shape + (2,))
+    for k, (shade, *slopes) in enumerate(per_light):
+        np.subtract(intensities[:, k], shade, out=f[:, k])
+        for c, slope in enumerate(slopes):
+            np.negative(slope, out=jac[:, k, c])
+    return f, jac
+
+
 class _PerspectiveModel:
     """Batched absolute shading residuals I_k - R_k of the perspective
-    Blinn-Phong model, and their Jacobian, over a set of pixels.  The
-    diffuse cosine is left unclamped so the residual stays smooth."""
+    Blinn-Phong model over a set of pixels: residuals alone for the LM
+    engine's start, and residuals with their Jacobian from one shading pass
+    for each step (the engine's fused callback).  The diffuse cosine is left
+    unclamped so the residual stays smooth."""
 
     def __init__(self, x, y, intensities, lights, material: Material, focal_length):
         self.x = x
@@ -251,7 +265,8 @@ class _PerspectiveModel:
         y = self.y[idx]
         return [
             perspective_shading(nu[:, 0], nu[:, 1], x, y, li, self.material, self.f,
-                                halfway=None if h is None else h[:, idx].T, clamp=False,
+                                halfway=None if h is None else np.take(h, idx, axis=1).T,
+                                clamp=False,
                                 derivatives=derivatives)
             for li, h in zip(self.lights, self.halfway)
         ]
@@ -259,9 +274,9 @@ class _PerspectiveModel:
     def residuals(self, nu, idx):
         return self.I[idx] - np.stack(self._shading(nu, idx, False), axis=1)
 
-    def jacobian(self, nu, idx):
-        per_light = self._shading(nu, idx, True)
-        return -np.stack([np.stack(d[1:], axis=1) for d in per_light], axis=1)
+    def residuals_and_jacobian(self, nu, idx):
+        return _residuals_and_jacobian(np.take(self.I, idx, axis=0),
+                                       self._shading(nu, idx, True))
 
 
 def _subset_calls(fn, sub):
@@ -274,8 +289,8 @@ def _attempt(model, x0, sub=None):
     """LM on the absolute residuals from x0, over the pixels sub (all when
     None).  Returns (x, residual norm, ok) with ok marking convergence."""
     res = _subset_calls(model.residuals, sub)
-    jac = _subset_calls(model.jacobian, sub)
-    x, a, conv, fail = levenberg_marquardt_batch(res, jac, x0)
+    fused = _subset_calls(model.residuals_and_jacobian, sub)
+    x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0)
     return x, a, conv & ~fail
 
 
@@ -336,8 +351,9 @@ def blinn_phong_pps_solve(
 
 
 class _OrthoModel:
-    """Batched residuals/Jacobian of the orthographic Blinn-Phong fit over
-    the first two normal components."""
+    """Batched residuals of the orthographic Blinn-Phong fit over the first
+    two normal components: alone for the LM engine's start, and with their
+    Jacobian from one shading pass for each step."""
 
     def __init__(self, intensities, lights, material: Material):
         self.I = np.asarray(intensities, dtype=np.float64)
@@ -356,9 +372,9 @@ class _OrthoModel:
     def residuals(self, n12, idx):
         return self.I[idx] - np.stack(self._shading(n12, False), axis=1)
 
-    def jacobian(self, n12, idx):
-        per_light = self._shading(n12, True)
-        return -np.stack([np.stack(d[1:], axis=1) for d in per_light], axis=1)
+    def residuals_and_jacobian(self, n12, idx):
+        return _residuals_and_jacobian(np.take(self.I, idx, axis=0),
+                                       self._shading(n12, True))
 
     @staticmethod
     def project(n12):
@@ -398,7 +414,7 @@ def blinn_phong_ortho_solve(
         np.stack([init_normals.n[rows, cols, 0], init_normals.n[rows, cols, 1]], axis=1)
     )
     xr, rnorm, conv, fail = levenberg_marquardt_batch(
-        model.residuals, model.jacobian, x0, project=model.project
+        model.residuals, model.residuals_and_jacobian, x0, project=model.project
     )
     good = conv & ~fail
 

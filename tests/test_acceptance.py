@@ -357,7 +357,8 @@ def test_integrator_projection_property():
 
 
 def test_analytic_jacobian_matches_finite_differences():
-    """The residual/Jacobian pair bp-pps hands the LM engine, over every
+    """The Jacobian of the fused residual + Jacobian callback bp-pps hands
+    the LM engine, against central differences of its residuals, over every
     pixel of a specular plane."""
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.02, h_y=0.02,
                             delta_x=7.5, delta_y=7.5)
@@ -377,7 +378,7 @@ def test_analytic_jacobian_matches_finite_differences():
         r, c = rng.integers(0, 16, size=2)
         idx = np.array([r * 16 + c])
         state = rng.uniform(-1.0, 1.0, size=2)
-        jac = model.jacobian(state[None], idx)[0]
+        jac = model.residuals_and_jacobian(state[None], idx)[1][0]
         fd = finite_difference_jacobian(lambda v: model.residuals(v[None], idx)[0], state)
         worst = max(worst, np.abs(jac - fd).max() / max(np.abs(fd).max(), 1e-12))
     verdict("analytic Jacobian", worst < 1e-4,

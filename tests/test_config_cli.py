@@ -293,6 +293,22 @@ def test_conditioning_mode_artifacts(tmp_path):
     assert len(report["flagged_counts"]) == 11
 
 
+def test_relative_out_flag_resolves_against_the_working_directory(tmp_path, monkeypatch,
+                                                                    capsys):
+    # a path written in the config resolves against the config's directory,
+    # a path given on the command line against the working directory
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "config.json").write_text(json.dumps(conditioning_payload("cfg_out")))
+    monkeypatch.chdir(tmp_path)
+    assert main(["conditioning", "--config", "sub/config.json"]) == 0
+    assert (sub / "cfg_out" / "conditioning.json").is_file()
+    assert main(["conditioning", "--config", "sub/config.json", "--out", "cli_out"]) == 0
+    assert (tmp_path / "cli_out" / "conditioning.json").is_file()
+    assert not (sub / "cli_out").exists()
+    assert capsys.readouterr().out.splitlines()[-1] == "psbp: conditioning ok -> cli_out"
+
+
 def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
     from psbp.core import input_mask
     from psbp.render import make_sphere_depth, log_depth_gradients

@@ -12,11 +12,16 @@ from psbp.optim import (
 )
 
 
+def fused(residual, jacobian):
+    """The engine's residual + Jacobian callback from two batch callbacks."""
+    return lambda x, idx: (residual(x, idx), jacobian(x, idx))
+
+
 def solve_one(residual, jacobian, x0):
     """Run one problem through the batch engine.
 
     residual(v) -> (m,) and jacobian(v) -> (m, p) act on a single state.
-    Returns (x, residual norm, converged, failed, Jacobian calls).
+    Returns (x, residual norm, converged, failed, residual + Jacobian calls).
     """
     calls = [0]
 
@@ -28,7 +33,7 @@ def solve_one(residual, jacobian, x0):
         return np.stack([np.atleast_2d(jacobian(v)) for v in x])
 
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x, rnorm, converged, failed = levenberg_marquardt_batch(res, jac, x0)
+    x, rnorm, converged, failed = levenberg_marquardt_batch(res, fused(res, jac), x0)
     return x[0], rnorm[0], converged[0], failed[0], calls[0]
 
 
@@ -112,10 +117,11 @@ def test_damping_escalation_raises():
 
 def test_max_iter_reported():
     # atan(x) approaches pi/2 only as x grows without bound: every step is
-    # accepted, none is small, so the iteration budget runs out
+    # accepted, none is small, so the iteration budget runs out.  The fused
+    # callback runs once at the start and once per step.
     x, rnorm, converged, failed, calls = solve_one(
         lambda v: np.arctan(v) - np.pi / 2, lambda v: [[1.0 / (1.0 + v[0] ** 2)]], [0.0])
-    assert calls == MAX_ITER
+    assert calls == MAX_ITER + 1
     assert not converged and not failed
     assert x[0] > 1.0 and rnorm < np.pi / 2
 
@@ -145,13 +151,14 @@ def test_batch_matches_single_problem_runs():
         return np.broadcast_to(np.eye(2), (len(idx), 2, 2)).copy()
 
     x0 = rng.standard_normal((50, 2))
-    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian, x0)
+    x, rnorm, converged, failed = levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), x0)
     assert converged.all()
     assert not failed.any()
     assert np.allclose(x, targets, atol=1e-10)
     for i in [0, 17, 49]:
         alone = solve_one(lambda v, i=i: v - targets[i], lambda v: np.eye(2), x0[i])
-        assert np.allclose(x[i], alone[0], atol=1e-12)
+        assert np.array_equal(x[i], alone[0])
 
 
 def test_batch_nonlinear_problems():
@@ -165,7 +172,8 @@ def test_batch_nonlinear_problems():
         return (2.0 * x)[:, :, None]
 
     x0 = np.full((20, 1), 1.0)
-    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian, x0)
+    x, rnorm, converged, failed = levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), x0)
     assert converged.all() and not failed.any()
     assert np.allclose(x[:, 0], roots, atol=1e-8)
 
@@ -200,8 +208,8 @@ def test_batch_three_parameter_least_squares_matches_lstsq():
     def jacobian(x, idx):
         return a[idx]
 
-    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian,
-                                                            np.zeros((30, 3)))
+    x, rnorm, converged, failed = levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), np.zeros((30, 3)))
     assert converged.all() and not failed.any()
     for i in range(30):
         expected = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
@@ -223,7 +231,8 @@ def test_batch_flags_failures_without_poisoning_others():
         return j
 
     x0 = np.array([[1.0], [1.0]])
-    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, jacobian, x0)
+    x, rnorm, converged, failed = levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), x0)
     assert failed[0] and not converged[0]
     assert converged[1] and not failed[1]
     assert x[1, 0] == pytest.approx(4.0, abs=1e-10)
@@ -237,12 +246,63 @@ def test_batch_project_keeps_iterates_feasible():
         return x - 5.0
 
     def jacobian(x, idx):
+        seen.append(x.copy())
         return np.ones((len(idx), 1, 1))
 
     def project(x):
         return np.clip(x, -1.0, 1.0)
 
     x, rnorm, converged, failed = levenberg_marquardt_batch(
-        residual, jacobian, np.array([[0.0]]), project=project)
+        residual, fused(residual, jacobian), np.array([[0.0]]), project=project)
     assert all(np.all(np.abs(s) <= 1.0) for s in seen)
     assert x[0, 0] == pytest.approx(1.0)
+
+
+def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluations():
+    # Rosenbrock-type valleys with their own shapes and starts: the problems
+    # finish at different steps and take rejected steps on the way.  Each one
+    # must follow its single-problem run bit for bit while the batch shrinks
+    # around it, and a rejected step must reuse the current residuals and
+    # Jacobian rather than evaluate the unmoved state again.
+    rng = np.random.default_rng(42)
+    a = rng.uniform(0.5, 2.0, size=40)
+    b = rng.uniform(2.0, 20.0, size=40)
+    x0 = rng.uniform(-2.0, 2.0, size=(40, 2))
+
+    def residual(x, idx):
+        return np.stack([a[idx] - x[:, 0], b[idx] * (x[:, 1] - x[:, 0] ** 2)], axis=1)
+
+    def jacobian(x, idx):
+        jac = np.zeros((len(idx), 2, 2))
+        jac[:, 0, 0] = -1.0
+        jac[:, 1, 0] = -2.0 * b[idx] * x[:, 0]
+        jac[:, 1, 1] = b[idx]
+        return jac
+
+    visits = {}
+
+    def residual_and_jacobian(x, idx):
+        for i, v in zip(idx, x):
+            visits.setdefault(int(i), []).append(v.copy())
+        return residual(x, idx), jacobian(x, idx)
+
+    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, residual_and_jacobian, x0)
+    assert converged.all() and not failed.any()
+
+    rejected = 0
+    for i, states in visits.items():
+        assert len({v.tobytes() for v in states}) == len(states)
+        # the engine's rule: a trial is kept only if its cost is lower
+        costs = [float(np.sum(residual(v[None], np.array([i])) ** 2)) for v in states]
+        best = costs[0]
+        for c in costs[1:]:
+            rejected += c >= best
+            best = min(best, c)
+    assert rejected > 0
+    assert len({len(states) for states in visits.values()}) > 1
+
+    for i in range(40):
+        alone = solve_one(lambda v, i=i: residual(v[None], np.array([i]))[0],
+                          lambda v, i=i: jacobian(v[None], np.array([i]))[0], x0[i])
+        assert np.array_equal(x[i], alone[0])
+        assert rnorm[i] == alone[1]

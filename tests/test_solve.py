@@ -16,18 +16,24 @@ from psbp.core import (
 )
 from psbp.geometry import halfway_vector_grid, pixel_grid
 from psbp.optim import finite_difference_jacobian
+from psbp import solve
 from psbp.render import (
+    SceneSpec,
     depth_to_normals_orthographic,
     log_depth_gradients,
+    make_sphere_depth,
     orthographic_shading,
     perspective_shading,
     render_blinn_phong_perspective,
     render_lambertian_orthographic,
     render_lambertian_perspective,
+    render_scene,
 )
 from psbp.solve import (
     _closed_form_system,
     _light_arrays,
+    _OrthoModel,
+    _PerspectiveModel,
     _scaled_intensities,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
@@ -353,6 +359,84 @@ def test_residual_jacobian_matches_finite_differences():
                 assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
     assert lobe_off >= 3
     assert diffuse_off >= 3
+
+
+def test_fused_residuals_equal_residuals_bit_for_bit():
+    # The LM engine takes a problem's first residuals from residuals and every
+    # later one from residuals_and_jacobian, so the two must agree to the bit,
+    # also at states where some light's specular lobe is off (u <= 0).
+    images, lights, intr, _, mat = specular_plane_scene()
+    X, Y = pixel_grid(16, 16, intr)
+    f = intr.focal_length
+    intensities = np.stack([img.data.ravel() for img in images], axis=1)
+    rng = np.random.default_rng(6)
+    idx = rng.integers(0, 256, size=64)
+
+    grads = np.concatenate([rng.uniform(-1.0, 1.0, (58, 2)),
+                            [(-20.0, 0.0), (0.0, -20.0), (-6.0, 0.0),
+                             (0.0, -6.0), (-4.0, -4.0), (4.0, 4.0)]])
+    x, y = X.ravel()[idx], Y.ravel()[idx]
+    n = np.stack([f * grads[:, 0], f * grads[:, 1], x * grads[:, 0] + y * grads[:, 1] + 1.0],
+                 axis=1)
+    halfway = [halfway_vector_grid(x, y, f, li) for li in lights]
+    persp_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
+
+    radius = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 58))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 58)
+    n12 = np.concatenate([np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1),
+                          [(-0.99, 0.0), (0.0, -0.99), (-0.7, -0.7),
+                           (0.99, 0.0), (0.0, 0.99), (0.7, 0.7)]])
+    n3 = np.sqrt(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2)
+    ortho_n = np.column_stack([n12, n3])
+    up = np.array([0.0, 0.0, 1.0])
+    ortho_off = np.any([ortho_n @ ((li.unit + up) / np.linalg.norm(li.unit + up)) <= 0.0
+                        for li in lights], axis=0)
+    assert persp_off.sum() >= 3 and ortho_off.sum() >= 3
+
+    persp = _PerspectiveModel(X.ravel(), Y.ravel(), intensities, lights, mat, f)
+    ortho = _OrthoModel(intensities, lights, mat)
+    for model, states in ((persp, grads), (ortho, n12)):
+        res, jac = model.residuals_and_jacobian(states, idx)
+        assert jac.shape == (64, 3, 2)
+        assert np.array_equal(res, model.residuals(states, idx))
+
+
+def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
+    # The 128x128 acceptance sphere.  Each LM call shades all its problems
+    # once with residuals, then once per step with residuals_and_jacobian;
+    # a second shading pass per step would add about 63k rows.  The 2,616
+    # pixels whose closed-form start already fits exactly get no Jacobian.
+    intr = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
+                            delta_x=63.5, delta_y=63.5)
+    lights = [LightSource(np.array(d), 1.2, 1.2)
+              for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0))]
+    material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    depth = make_sphere_depth(128, 128, intr, (0.0, 0.0, 4.0), 1.0)
+    images, _, mask = render_scene(SceneSpec(depth=depth, material=material, lights=lights,
+                                             intrinsics=intr))
+
+    calls = []
+    engine = solve.levenberg_marquardt_batch
+
+    def counted(residual, residual_and_jacobian, x0, *args, **kwargs):
+        rows = {"problems": len(x0), "residual": 0, "fused": 0}
+        calls.append(rows)
+
+        def res(x, idx):
+            rows["residual"] += len(idx)
+            return residual(x, idx)
+
+        def fused(x, idx):
+            rows["fused"] += len(idx)
+            return residual_and_jacobian(x, idx)
+
+        return engine(res, fused, x0, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "levenberg_marquardt_batch", counted)
+    blinn_phong_pps_solve(images, lights, material, intr, mask=mask & input_mask(images))
+    assert [c["problems"] for c in calls] == [9388, 288]
+    assert all(c["residual"] == c["problems"] for c in calls)
+    assert sum(c["fused"] for c in calls) == 70177
 
 
 def test_pps_solve_recovers_specular_plane():
