@@ -20,6 +20,11 @@ class NumericalError(RuntimeError):
     """A solver or integrator failed to produce a usable result."""
 
 
+def _all_finite(values):
+    """True when every number in values (a scalar, sequence or array) is finite."""
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
+
+
 def _as_grid(data, name):
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
@@ -46,7 +51,7 @@ class Image:
 
     def __post_init__(self):
         self.data = _as_grid(self.data, "image")
-        if not np.all(np.isfinite(self.data)):
+        if not _all_finite(self.data):
             raise ValueError("image intensities must be finite")
         if np.any(self.data < 0):
             raise ValueError("image intensities must be non-negative")
@@ -76,8 +81,10 @@ class LightSource:
 
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(self.direction)) or np.linalg.norm(self.direction) == 0:
+        if not _all_finite(self.direction) or np.linalg.norm(self.direction) == 0:
             raise ValueError("light direction must be a finite nonzero 3-vector")
+        if not _all_finite((self.diffuse_intensity, self.specular_intensity)):
+            raise ValueError("light intensities must be finite")
         if self.diffuse_intensity < 0 or self.specular_intensity < 0:
             raise ValueError("light intensities must be non-negative")
 
@@ -106,6 +113,8 @@ class Material:
     shininess: float = 1.0
 
     def __post_init__(self):
+        if not _all_finite((self.k_d, self.k_s, self.shininess)):
+            raise ValueError("material coefficients must be finite")
         if not (0.0 <= self.k_d <= 1.0) or not (0.0 <= self.k_s <= 1.0):
             raise ValueError("albedo coefficients must lie in [0, 1]")
         if self.k_d + self.k_s > 1.0 + 1e-9:
@@ -130,6 +139,8 @@ class CameraIntrinsics:
     delta_y: float = 0.0
 
     def __post_init__(self):
+        if not _all_finite((self.focal_length, self.h_x, self.h_y, self.delta_x, self.delta_y)):
+            raise ValueError("camera intrinsics must be finite")
         if self.focal_length <= 0:
             raise ValueError("focal_length must be positive")
         if self.h_x <= 0 or self.h_y <= 0:
@@ -156,9 +167,7 @@ class GradientField:
         self.mask = _check_mask(self.mask, self.gx.shape, "gradient")
         self.gx = np.where(self.mask, self.gx, 0.0)
         self.gy = np.where(self.mask, self.gy, 0.0)
-        if not np.all(np.isfinite(self.gx[self.mask])) or not np.all(
-            np.isfinite(self.gy[self.mask])
-        ):
+        if not _all_finite(self.gx[self.mask]) or not _all_finite(self.gy[self.mask]):
             raise ValueError("gradients must be finite on unmasked pixels")
 
     @property
@@ -183,7 +192,7 @@ class DepthMap:
             self.mask = _default_mask(self.z)
         self.mask = _check_mask(self.mask, self.z.shape, "depth")
         valid = self.z[self.mask]
-        if not np.all(np.isfinite(valid)):
+        if not _all_finite(valid):
             raise ValueError("depth must be finite on unmasked pixels")
         # Unit-range normalization legitimately produces zeros, so only
         # negative depths are rejected here; log-domain consumers check
@@ -216,7 +225,7 @@ class NormalField:
         self.mask = _check_mask(self.mask, self.n.shape[:2], "normal")
         valid = self.n[self.mask]
         if valid.size:
-            if not np.all(np.isfinite(valid)):
+            if not _all_finite(valid):
                 raise ValueError("normals must be finite on unmasked pixels")
             norms = np.linalg.norm(valid, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-6):

@@ -225,13 +225,21 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     return errors
 
 
-def _read_artifact(directory, name, reader):
+def _read_artifact(directory, name, reader, shape=None):
+    """Read one reconstruction artifact; with shape, it must have those
+    dimensions (those of depth.pfm)."""
     path = directory / name
     if not path.exists():
         raise ConfigError(
             f"config field 'estimate_dir': missing reconstruction artifact {name}"
         )
-    return reader(path)
+    data = reader(path)
+    if shape is not None and data.shape != shape:
+        raise ConfigError(
+            f"config field 'estimate_dir': {name} dimensions {data.shape} "
+            f"do not match depth.pfm {shape}"
+        )
+    return data
 
 
 def run_evaluate(cfg: PipelineConfig):
@@ -241,10 +249,10 @@ def run_evaluate(cfg: PipelineConfig):
     with timer.stage("load"):
         est_z = np.asarray(_read_artifact(cfg.estimate_dir, "depth.pfm", read_pfm),
                            dtype=np.float64)
-        est_mask = _read_artifact(cfg.estimate_dir, "mask.pgm", load_mask)
-        gx = np.asarray(_read_artifact(cfg.estimate_dir, "grad_x.pfm", read_pfm),
+        est_mask = _read_artifact(cfg.estimate_dir, "mask.pgm", load_mask, est_z.shape)
+        gx = np.asarray(_read_artifact(cfg.estimate_dir, "grad_x.pfm", read_pfm, est_z.shape),
                         dtype=np.float64)
-        gy = np.asarray(_read_artifact(cfg.estimate_dir, "grad_y.pfm", read_pfm),
+        gy = np.asarray(_read_artifact(cfg.estimate_dir, "grad_y.pfm", read_pfm, est_z.shape),
                         dtype=np.float64)
         recon = {}
         if (cfg.estimate_dir / "report.json").exists():
@@ -258,14 +266,20 @@ def run_evaluate(cfg: PipelineConfig):
                 f"config field 'ground_truth': cannot read {cfg.ground_truth}: {exc}"
             ) from exc
         if cfg.ground_truth_mask is not None:
-            gt_mask = load_mask(cfg.ground_truth_mask)
+            gt_mask, mask_field = load_mask(cfg.ground_truth_mask), "ground_truth_mask"
         else:
             sibling = cfg.ground_truth.parent / "mask.pgm"
             gt_mask = load_mask(sibling) if sibling.exists() else gt_z > 0
+            mask_field = "ground_truth"
         if gt_z.shape != est_z.shape:
             raise ConfigError(
                 "config field 'ground_truth': dimensions "
                 f"{gt_z.shape} do not match estimate {est_z.shape}"
+            )
+        if gt_mask.shape != est_z.shape:
+            raise ConfigError(
+                f"config field {mask_field!r}: mask dimensions "
+                f"{gt_mask.shape} do not match estimate {est_z.shape}"
             )
         grids = _load_input_images(cfg.images)
         if grids[0].shape != est_z.shape:
@@ -284,7 +298,8 @@ def run_evaluate(cfg: PipelineConfig):
         if cfg.reprojection_model == MODEL_LAMBERTIAN and (
             cfg.estimate_dir / "albedo.pfm"
         ).exists():
-            albedo = np.asarray(read_pfm(cfg.estimate_dir / "albedo.pfm"), dtype=np.float64)
+            albedo = np.asarray(_read_artifact(cfg.estimate_dir, "albedo.pfm", read_pfm,
+                                               est_z.shape), dtype=np.float64)
         needs_material = cfg.reprojection_model == MODEL_BLINN_PHONG or albedo is None
         if needs_material and cfg.material is None:
             raise ConfigError(

@@ -1,9 +1,10 @@
 """Forward rendering under Lambertian and Blinn-Phong reflectance.
 
-Each projection has one shading function, evaluated per light and shared
-with the solvers: orthographic_shading takes unit normals, and
-perspective_shading takes per-pixel log-depth gradients and builds the
-normal direction (f*gx, f*gy, x*gx + y*gy + 1) internally.  Both return the
+The Blinn-Phong model is written once, in _blinn_phong, from the dot
+products of a normal direction m with the light and halfway vectors and its
+length |m|.  Each projection forms those in one shading function shared with
+the solvers: orthographic_shading at unit normals, perspective_shading at
+log-depth gradients with m = (f*gx, f*gy, x*gx + y*gy + 1).  Both return the
 shading and, on request, its derivatives.  The Lambertian renderers are the
 Blinn-Phong ones with k_s = 0.  Renders clamp all dot products at zero;
 intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
@@ -33,49 +34,64 @@ MODEL_BLINN_PHONG = "blinn-phong"
 PROJECTION_PERSPECTIVE = "perspective"
 PROJECTION_ORTHOGRAPHIC = "orthographic"
 
-_VIEW_ORTHO = np.array([0.0, 0.0, 1.0])
+
+def _blinn_phong(light: LightSource, material: Material, m_l, m_h, norm, halfway,
+                 partials=None, clamp=True):
+    """Blinn-Phong shading of one light at a normal direction m, given as its
+    dot products m_l = m.L with the light direction L and m_h = m.h with the
+    unit halfway vectors (None when k_s == 0), and its length norm = |m|:
+    diffuse k_d*l_d*cos, cos = m_l/(|m| |L|), clamped at 0 when clamp, plus
+    specular k_s*l_s*max(u, 0)^n, u = m_h/|m|.  partials, if given, yields
+    for each of two parameters p a triple (s, t, d|m|/dp) with
+    dm/dp = s*e_p + t*e_3, and the result is (shading, d/dp1, d/dp2);
+    otherwise the shading alone.
+    """
+    # m_l and m_h are the callers' temporaries, normalized in place: with one
+    # more full-size array alive per light, the allocator gave memory back to
+    # the system and faulted it in again on every LM step.
+    cosine = m_l
+    cosine /= norm * light.norm
+    kd = material.k_d * light.diffuse_intensity
+    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
+    if m_h is not None:
+        u = m_h
+        u /= norm
+        up = np.maximum(u, 0.0)
+        ks = material.k_s * light.specular_intensity
+        shade = shade + ks * up ** material.shininess
+        if partials is not None:
+            lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0),
+                                 0.0)
+    if partials is None:
+        return shade
+
+    direction = light.direction
+    out = [shade]
+    for c, (s, t, d_norm) in enumerate(partials):
+        dcos = ((s * direction[c] + direction[2] * t) / light.norm - cosine * d_norm) / norm
+        if clamp:
+            dcos = np.where(cosine > 0.0, dcos, 0.0)
+        d = kd * dcos
+        if m_h is not None:
+            d = d + lobe * (halfway[..., c] * s + halfway[..., 2] * t - u * d_norm) / norm
+        out.append(d)
+    return tuple(out)
 
 
 def orthographic_shading(n, light: LightSource, material: Material, derivatives=False):
     """Orthographic Blinn-Phong shading of one light at unit normals.
 
-    n has shape (..., 3).  The diffuse term is k_d*l_d*max(n.l, 0) with l the
-    unit light direction; the specular term is k_s*l_s*max(n.h, 0)^n with h
-    the fixed halfway vector of the light and the (0, 0, 1) view direction
-    (skipped when k_s == 0).  With derivatives, returns (shading, d/dn1,
-    d/dn2), n3 = sqrt(1 - n1^2 - n2^2) being the dependent component;
-    otherwise the shading alone.
+    n has shape (..., 3).  The halfway vector is the fixed one of the light
+    and the (0, 0, 1) view direction, the perspective view ray at the
+    principal point (skipped when k_s == 0).  With derivatives, returns
+    (shading, d/dn1, d/dn2), n3 = sqrt(1 - n1^2 - n2^2) being the dependent
+    component; otherwise the shading alone.
     """
-    specular = material.k_s != 0.0
-    lhat = light.unit
-    if specular:
-        h = lhat + _VIEW_ORTHO
-        hn = np.linalg.norm(h)
-        if hn < 1e-12:
-            raise ValueError("degenerate halfway vector: light opposes the view direction")
-        h = h / hn
-    u = n @ lhat
-    kd = material.k_d * light.diffuse_intensity
-    shade = kd * np.maximum(u, 0.0)
-    if specular:
-        v = n @ h
-        ks = material.k_s * light.specular_intensity
-        shade = shade + ks * np.maximum(v, 0.0) ** material.shininess
-    if not derivatives:
-        return shade
-
-    gate = (u > 0.0).astype(np.float64)
-    if specular:
-        vp = np.maximum(v, 0.0)
-        lobe = ks * np.where(v > 0.0, material.shininess * vp ** (material.shininess - 1.0), 0.0)
-    out = [shade]
-    for comp in (0, 1):
-        slope = -n[..., comp] / n[..., 2]
-        d = kd * gate * (lhat[comp] + lhat[2] * slope)
-        if specular:
-            d = d + lobe * (h[comp] + h[2] * slope)
-        out.append(d)
-    return tuple(out)
+    h = halfway_vector_grid(0.0, 0.0, 1.0, light) if material.k_s != 0.0 else None
+    # dn/dn1 = (1, 0, -n1/n3), dn/dn2 = (0, 1, -n2/n3), and |n| stays 1
+    partials = ((1.0, -n[..., c] / n[..., 2], 0.0) for c in (0, 1))
+    return _blinn_phong(light, material, n @ light.direction, None if h is None else n @ h,
+                        1.0, h, partials if derivatives else None)
 
 
 def render_lambertian_orthographic(
@@ -100,14 +116,14 @@ def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, fo
 
     gx, gy, x, y are broadcastable arrays (or scalars) of log-depth gradients
     and metric image coordinates.  The normal direction is
-    (f*gx, f*gy, x*gx + y*gy + 1); the diffuse term is k_d*l_d times its
-    cosine with the light, the specular term k_s*l_s times max(u, 0)^n with
-    u its cosine with the per-pixel halfway vector (skipped when k_s == 0).
-    halfway may pass precomputed halfway vectors, shape (..., 3).  clamp
-    clamps the diffuse cosine at 0 as a renderer must; left unclamped the
-    shading is smooth in the gradient, as a least-squares residual needs.
-    With derivatives, returns (shading, d/dgx, d/dgy) computed in the same
-    pass; otherwise the shading alone.
+    (f*gx, f*gy, x*gx + y*gy + 1), and the specular lobe is taken about the
+    per-pixel halfway vector of the light and the view ray (x, y, f)
+    (skipped when k_s == 0).  halfway may pass precomputed halfway vectors,
+    shape (..., 3).  clamp clamps the diffuse cosine at 0 as a renderer
+    must; left unclamped the shading is smooth in the gradient, as a
+    least-squares residual needs.  With derivatives, returns
+    (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
+    alone.
     """
     f = focal_length
     specular = material.k_s != 0.0
@@ -118,30 +134,12 @@ def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, fo
     alpha, beta, gamma = light.direction
     w = x * gx + y * gy + 1.0
     norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
-    cosine = (f * alpha * gx + f * beta * gy + gamma * w) / (norm * light.norm)
-    kd = material.k_d * light.diffuse_intensity
-    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
-    if specular:
-        u = (halfway[..., 0] * f * gx + halfway[..., 1] * f * gy + halfway[..., 2] * w) / norm
-        ks = material.k_s * light.specular_intensity
-        shade = shade + ks * np.maximum(u, 0.0) ** material.shininess
-    if not derivatives:
-        return shade
-
-    if specular:
-        up = np.maximum(u, 0.0)
-        lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0), 0.0)
-    out = [shade]
-    for comp, (l_c, coord, g) in enumerate(((alpha, x, gx), (beta, y, gy))):
-        dnorm = (f * f * g + w * coord) / norm
-        dcos = ((f * l_c + gamma * coord) / light.norm - cosine * dnorm) / norm
-        if clamp:
-            dcos = np.where(cosine > 0.0, dcos, 0.0)
-        d = kd * dcos
-        if specular:
-            d = d + lobe * (halfway[..., comp] * f + halfway[..., 2] * coord - u * dnorm) / norm
-        out.append(d)
-    return tuple(out)
+    # dm/dgx = (f, 0, x), dm/dgy = (0, f, y); d|m| is built only when used
+    partials = ((f, coord, (f * f * g + w * coord) / norm) for coord, g in ((x, gx), (y, gy)))
+    return _blinn_phong(light, material, f * alpha * gx + f * beta * gy + gamma * w,
+                        halfway[..., 0] * f * gx + halfway[..., 1] * f * gy
+                        + halfway[..., 2] * w if specular else None,
+                        norm, halfway, partials if derivatives else None, clamp)
 
 
 def _render_perspective(grad: GradientField, light, material, intr):

@@ -11,9 +11,10 @@ Four per-pixel solvers are provided:
                               gradient on the absolute shading residuals of
                               the perspective Blinn-Phong model
 
-plus conditioning diagnostics for three-light rigs.  The Blinn-Phong shading
-and its derivatives come from render.orthographic_shading and
-render.perspective_shading, the functions the renderers use.
+plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
+solvers fit one _ShadingModel, the absolute residuals I_k - R_k of the three
+images, built from the shading the renderers use: render.perspective_shading
+for bp-pps, render.orthographic_shading for bp-ppn.
 """
 
 from __future__ import annotations
@@ -68,15 +69,18 @@ class ConditioningReport:
         return [int(f.sum()) for f in self.flags]
 
 
-def _image_stack(images):
+def _inputs(images, lights, mask):
+    """The solvers' common preamble: the three image grids, checked to share
+    one shape, after checking every light is frontal, and the mask
+    (input_mask of the grids when None)."""
     grids = [img.data if isinstance(img, Image) else np.asarray(img, float) for img in images]
     if len(grids) != 3:
         raise ValueError("exactly 3 input images are required")
-    shape = grids[0].shape
-    for g in grids:
-        if g.shape != shape:
-            raise ValueError("input images must share one shape")
-    return grids
+    if any(g.shape != grids[0].shape for g in grids):
+        raise ValueError("input images must share one shape")
+    for li in lights:
+        li.require_frontal()
+    return grids, input_mask(grids) if mask is None else mask
 
 
 def _light_arrays(lights):
@@ -95,18 +99,14 @@ def woodham_normals(images, lights, mask=None):
     the diffuse albedo and its direction the normal.  Near-zero solutions
     (shadowed or empty pixels) are masked out.
     """
-    grids = _image_stack(images)
+    grids, mask = _inputs(images, lights, mask)
     dirs, norms, ld = _light_arrays(lights)
-    for li in lights:
-        li.require_frontal()
     lmat = dirs / norms[:, None]
     det = np.linalg.det(lmat)
     if abs(det) < SINGULAR_DET_THRESHOLD:
         raise ValueError("light directions are coplanar: singular light matrix")
     if np.any(ld <= 0):
         raise ValueError("diffuse light intensities must be positive")
-    if mask is None:
-        mask = input_mask(grids)
     rhs = np.stack([g / l for g, l in zip(grids, ld)], axis=-1)
     b = rhs @ np.linalg.inv(lmat).T
     albedo = np.linalg.norm(b, axis=-1)
@@ -151,13 +151,9 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     falls below 1e-12 are masked out, not clamped.  Returns the gradient
     field and the diffuse albedo recovered by back-substitution.
     """
-    grids = _image_stack(images)
+    grids, mask = _inputs(images, lights, mask)
     dirs, norms, ld = _light_arrays(lights)
-    for li in lights:
-        li.require_frontal()
     h, w = grids[0].shape
-    if mask is None:
-        mask = input_mask(grids)
     X, Y = pixel_grid(w, h, intr)
     f = intr.focal_length
     m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
@@ -226,72 +222,86 @@ def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> Cond
     )
 
 
-def _residuals_and_jacobian(intensities, per_light):
-    """Residuals I_k - R_k (k, 3) and their Jacobian (k, 3, 2) from one
-    derivative shading pass per light, (R, dR/dx0, dR/dx1)."""
-    f = np.empty(intensities.shape)
-    jac = np.empty(intensities.shape + (2,))
-    for k, (shade, *slopes) in enumerate(per_light):
-        np.subtract(intensities[:, k], shade, out=f[:, k])
-        for c, slope in enumerate(slopes):
-            np.negative(slope, out=jac[:, k, c])
-    return f, jac
+class _ShadingModel:
+    """Batched absolute shading residuals I_k - R_k of the three lights over
+    a set of pixels, for the LM engine: residuals alone for its start, and
+    residuals with their Jacobian from one shading pass for each step (the
+    engine's fused callback).  shading(x, idx, derivatives) returns per
+    light R_k, or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x;
+    project, if given, maps trial states back into the feasible set."""
 
-
-class _PerspectiveModel:
-    """Batched absolute shading residuals I_k - R_k of the perspective
-    Blinn-Phong model over a set of pixels: residuals alone for the LM
-    engine's start, and residuals with their Jacobian from one shading pass
-    for each step (the engine's fused callback).  The diffuse cosine is left
-    unclamped so the residual stays smooth."""
-
-    def __init__(self, x, y, intensities, lights, material: Material, focal_length):
-        self.x = x
-        self.y = y
+    def __init__(self, intensities, shading, project=None):
         self.I = intensities
-        self.lights = lights
-        self.material = material
-        self.f = float(focal_length)
-        # halfway vectors components first, (3, n): a gather reads three
-        # contiguous rows and the shading reads contiguous components
-        self.halfway = [
-            np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
-            if material.k_s != 0.0 else None
-            for li in lights
-        ]
+        self.shading = shading
+        self.project = project
 
-    def _shading(self, nu, idx, derivatives):
-        x = self.x[idx]
-        y = self.y[idx]
-        return [
-            perspective_shading(nu[:, 0], nu[:, 1], x, y, li, self.material, self.f,
-                                halfway=None if h is None else np.take(h, idx, axis=1).T,
-                                clamp=False,
-                                derivatives=derivatives)
-            for li, h in zip(self.lights, self.halfway)
-        ]
+    def residuals(self, x, idx):
+        return self.I[idx] - np.stack(self.shading(x, idx, False), axis=1)
 
-    def residuals(self, nu, idx):
-        return self.I[idx] - np.stack(self._shading(nu, idx, False), axis=1)
+    def residuals_and_jacobian(self, x, idx):
+        f = np.take(self.I, idx, axis=0)
+        per_light = self.shading(x, idx, True)
+        # allocated after the shading pass, so it does not raise that pass's
+        # peak heap: a larger peak is given back and faulted in on every step
+        jac = np.empty(f.shape + (2,))
+        for k, (shade, *slopes) in enumerate(per_light):
+            f[:, k] -= shade
+            for c, slope in enumerate(slopes):
+                np.negative(slope, out=jac[:, k, c])
+        return f, jac
 
-    def residuals_and_jacobian(self, nu, idx):
-        return _residuals_and_jacobian(np.take(self.I, idx, axis=0),
-                                       self._shading(nu, idx, True))
-
-
-def _subset_calls(fn, sub):
-    if sub is None:
-        return fn
-    return lambda nu, idx: fn(nu, sub[idx])
+    def fit(self, x0, sub=None):
+        """LM from x0 over the pixels sub (all when None).  Returns
+        (x, residual norm, ok) with ok marking convergence."""
+        res, fused = self.residuals, self.residuals_and_jacobian
+        if sub is not None:
+            res = lambda x, idx: self.residuals(x, sub[idx])
+            fused = lambda x, idx: self.residuals_and_jacobian(x, sub[idx])
+        x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0, project=self.project)
+        return x, a, conv & ~fail
 
 
-def _attempt(model, x0, sub=None):
-    """LM on the absolute residuals from x0, over the pixels sub (all when
-    None).  Returns (x, residual norm, ok) with ok marking convergence."""
-    res = _subset_calls(model.residuals, sub)
-    fused = _subset_calls(model.residuals_and_jacobian, sub)
-    x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0)
-    return x, a, conv & ~fail
+def _perspective_model(x, y, intensities, lights, material: Material, focal_length):
+    """bp-pps residuals over log-depth gradients at image points (x, y).  The
+    diffuse cosine is left unclamped so the residual stays smooth."""
+    f = float(focal_length)
+    # halfway vectors components first, (3, n): a gather reads three
+    # contiguous rows and the shading reads contiguous components
+    halfway = [np.ascontiguousarray(halfway_vector_grid(x, y, f, li).T)
+               if material.k_s != 0.0 else None for li in lights]
+
+    def shading(nu, idx, derivatives):
+        xi = x[idx]
+        yi = y[idx]
+        return [perspective_shading(nu[:, 0], nu[:, 1], xi, yi, li, material, f,
+                                    halfway=None if h is None else np.take(h, idx, axis=1).T,
+                                    clamp=False, derivatives=derivatives)
+                for li, h in zip(lights, halfway)]
+
+    return _ShadingModel(intensities, shading)
+
+
+def _n3(n12):
+    return np.sqrt(np.maximum(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2, 1e-12))
+
+
+def _into_unit_disk(n12):
+    r = np.linalg.norm(n12, axis=1)
+    limit = 1.0 - 1e-6
+    scale = np.where(r > limit, limit / np.maximum(r, 1e-300), 1.0)
+    return n12 * scale[:, None]
+
+
+def _orthographic_model(intensities, lights, material: Material):
+    """bp-ppn residuals over the first two normal components (n1, n2),
+    n3 = sqrt(1 - n1^2 - n2^2); trial states leaving the unit disk are
+    projected back to radius 1 - 1e-6."""
+    def shading(n12, idx, derivatives):
+        n = np.stack([n12[:, 0], n12[:, 1], _n3(n12)], axis=1)
+        return [orthographic_shading(n, li, material, derivatives=derivatives)
+                for li in lights]
+
+    return _ShadingModel(intensities, shading, project=_into_unit_disk)
 
 
 def blinn_phong_pps_solve(
@@ -308,12 +318,8 @@ def blinn_phong_pps_solve(
     attempt is kept.  Pixels whose best fit still fails that test are masked
     out.
     """
-    grids = _image_stack(images)
-    for li in lights:
-        li.require_frontal()
+    grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
-    if mask is None:
-        mask = input_mask(grids)
     if not mask.any():
         return GradientField(
             gx=np.zeros((h, w)), gy=np.zeros((h, w)), mask=np.zeros((h, w), dtype=bool),
@@ -324,17 +330,17 @@ def blinn_phong_pps_solve(
     X, Y = pixel_grid(w, h, intr)
     rows, cols = np.nonzero(mask)
     intensities = np.stack([g[rows, cols] for g in grids], axis=1)
-    model = _PerspectiveModel(
+    model = _perspective_model(
         X[rows, cols], Y[rows, cols], intensities, lights, material, intr.focal_length
     )
 
     x0 = np.stack([init_grad.gx[rows, cols], init_grad.gy[rows, cols]], axis=1)
-    x, a, ok = _attempt(model, x0)
+    x, a, ok = model.fit(x0)
 
     retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
     if retry.any():
         sub = np.nonzero(retry)[0]
-        x2, a2, ok2 = _attempt(model, np.zeros((sub.size, 2)), sub=sub)
+        x2, a2, ok2 = model.fit(np.zeros((sub.size, 2)), sub=sub)
         better = (ok2 & ~ok[sub]) | (ok2 & (a2 < a[sub]))
         x[sub[better]] = x2[better]
         a[sub[better]] = a2[better]
@@ -350,40 +356,6 @@ def blinn_phong_pps_solve(
     return GradientField(gx=gx, gy=gy, mask=valid)
 
 
-class _OrthoModel:
-    """Batched residuals of the orthographic Blinn-Phong fit over the first
-    two normal components: alone for the LM engine's start, and with their
-    Jacobian from one shading pass for each step."""
-
-    def __init__(self, intensities, lights, material: Material):
-        self.I = np.asarray(intensities, dtype=np.float64)
-        self.lights = lights
-        self.material = material
-
-    @staticmethod
-    def _n3(n12):
-        return np.sqrt(np.maximum(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2, 1e-12))
-
-    def _shading(self, n12, derivatives):
-        n = np.stack([n12[:, 0], n12[:, 1], self._n3(n12)], axis=1)
-        return [orthographic_shading(n, li, self.material, derivatives=derivatives)
-                for li in self.lights]
-
-    def residuals(self, n12, idx):
-        return self.I[idx] - np.stack(self._shading(n12, False), axis=1)
-
-    def residuals_and_jacobian(self, n12, idx):
-        return _residuals_and_jacobian(np.take(self.I, idx, axis=0),
-                                       self._shading(n12, True))
-
-    @staticmethod
-    def project(n12):
-        r = np.linalg.norm(n12, axis=1)
-        limit = 1.0 - 1e-6
-        scale = np.where(r > limit, limit / np.maximum(r, 1e-300), 1.0)
-        return n12 * scale[:, None]
-
-
 def blinn_phong_ortho_solve(
     images, lights, material: Material, mask=None
 ) -> NormalField:
@@ -393,12 +365,8 @@ def blinn_phong_ortho_solve(
     trial steps leaving the unit disk are projected back to radius 1 - 1e-6.
     Initialization comes from the linear Lambertian solve.
     """
-    grids = _image_stack(images)
-    for li in lights:
-        li.require_frontal()
+    grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
-    if mask is None:
-        mask = input_mask(grids)
     empty = NormalField(
         n=np.broadcast_to(np.array([0.0, 0.0, 1.0]), (h, w, 3)).copy(),
         mask=np.zeros((h, w), dtype=bool),
@@ -409,18 +377,15 @@ def blinn_phong_ortho_solve(
     init_normals, _ = woodham_normals(grids, lights, mask=mask)
     rows, cols = np.nonzero(mask)
     intensities = np.stack([g[rows, cols] for g in grids], axis=1)
-    model = _OrthoModel(intensities, lights, material)
-    x0 = model.project(
+    model = _orthographic_model(intensities, lights, material)
+    x0 = _into_unit_disk(
         np.stack([init_normals.n[rows, cols, 0], init_normals.n[rows, cols, 1]], axis=1)
     )
-    xr, rnorm, conv, fail = levenberg_marquardt_batch(
-        model.residuals, model.residuals_and_jacobian, x0, project=model.project
-    )
-    good = conv & ~fail
+    xr, _, good = model.fit(x0)
 
     n = np.zeros((h, w, 3))
     n[..., 2] = 1.0
-    n3 = model._n3(xr)
+    n3 = _n3(xr)
     n[rows, cols, 0] = np.where(good, xr[:, 0], 0.0)
     n[rows, cols, 1] = np.where(good, xr[:, 1], 0.0)
     n[rows, cols, 2] = np.where(good, n3, 1.0)

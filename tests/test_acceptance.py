@@ -41,7 +41,7 @@ from psbp.render import (
     render_scene,
 )
 from psbp.solve import (
-    _PerspectiveModel,
+    _perspective_model,
     blinn_phong_pps_solve,
     lambertian_pps_closed_form,
     sensitivity_indicator,
@@ -368,9 +368,9 @@ def test_analytic_jacobian_matches_finite_differences():
     images = [render_blinn_phong_perspective(grad, li, material, intr)
               for li in lights]
     X, Y = pixel_grid(16, 16, intr)
-    model = _PerspectiveModel(X.ravel(), Y.ravel(),
-                              np.stack([img.data.ravel() for img in images], axis=1),
-                              lights, material, intr.focal_length)
+    model = _perspective_model(X.ravel(), Y.ravel(),
+                               np.stack([img.data.ravel() for img in images], axis=1),
+                               lights, material, intr.focal_length)
 
     rng = np.random.default_rng(3)
     worst = 0.0

@@ -1,6 +1,7 @@
 """Configuration validation and end-to-end command-line runs."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ import pytest
 from psbp.cli import main
 from psbp.config import load_config, parse_config
 from psbp.core import ConfigError
-from psbp.fileio import load_image, load_mask, read_json, read_pfm, write_json
+from psbp.fileio import (
+    load_image,
+    load_mask,
+    read_json,
+    read_pfm,
+    save_mask,
+    write_json,
+    write_pfm,
+)
 from psbp.pipeline import reprojection_error
 
 
@@ -343,6 +352,42 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
                  _write_cfg(tmp_path, evaluate_payload(rendered_sphere, recon, ev))]) == 2
     assert "mse_raw" in capsys.readouterr().err
     assert not (ev / "evaluation.json").exists()
+
+
+@pytest.fixture(scope="module")
+def lambert_recon(rendered_sphere, tmp_path_factory):
+    """A lambert-pps reconstruction of the rendered sphere (it writes albedo.pfm)."""
+    recon = tmp_path_factory.mktemp("lambert_recon")
+    payload = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
+    assert main(["reconstruct", "--config", _write_cfg(recon, payload)]) == 0
+    return recon
+
+
+@pytest.mark.parametrize("artifact, fields", [
+    ("mask.pgm", ("estimate_dir", "mask.pgm")),
+    ("grad_x.pfm", ("estimate_dir", "grad_x.pfm")),
+    ("grad_y.pfm", ("estimate_dir", "grad_y.pfm")),
+    ("albedo.pfm", ("estimate_dir", "albedo.pfm")),
+    ("ground_truth_mask", ("ground_truth_mask",)),
+])
+def test_evaluate_names_an_artifact_of_the_wrong_size(rendered_sphere, lambert_recon, tmp_path,
+                                                       capsys, artifact, fields):
+    recon = tmp_path / "recon"
+    shutil.copytree(lambert_recon, recon)
+    payload = evaluate_payload(rendered_sphere, recon, tmp_path / "eval")
+    small = np.ones((16, 16))
+    if artifact == "ground_truth_mask":
+        save_mask(tmp_path / "gt_mask.pgm", small > 0)
+        payload["ground_truth_mask"] = str(tmp_path / "gt_mask.pgm")
+    elif artifact.endswith(".pgm"):
+        save_mask(recon / artifact, small > 0)
+    else:
+        write_pfm(recon / artifact, small)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", _write_cfg(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert all(f"config field '{fields[0]}'" in err and name in err for name in fields), err
+    assert not (tmp_path / "eval" / "evaluation.json").exists()
 
 
 INF = float("inf")

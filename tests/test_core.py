@@ -82,6 +82,26 @@ def test_camera_intrinsics_validation():
         CameraIntrinsics(focal_length=1.0, skew=0.1)
 
 
+NAN = float("nan")
+INF = float("inf")
+FRONTAL = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CameraIntrinsics(NAN),
+    lambda: CameraIntrinsics(1.0, 1.0, 1.0, INF),
+    lambda: CameraIntrinsics(1.0, NAN),
+    lambda: Material(0.5, 0.5, NAN),
+    lambda: Material(0.5, 0.5, INF),
+    lambda: LightSource(FRONTAL, NAN),
+    lambda: LightSource(FRONTAL, 1.0, INF),
+], ids=["focal-nan", "delta-x-inf", "pitch-nan", "shininess-nan", "shininess-inf",
+        "diffuse-intensity-nan", "specular-intensity-inf"])
+def test_value_types_reject_non_finite_numbers(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_gradient_field_zeroes_masked_entries():
     gx = np.array([[1.0, 2.0], [3.0, 4.0]])
     gy = -gx

@@ -42,28 +42,48 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def test_every_public_definition_has_a_caller():
-    """A top-level public function or class in src/psbp/ is exported in
-    psbp.__all__ or referred to from some other place in the package."""
+def package_definitions():
+    """The top-level functions, classes and constants of the modules in
+    src/psbp/ (name -> file), and every name loaded anywhere in the package,
+    the strings in psbp.__all__ included."""
     package = Path(psbp.__file__).resolve().parent
     defined = {}
-    referred = set()
+    loaded = set(psbp.__all__)
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referred.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
         if path.name == "__init__.py":
             continue
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, path.name) for t in targets if isinstance(t, ast.Name))
+    return defined, loaded
+
+
+def test_every_public_definition_has_a_caller():
+    """A top-level public function or class in src/psbp/ is exported in
+    psbp.__all__ or referred to from some other place in the package."""
+    defined, loaded = package_definitions()
     dead = sorted(f"{file}:{name}" for name, file in defined.items()
-                  if name not in referred and name not in psbp.__all__
-                  and name not in UNREFERENCED_ALLOWED)
+                  if not name.isupper() and not name.startswith("_")
+                  and name not in loaded and name not in UNREFERENCED_ALLOWED)
+    assert dead == []
+
+
+def test_every_private_definition_and_constant_is_loaded():
+    """A top-level private function or class, and every module constant, of
+    src/psbp/ is loaded somewhere in the package: a helper a refactor leaves
+    behind fails here."""
+    defined, loaded = package_definitions()
+    dead = sorted(f"{file}:{name}" for name, file in defined.items()
+                  if (name.isupper() or name.startswith("_")) and name not in loaded)
     assert dead == []
 
 

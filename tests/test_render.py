@@ -19,6 +19,8 @@ from psbp.render import (
     depth_to_normals_orthographic,
     log_depth_gradients,
     make_sphere_depth,
+    orthographic_shading,
+    perspective_shading,
     render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
     render_lambertian_orthographic,
@@ -197,6 +199,25 @@ def test_orthographic_blinn_phong_peak_at_mirror_normal():
                                           Material(k_d=0.0, k_s=1.0, shininess=80.0))
     assert img.data[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert img.data[0, 1] < img.data[0, 0]
+
+
+@pytest.mark.parametrize("f", [1.0, 2.5])
+def test_projections_shade_alike_at_the_principal_point(f):
+    # At x = y = 0 the perspective view ray is (0, 0, 1), the orthographic
+    # view, so both projections must shade the same normal alike.
+    rng = np.random.default_rng(12)
+    g = rng.uniform(-0.8, 0.8, size=(200, 2))
+    n = np.column_stack([f * g, np.ones(200)])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    lights = [LightSource(np.array(d), 1.2, 0.9)
+              for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0), (-2.0, 0.5, 1.0))]
+    worst = 0.0
+    for shininess in (1.0, 30.0, 150.0):
+        mat = Material(k_d=0.5, k_s=0.5, shininess=shininess)
+        for li in lights:
+            persp = perspective_shading(g[:, 0], g[:, 1], 0.0, 0.0, li, mat, f)
+            worst = max(worst, np.abs(persp - orthographic_shading(n, li, mat)).max())
+    assert worst < 1e-12
 
 
 def test_render_scene_returns_consistent_stack():

@@ -32,8 +32,8 @@ from psbp.render import (
 from psbp.solve import (
     _closed_form_system,
     _light_arrays,
-    _OrthoModel,
-    _PerspectiveModel,
+    _orthographic_model,
+    _perspective_model,
     _scaled_intensities,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
@@ -393,8 +393,8 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
                         for li in lights], axis=0)
     assert persp_off.sum() >= 3 and ortho_off.sum() >= 3
 
-    persp = _PerspectiveModel(X.ravel(), Y.ravel(), intensities, lights, mat, f)
-    ortho = _OrthoModel(intensities, lights, mat)
+    persp = _perspective_model(X.ravel(), Y.ravel(), intensities, lights, mat, f)
+    ortho = _orthographic_model(intensities, lights, mat)
     for model, states in ((persp, grads), (ortho, n12)):
         res, jac = model.residuals_and_jacobian(states, idx)
         assert jac.shape == (64, 3, 2)
