@@ -8,11 +8,16 @@ at LAMBDA0, is divided by LAMBDA_FACTOR after an accepted step and
 multiplied by it after a rejected one.  The model is evaluated once per
 step: one fused callback returns F and J at the trial state, an accepted
 step keeps both, and a rejected one keeps the current ones, exact because
-the state did not move.  The unfinished problems' state is held in compact
-arrays, updated in place and shrunk as problems finish.  J^T F and the
-symmetric J^T J are built one Jacobian column pair at a time (the bits of a
-batched einsum in a fraction of its time).  finite_difference_jacobian is
-the reference the analytic Jacobians are tested against.
+the state did not move.  A problem converges when its step is at most
+STEP_TOL, its residual norm at most RESIDUAL_TOL, or an accepted step lowers
+its cost by at most COST_TOL times the cost before it (the relative-reduction
+test of Moré, "The Levenberg-Marquardt algorithm: implementation and
+theory", 1978, which ends the linear tail to a nonzero-residual optimum);
+else it stops after MAX_ITER steps.  The unfinished problems' state is held
+in compact arrays, updated in place and shrunk as problems finish.  J^T F
+and the symmetric J^T J are built one Jacobian column pair at a time, the
+bits of a batched einsum in a fraction of its time.  The analytic Jacobians
+are tested against finite_difference_jacobian.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ LAMBDA0 = 1e-3
 LAMBDA_FACTOR = 10.0
 MAX_ITER = 100
 STEP_TOL = 1e-10
+COST_TOL = 3e-7
 RESIDUAL_TOL = 1e-12
 
 _LAMBDA_CEILING = 1e12
@@ -102,9 +108,11 @@ def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None)
     trial states: an accepted step keeps the trial's f and J, a rejected one
     keeps the current ones, which are exact because the state did not move.
     project, if given, maps trial states back into the feasible set before
-    evaluation.  Returns (x, residual_norm, converged, failed) arrays; failed
-    marks problems whose start is not finite or whose damping escalated past
-    1e12.
+    evaluation.  Returns (x, residual_norm, converged, failed) arrays.
+    converged marks a step <= STEP_TOL, a residual norm <= RESIDUAL_TOL or an
+    accepted step lowering the cost by <= COST_TOL * cost; the rest stop at
+    MAX_ITER, or as failed: a start that is not finite or damping escalated
+    past 1e12.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     n = x.shape[0]
@@ -138,13 +146,14 @@ def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None)
         cost_t = _cost(ft)
 
         accept = (cost_t < ca) & ~bad_step
+        flat = accept & (ca - cost_t <= COST_TOL * ca)
         np.copyto(xa, xt, where=accept[:, None])
         np.copyto(fa, ft, where=accept[:, None])
         np.copyto(ja, jt, where=accept[:, None, None])
         np.copyto(ca, cost_t, where=accept)
         lam = np.where(accept, np.maximum(lam / LAMBDA_FACTOR, 1e-15), lam * LAMBDA_FACTOR)
 
-        done = (small & ~bad_step) | (np.sqrt(np.maximum(ca, 0.0)) <= RESIDUAL_TOL)
+        done = (small & ~bad_step) | flat | (np.sqrt(np.maximum(ca, 0.0)) <= RESIDUAL_TOL)
         fail = (lam > _LAMBDA_CEILING) & ~done
         finished = done | fail
         if finished.any():

@@ -4,6 +4,7 @@ finite-difference reference Jacobian."""
 import numpy as np
 import pytest
 
+from psbp import optim
 from psbp.optim import (
     MAX_ITER,
     _normal_equations,
@@ -258,12 +259,10 @@ def test_batch_project_keeps_iterates_feasible():
     assert x[0, 0] == pytest.approx(1.0)
 
 
-def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluations():
-    # Rosenbrock-type valleys with their own shapes and starts: the problems
-    # finish at different steps and take rejected steps on the way.  Each one
-    # must follow its single-problem run bit for bit while the batch shrinks
-    # around it, and a rejected step must reuse the current residuals and
-    # Jacobian rather than evaluate the unmoved state again.
+def rosenbrock_batch():
+    """40 seeded Rosenbrock-type valleys a - x0, b * (x1 - x0^2) with their own
+    shapes and starts: (a, x0, residual, jacobian); the root of each is
+    (a, a^2)."""
     rng = np.random.default_rng(42)
     a = rng.uniform(0.5, 2.0, size=40)
     b = rng.uniform(2.0, 20.0, size=40)
@@ -279,6 +278,15 @@ def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluat
         jac[:, 1, 1] = b[idx]
         return jac
 
+    return a, x0, residual, jacobian
+
+
+def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluations():
+    # The problems finish at different steps and take rejected steps on the
+    # way.  Each one must follow its single-problem run bit for bit while the
+    # batch shrinks around it, and a rejected step must reuse the current
+    # residuals and Jacobian rather than evaluate the unmoved state again.
+    _, x0, residual, jacobian = rosenbrock_batch()
     visits = {}
 
     def residual_and_jacobian(x, idx):
@@ -306,3 +314,62 @@ def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluat
                           lambda v, i=i: jacobian(v[None], np.array([i]))[0], x0[i])
         assert np.array_equal(x[i], alone[0])
         assert rnorm[i] == alone[1]
+
+
+def counted_rows(residual_and_jacobian):
+    """The fused callback and a one-element list counting the rows it ran on."""
+    rows = [0]
+
+    def counted(x, idx):
+        rows[0] += len(idx)
+        return residual_and_jacobian(x, idx)
+
+    return counted, rows
+
+
+def test_cost_stop_ends_the_linear_tail_of_nonzero_residual_fits(monkeypatch):
+    # Exponential fits a*exp(b*t) to six samples with noise 1e-3, about the
+    # shading noise bp-pps accepts: the optimum keeps a nonzero residual, so
+    # LM converges only linearly near it.  The relative cost-decrease stop
+    # ends that tail with fewer model evaluations and leaves x within 1e-8 of
+    # the run that goes on until the step is under STEP_TOL.  The gap grows
+    # about as the noise squared: up to 6e-6 at noise 5e-2.
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 6)
+    a = rng.uniform(0.5, 2.0, size=(50, 1))
+    b = rng.uniform(-1.5, 1.5, size=(50, 1))
+    y = a * np.exp(b * t) + 1e-3 * rng.standard_normal((50, 6))
+
+    def residual(x, idx):
+        return x[:, :1] * np.exp(x[:, 1:] * t) - y[idx]
+
+    def residual_and_jacobian(x, idx):
+        e = np.exp(x[:, 1:] * t)
+        return x[:, :1] * e - y[idx], np.stack([e, x[:, :1] * t * e], axis=2)
+
+    x0 = np.tile([1.0, 0.0], (50, 1))
+    counted, rows = counted_rows(residual_and_jacobian)
+    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, counted, x0)
+    monkeypatch.setattr(optim, "COST_TOL", 0.0)
+    counted_full, rows_full = counted_rows(residual_and_jacobian)
+    x_full, _, converged_full, _ = levenberg_marquardt_batch(residual, counted_full, x0)
+
+    assert converged.all() and converged_full.all() and not failed.any()
+    assert rnorm.min() > 1e-4
+    assert rows[0] < rows_full[0]
+    assert np.abs(x - x_full).max() < 1e-8
+
+
+def test_cost_stop_keeps_zero_residual_problems_converging_fully(monkeypatch):
+    # On exact data the cost falls quadratically to RESIDUAL_TOL, so the
+    # stop never fires early: the Rosenbrock batch ends at its roots, bit for
+    # bit as without the stop.
+    a, x0, residual, jacobian = rosenbrock_batch()
+    x, rnorm, converged, failed = levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), x0)
+    assert converged.all() and not failed.any()
+    assert rnorm.max() < 1e-8
+    assert np.allclose(x, np.stack([a, a**2], axis=1), atol=1e-6)
+    monkeypatch.setattr(optim, "COST_TOL", 0.0)
+    assert np.array_equal(x, levenberg_marquardt_batch(
+        residual, fused(residual, jacobian), x0)[0])

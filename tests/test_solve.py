@@ -14,9 +14,10 @@ from psbp.core import (
     Material,
     input_mask,
 )
+from psbp.fileio import load_image, save_image
 from psbp.geometry import halfway_vector_grid, pixel_grid
 from psbp.optim import finite_difference_jacobian
-from psbp import solve
+from psbp import optim, solve
 from psbp.render import (
     SceneSpec,
     depth_to_normals_orthographic,
@@ -401,11 +402,8 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         assert np.array_equal(res, model.residuals(states, idx))
 
 
-def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
-    # The 128x128 acceptance sphere.  Each LM call shades all its problems
-    # once with residuals, then once per step with residuals_and_jacobian;
-    # a second shading pass per step would add about 63k rows.  The 2,616
-    # pixels whose closed-form start already fits exactly get no Jacobian.
+def acceptance_sphere():
+    """The 128x128 acceptance sphere: (images, lights, material, intr, render mask)."""
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
                             delta_x=63.5, delta_y=63.5)
     lights = [LightSource(np.array(d), 1.2, 1.2)
@@ -414,7 +412,12 @@ def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
     depth = make_sphere_depth(128, 128, intr, (0.0, 0.0, 4.0), 1.0)
     images, _, mask = render_scene(SceneSpec(depth=depth, material=material, lights=lights,
                                              intrinsics=intr))
+    return images, lights, material, intr, mask
 
+
+def count_lm_rows(monkeypatch):
+    """Route the solver's LM calls through a counter; returns the list that
+    gets one {"problems", "residual", "fused"} row count per call."""
     calls = []
     engine = solve.levenberg_marquardt_batch
 
@@ -433,10 +436,50 @@ def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
         return engine(res, fused, x0, *args, **kwargs)
 
     monkeypatch.setattr(solve, "levenberg_marquardt_batch", counted)
+    return calls
+
+
+def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
+    # The 128x128 acceptance sphere.  Each LM call shades all its problems
+    # once with residuals, then once per step with residuals_and_jacobian;
+    # a second shading pass per step would add about 50k rows.  The 2,616
+    # pixels whose closed-form start already fits exactly get no Jacobian.
+    images, lights, material, intr, mask = acceptance_sphere()
+    calls = count_lm_rows(monkeypatch)
     blinn_phong_pps_solve(images, lights, material, intr, mask=mask & input_mask(images))
     assert [c["problems"] for c in calls] == [9388, 288]
     assert all(c["residual"] == c["problems"] for c in calls)
-    assert sum(c["fused"] for c in calls) == 70177
+    assert sum(c["fused"] for c in calls) == 56869
+
+
+def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_path):
+    # The acceptance sphere with seeded noise of 1e-3, through 16-bit PGM as
+    # the CLI reads it.  Most fits keep a nonzero residual, where LM
+    # converges only linearly; the relative cost-decrease stop ends that
+    # tail.  It must solve the same pixels to within 1e-6 with at most 0.7x
+    # the model evaluations of a run that goes on until the step is tiny.
+    images, lights, material, intr, mask = acceptance_sphere()
+    rng = np.random.default_rng(5)
+    loaded = []
+    for k, image in enumerate(images):
+        path = tmp_path / f"image_{k}.pgm"
+        save_image(path, image.data + 1e-3 * rng.standard_normal(image.data.shape))
+        loaded.append(Image(load_image(path)))
+    mask = mask & input_mask(loaded, high=0.999)
+
+    calls = count_lm_rows(monkeypatch)
+    est = blinn_phong_pps_solve(loaded, lights, material, intr, mask=mask)
+    rows = sum(c["fused"] for c in calls)
+    monkeypatch.setattr(optim, "COST_TOL", 0.0)
+    calls.clear()
+    full = blinn_phong_pps_solve(loaded, lights, material, intr, mask=mask)
+    rows_full = sum(c["fused"] for c in calls)
+
+    assert est.mask.sum() > 0.5 * mask.sum()
+    assert np.array_equal(est.mask, full.mask)
+    assert np.abs(est.gx - full.gx)[est.mask].max() < 1e-6
+    assert np.abs(est.gy - full.gy)[est.mask].max() < 1e-6
+    assert rows <= 0.7 * rows_full
 
 
 def test_pps_solve_recovers_specular_plane():
