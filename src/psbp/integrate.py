@@ -7,11 +7,14 @@ on the right-hand side.  The input gradients are per-pixel, as the solvers
 return them; each edge between two neighbouring pixels of the mask takes the
 mean of its two pixels' gradients.  On the full rectangle a cosine transform
 diagonalizes the operator.  Masked domains use conjugate gradients on the
-sparse normal equations, preconditioned by that full-rectangle cosine-transform
-solve (Simchony, Chellappa & Shao, PAMI 1990); the result has zero mean on
-each 4-connected component of the mask, and an isolated pixel is 0.  The
-preconditioner runs in single precision on a normalized residual and
-normalized eigenvalues; CG's recurrences and stopping test stay in double,
+sparse normal equations, preconditioned by that full-rectangle solve
+restricted to the mask (Simchony, Chellappa & Shao, PAMI 1990) with no
+projection per iteration: it is symmetric positive definite on a partial mask
+and the right-hand side sums to zero on every 4-connected component, so CG
+converges on the singular system (Kaasschieter, J. Comput. Appl. Math. 1988).
+Each component's mean is removed once, from the solution; an isolated pixel
+is 0.  The preconditioner runs in single precision on a normalized residual
+and normalized eigenvalues; CG's recurrences and stopping test stay in double,
 as an inexact preconditioner only changes the iteration count (Golub & Ye,
 SIAM J. Sci. Comput. 1999).
 """
@@ -72,85 +75,82 @@ def _poisson_dct(ex, ey, hx, hy):
     return _neumann_solve(b, _neumann_eigenvalues(h, w, hx, hy))
 
 
-def _poisson_cg(ex, ey, mask, hx, hy):
+def _dct_preconditioner(mask, hx, hy):
+    """Matvec of the full-rectangle solve restricted to the mask, in one
+    single-precision frame buffer reused across iterations."""
     h, w = mask.shape
-    idx = -np.ones((h, w), dtype=np.int64)
-    ii, jj = np.nonzero(mask)
-    n = ii.size
-    idx[ii, jj] = np.arange(n)
-
-    # The labels and frame buffers below are allocated before the matrix:
-    # allocated after it, they left the top of the heap free once the solve
-    # returned, and the next 512^2 render paid ~2.5k page faults to map it
-    # again.
-
-    # +grad^T grad is singular once per 4-connected component; the solution
-    # is kept in its range by removing each component's mean
-    labels, _ = scipy.ndimage.label(mask)
-    comp = labels[mask] - 1
-    size = np.bincount(comp)
-
-    def center(v):
-        return v - (np.bincount(comp, weights=v) / size)[comp]
-
-    # preconditioner: the full-rectangle solve of the residual, zero off the
-    # mask, in one single-precision frame buffer reused across iterations
+    flat = np.flatnonzero(mask)
     lam = _neumann_eigenvalues(h, w, hx, hy)
     top = lam.flat[1:].max()
     lam = (lam / top).astype(np.float32)
     lam[0, 0] = 1.0
     grid = np.empty((h, w), dtype=np.float32)
+    frame = grid.reshape(-1)
 
     def precondition(r):
         # float32 spans only ~1e-38 to 3e38, which a residual or 1/spacing^2
         # can leave; both enter normalized to a largest magnitude of 1, and
-        # the scale comes back in double
+        # the scale comes back in double.  No mean is removed here: S v is
+        # zero off a partial mask, never a non-zero constant, so S^T L^+ S is
+        # symmetric positive definite; CG's null-space drift goes at the end.
         scale = np.abs(r).max()
         grid.fill(0.0)
-        grid[mask] = r / scale
-        return center(np.multiply(_neumann_solve(grid, lam)[mask], scale / top,
-                                  dtype=np.float64))
+        frame[flat] = r / scale
+        return np.multiply(np.take(_neumann_solve(grid, lam), flat), scale / top,
+                           dtype=np.float64)
 
+    return precondition
+
+
+def _poisson_cg(ex, ey, mask, hx, hy):
+    h, w = mask.shape
+    n = np.count_nonzero(mask)
+    idx = -np.ones((h, w), dtype=np.int64)
+    idx[mask] = np.arange(n)
+
+    # The labels and the preconditioner's buffers below are allocated before
+    # the matrix: allocated after it, they left the top of the heap free once
+    # the solve returned, and the next 512^2 render paid ~2.5k page faults to
+    # map it again.  +grad^T grad is singular once per 4-connected component;
+    # each component's mean is removed once, from the solution.
+    labels, _ = scipy.ndimage.label(mask)
+    comp = labels[mask] - 1
+    precondition = _dct_preconditioner(mask, hx, hy)
+
+    # an edge exists where both of its pixels lie in the mask; each adds +-g
+    # to its two ends, so the right-hand side sums to zero on every component
+    okx = mask[:, :-1] & mask[:, 1:]
+    oky = mask[:-1, :] & mask[1:, :]
+    rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
+    if np.linalg.norm(rhs) == 0.0:
+        return np.zeros((h, w))
     rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
 
-    def add_edges(ok, g, p_idx, q_idx, step):
+    def add_edges(ok, p_idx, q_idx, step):
         wgt = 1.0 / (step * step)
         p = p_idx[ok]
         q = q_idx[ok]
-        ge = g[ok] / step
         rows.extend([p, q, p, q])
         cols.extend([p, q, q, p])
         vals.extend([np.full(p.size, wgt), np.full(p.size, wgt),
                      np.full(p.size, -wgt), np.full(p.size, -wgt)])
-        np.add.at(rhs, p, -ge)
-        np.add.at(rhs, q, ge)
 
-    # an edge exists where both of its pixels lie in the mask
-    add_edges(mask[:, :-1] & mask[:, 1:], ex, idx[:, :-1], idx[:, 1:], hx)
-    add_edges(mask[:-1, :] & mask[1:, :], ey, idx[:-1, :], idx[1:, :], hy)
-    if not rows:
-        return np.zeros((h, w))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    a = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    if np.linalg.norm(rhs) == 0.0:
-        sol = np.zeros(n)
-    else:
-        m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
-        sol, info = scipy.sparse.linalg.cg(
-            a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER, M=m
+    add_edges(okx, idx[:, :-1], idx[:, 1:], hx)
+    add_edges(oky, idx[:-1, :], idx[1:, :], hy)
+    a = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
+    sol, info = scipy.sparse.linalg.cg(
+        a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER, M=m
+    )
+    if info > 0:
+        raise NumericalError(
+            f"conjugate-gradient integration did not converge in {CG_MAX_ITER} iterations"
         )
-        if info > 0:
-            raise NumericalError(
-                f"conjugate-gradient integration did not converge in {CG_MAX_ITER} iterations"
-            )
-        if info < 0:
-            raise NumericalError("conjugate-gradient integration failed")
+    if info < 0:
+        raise NumericalError("conjugate-gradient integration failed")
     out = np.zeros((h, w))
-    out[mask] = center(sol)
+    out[mask] = sol - (np.bincount(comp, weights=sol) / np.bincount(comp))[comp]
     return out
 
 

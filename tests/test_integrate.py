@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 import psbp.integrate
 from psbp.core import DepthMap, GradientField, NumericalError
 from psbp.integrate import (
+    _dct_preconditioner,
     _integrate_edges,
     _poisson_cg,
     _poisson_dct,
@@ -22,9 +23,32 @@ def edge_gradient(u, hx=1.0, hy=1.0):
     return np.diff(u, axis=1) / hx, np.diff(u, axis=0) / hy
 
 
-def disc_mask(n=128):
+def disc_mask(n=128, centre=60.0, radius=50.0):
     rows, cols = np.mgrid[0:n, 0:n]
-    return (rows - 60.0) ** 2 + (cols - 60.0) ** 2 < 50.0**2
+    return (rows - centre) ** 2 + (cols - centre) ** 2 < radius**2
+
+
+def holed_disc(rng, n, radius, removed):
+    """A centred disc with a seeded share of its pixels removed at random."""
+    return disc_mask(n, (n - 1) / 2.0, radius) & (rng.random((n, n)) >= removed)
+
+
+def count_cg_iterations(monkeypatch):
+    """Route scipy's CG through a counter; returns one entry per call, the
+    number of iterations it ran."""
+    cg = scipy.sparse.linalg.cg
+    iterations = []
+
+    def counting_cg(a, b, *args, **kwargs):
+        iterations.append(0)
+
+        def count(xk):
+            iterations[-1] += 1
+
+        return cg(a, b, *args, callback=count, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
+    return iterations
 
 
 def test_zero_gradient_integrates_to_zero():
@@ -94,18 +118,7 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
     hx, hy = 0.5 * spacing_scale, 0.25 * spacing_scale
     ex, ey = edge_gradient(u, hx=hx, hy=hy)
 
-    cg = scipy.sparse.linalg.cg
-    iterations = []
-
-    def counting_cg(a, b, *args, **kwargs):
-        iterations.append(0)
-
-        def count(xk):
-            iterations[-1] += 1
-
-        return cg(a, b, *args, callback=count, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
+    iterations = count_cg_iterations(monkeypatch)
     v = _integrate_edges(ex, ey, mask, hx, hy)
 
     labels, count = scipy.ndimage.label(mask)
@@ -116,6 +129,53 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
     assert v[124, 4] == 0.0
     assert np.all(v[~mask] == 0.0)
     assert len(iterations) == 1 and iterations[0] <= 50
+
+
+def test_fragmented_mask_with_isolated_pixels_is_exact_per_component(monkeypatch):
+    """A disc with 35% of its pixels removed at random splits into 196
+    4-connected components, 121 of them isolated pixels: the mask on which
+    a preconditioner without per-iteration mean removal puts the most weight
+    in the null space.  CG still recovers the field minus its mean on every
+    component in one call.  The gates come from a preconditioner that removed
+    the component means in every iteration: 246 iterations, worst gap
+    1.0e-7."""
+    n = 128
+    rng = np.random.default_rng(21)
+    mask = holed_disc(rng, n, 60.0, 0.35)
+    u = rng.standard_normal((n, n))
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+
+    iterations = count_cg_iterations(monkeypatch)
+    v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
+
+    labels, count = scipy.ndimage.label(mask)
+    comp = labels[mask] - 1
+    size = np.bincount(comp)
+    assert count == 196 and np.count_nonzero(size == 1) == 121
+    mean = np.bincount(comp, weights=u[mask]) / size
+    assert np.abs(v[mask] - (u[mask] - mean[comp])).max() < 1.5e-7
+    assert np.all(v[mask][size[comp] == 1] == 0.0)
+    assert np.all(v[~mask] == 0.0)
+    assert len(iterations) == 1 and iterations[0] <= 260
+
+
+def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():
+    """The preconditioner is the full-frame cosine-transform solve restricted
+    to the mask, S^T L^+ S.  S v is zero off a partial mask, so it is never
+    a non-zero constant, the one null vector of L^+: the restricted solve is
+    symmetric positive definite on the masked unknowns, and CG needs no mean
+    removal inside it."""
+    rng = np.random.default_rng(22)
+    mask = holed_disc(rng, 16, 7.5, 0.2)
+    mask[0, 0] = True  # an isolated corner pixel
+    n = np.count_nonzero(mask)
+    assert n <= 200 and scipy.ndimage.label(mask)[1] >= 3
+    precondition = _dct_preconditioner(mask, 0.5, 0.25)
+    p = np.stack([precondition(e) for e in np.eye(n)], axis=1)
+
+    top = np.abs(p).max()
+    assert np.abs(p - p.T).max() < 8 * np.finfo(np.float32).eps * top
+    assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() > 1e-3 * top
 
 
 def test_smooth_analytic_gradients_default_sampling():
