@@ -30,7 +30,6 @@ from .render import (
     make_sphere_depth,
     render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
-    render_lambertian_orthographic,
     render_lambertian_perspective,
     render_scene,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "poisson_integrate",
     "render_blinn_phong_orthographic",
     "render_blinn_phong_perspective",
-    "render_lambertian_orthographic",
     "render_lambertian_perspective",
     "render_scene",
     "sensitivity_indicator",

@@ -189,7 +189,7 @@ def run_reconstruct(cfg: PipelineConfig):
         if normals is not None:
             write_pfm(cfg.out / "normals.pfm", normals.n)
         if albedo is not None:
-            write_pfm(cfg.out / "albedo.pfm", np.where(albedo.mask, albedo.values, 0.0))
+            write_pfm(cfg.out / "albedo.pfm", albedo.values)
         payload = {
             "mode": MODE_RECONSTRUCT,
             "method": cfg.method,

@@ -5,8 +5,8 @@ products of a normal direction m with the light and halfway vectors and its
 length |m|.  Each projection forms those in one shading function shared with
 the solvers: orthographic_shading at unit normals, perspective_shading at
 log-depth gradients with m = (f*gx, f*gy, x*gx + y*gy + 1).  Both return the
-shading and, on request, its derivatives.  The Lambertian renderers are the
-Blinn-Phong ones with k_s = 0.  Renders clamp all dot products at zero;
+shading and, on request, its derivatives.  Lambertian rendering is
+Blinn-Phong rendering with k_s = 0.  Renders clamp all dot products at zero;
 intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
 legitimately exceed 1 for light intensities above 1.
 """
@@ -94,13 +94,6 @@ def orthographic_shading(n, light: LightSource, material: Material, derivatives=
                         1.0, h, partials if derivatives else None)
 
 
-def render_lambertian_orthographic(
-    normals: NormalField, light: LightSource, material: Material
-) -> Image:
-    """Shade a normal field under a distant light, orthographic view."""
-    return render_blinn_phong_orthographic(normals, light, replace(material, k_s=0.0))
-
-
 def render_blinn_phong_orthographic(
     normals: NormalField, light: LightSource, material: Material
 ) -> Image:
@@ -142,18 +135,11 @@ def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, fo
                         norm, halfway, partials if derivatives else None, clamp)
 
 
-def _render_perspective(grad: GradientField, light, material, intr):
-    light.require_frontal()
-    X, Y = pixel_grid(grad.width, grad.height, intr)
-    return Image(perspective_shading(grad.gx, grad.gy, X, Y, light, material,
-                                     intr.focal_length))
-
-
 def render_lambertian_perspective(
     grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
 ) -> Image:
     """Shade log-depth gradients under the perspective Lambertian model."""
-    return _render_perspective(grad, light, replace(material, k_s=0.0), intr)
+    return render_blinn_phong_perspective(grad, light, replace(material, k_s=0.0), intr)
 
 
 def render_blinn_phong_perspective(
@@ -161,7 +147,10 @@ def render_blinn_phong_perspective(
 ) -> Image:
     """Perspective Blinn-Phong: per-pixel view vector (x, y, f)/||.||, halfway
     vector against the light, specular lobe raised to the shininess."""
-    return _render_perspective(grad, light, material, intr)
+    light.require_frontal()
+    X, Y = pixel_grid(grad.width, grad.height, intr)
+    return Image(perspective_shading(grad.gx, grad.gy, X, Y, light, material,
+                                     intr.focal_length))
 
 
 def make_sphere_depth(

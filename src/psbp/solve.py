@@ -14,7 +14,11 @@ Four per-pixel solvers are provided:
 plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
 solvers fit one _ShadingModel, the absolute residuals I_k - R_k of the three
 images, built from the shading the renderers use: render.perspective_shading
-for bp-pps, render.orthographic_shading for bp-ppn.
+for bp-pps, render.orthographic_shading for bp-ppn.  Both take one path per
+pixel set: gather the mask's pixels (_pixels), fit them from the Lambertian
+start, and scatter the fitted states back into grids.  Only bp-pps retries
+from a zero start and tests the residual norm (_ShadingModel.fit_with_retry);
+bp-ppn keeps every pixel whose one fit converged.
 """
 
 from __future__ import annotations
@@ -260,6 +264,29 @@ class _ShadingModel:
         x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0, project=self.project)
         return x, a, conv & ~fail
 
+    def fit_with_retry(self, x0):
+        """fit from x0, then again from zero at the pixels with a nonzero
+        start that did not converge or keep a residual norm above
+        ACCEPT_TOL: a zero start rescues pixels the first start sends to a
+        wrong minimum.  The better attempt is kept.  Returns x and the
+        accepted mask, converged with a residual norm <= ACCEPT_TOL."""
+        x, a, ok = self.fit(x0)
+        retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
+        if retry.any():
+            sub = np.nonzero(retry)[0]
+            x2, a2, ok2 = self.fit(np.zeros((sub.size, 2)), sub=sub)
+            better = (ok2 & ~ok[sub]) | (ok2 & (a2 < a[sub]))
+            x[sub[better]] = x2[better]
+            a[sub[better]] = a2[better]
+            ok[sub[better]] = True
+        return x, ok & (a <= ACCEPT_TOL)
+
+
+def _pixels(grids, mask):
+    """The mask's pixel index tuple and the pixels' (n, 3) intensities."""
+    pix = np.nonzero(mask)
+    return pix, np.stack([g[pix] for g in grids], axis=1)
+
 
 def _perspective_model(x, y, intensities, lights, material: Material, focal_length):
     """bp-pps residuals over log-depth gradients at image points (x, y).  The
@@ -319,40 +346,19 @@ def blinn_phong_pps_solve(
     out.
     """
     grids, mask = _inputs(images, lights, mask)
-    h, w = grids[0].shape
-    if not mask.any():
-        return GradientField(
-            gx=np.zeros((h, w)), gy=np.zeros((h, w)), mask=np.zeros((h, w), dtype=bool),
-        )
-
     init_grad, _ = lambertian_pps_closed_form(grids, lights, intr, mask=mask)
 
+    h, w = grids[0].shape
     X, Y = pixel_grid(w, h, intr)
-    rows, cols = np.nonzero(mask)
-    intensities = np.stack([g[rows, cols] for g in grids], axis=1)
-    model = _perspective_model(
-        X[rows, cols], Y[rows, cols], intensities, lights, material, intr.focal_length
-    )
+    pix, intensities = _pixels(grids, mask)
+    model = _perspective_model(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
+    x, good = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))
 
-    x0 = np.stack([init_grad.gx[rows, cols], init_grad.gy[rows, cols]], axis=1)
-    x, a, ok = model.fit(x0)
-
-    retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
-    if retry.any():
-        sub = np.nonzero(retry)[0]
-        x2, a2, ok2 = model.fit(np.zeros((sub.size, 2)), sub=sub)
-        better = (ok2 & ~ok[sub]) | (ok2 & (a2 < a[sub]))
-        x[sub[better]] = x2[better]
-        a[sub[better]] = a2[better]
-        ok[sub[better]] = True
-
-    good = ok & (a <= ACCEPT_TOL)
-    gx = np.zeros((h, w))
-    gy = np.zeros((h, w))
+    # GradientField zeroes the gradients of the rejected pixels
+    gx, gy = np.zeros((2, h, w))
+    gx[pix], gy[pix] = x.T
     valid = np.zeros((h, w), dtype=bool)
-    gx[rows, cols] = np.where(good, x[:, 0], 0.0)
-    gy[rows, cols] = np.where(good, x[:, 1], 0.0)
-    valid[rows, cols] = good
+    valid[pix] = good
     return GradientField(gx=gx, gy=gy, mask=valid)
 
 
@@ -363,32 +369,18 @@ def blinn_phong_ortho_solve(
 
     The normal is parameterized by (n1, n2) with n3 = +sqrt(1 - n1^2 - n2^2);
     trial steps leaving the unit disk are projected back to radius 1 - 1e-6.
-    Initialization comes from the linear Lambertian solve.
+    Initialization comes from the linear Lambertian solve.  Pixels whose fit
+    does not converge are masked out, with normal (0, 0, 1).
     """
     grids, mask = _inputs(images, lights, mask)
-    h, w = grids[0].shape
-    empty = NormalField(
-        n=np.broadcast_to(np.array([0.0, 0.0, 1.0]), (h, w, 3)).copy(),
-        mask=np.zeros((h, w), dtype=bool),
-    )
-    if not mask.any():
-        return empty
-
     init_normals, _ = woodham_normals(grids, lights, mask=mask)
-    rows, cols = np.nonzero(mask)
-    intensities = np.stack([g[rows, cols] for g in grids], axis=1)
+    pix, intensities = _pixels(grids, mask)
     model = _orthographic_model(intensities, lights, material)
-    x0 = _into_unit_disk(
-        np.stack([init_normals.n[rows, cols, 0], init_normals.n[rows, cols, 1]], axis=1)
-    )
-    xr, _, good = model.fit(x0)
+    x, _, good = model.fit(_into_unit_disk(init_normals.n[pix][:, :2]))
 
-    n = np.zeros((h, w, 3))
+    n = np.zeros(grids[0].shape + (3,))
     n[..., 2] = 1.0
-    n3 = _n3(xr)
-    n[rows, cols, 0] = np.where(good, xr[:, 0], 0.0)
-    n[rows, cols, 1] = np.where(good, xr[:, 1], 0.0)
-    n[rows, cols, 2] = np.where(good, n3, 1.0)
-    ok = np.zeros((h, w), dtype=bool)
-    ok[rows, cols] = good
+    n[pix] = np.where(good[:, None], np.column_stack([x, _n3(x)]), (0.0, 0.0, 1.0))
+    ok = np.zeros(grids[0].shape, dtype=bool)
+    ok[pix] = good
     return NormalField(n=n, mask=ok)

@@ -36,8 +36,8 @@ from psbp.render import (
     SceneSpec,
     depth_to_normals_orthographic,
     make_sphere_depth,
+    render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
-    render_lambertian_orthographic,
     render_scene,
 )
 from psbp.solve import (
@@ -212,7 +212,7 @@ def test_orthographic_normal_recovery_is_exact():
                               projection=PROJECTION_ORTHOGRAPHIC)
     normals = depth_to_normals_orthographic(depth, intr)
     material = Material(k_d=0.7)
-    images = [render_lambertian_orthographic(normals, li, material)
+    images = [render_blinn_phong_orthographic(normals, li, material)
               for li in rig()]
     lit = input_mask(images) & normals.mask  # drop shadow-clamped pixels
 

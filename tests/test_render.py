@@ -23,7 +23,6 @@ from psbp.render import (
     perspective_shading,
     render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
-    render_lambertian_orthographic,
     render_lambertian_perspective,
     render_scene,
 )
@@ -183,7 +182,7 @@ def test_orthographic_lambertian_flat_normals():
     n[..., 2] = 1.0
     normals = NormalField(n)
     light = LightSource(np.array([0.0, 0.0, 2.0]), diffuse_intensity=1.2)
-    img = render_lambertian_orthographic(normals, light, Material(k_d=0.5))
+    img = render_blinn_phong_orthographic(normals, light, Material(k_d=0.5))
     assert np.allclose(img.data, 0.6)
 
 
@@ -250,7 +249,7 @@ def test_render_scene_orthographic_path():
                       model=MODEL_LAMBERTIAN)
     images, geom, mask = render_scene(scene)
     assert isinstance(geom, NormalField)
-    ref = render_lambertian_orthographic(geom, lights[1], Material(k_d=0.8))
+    ref = render_blinn_phong_orthographic(geom, lights[1], Material(k_d=0.8))
     assert np.allclose(images[1].data[mask], ref.data[mask])
 
 

@@ -25,8 +25,8 @@ from psbp.render import (
     make_sphere_depth,
     orthographic_shading,
     perspective_shading,
+    render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
-    render_lambertian_orthographic,
     render_lambertian_perspective,
     render_scene,
 )
@@ -84,7 +84,7 @@ def test_woodham_recovers_rendered_normals():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.05, h_y=0.05, delta_x=15.5, delta_y=15.5)
     normals = depth_to_normals_orthographic(depth, intr)
     mat = Material(k_d=0.7)
-    images = [render_lambertian_orthographic(normals, li, mat) for li in FRONTAL_RIG]
+    images = [render_blinn_phong_orthographic(normals, li, mat) for li in FRONTAL_RIG]
     est, albedo = woodham_normals(images, FRONTAL_RIG)
     joint = est.mask & normals.mask
     assert joint.sum() > 0.9 * normals.mask.sum()
@@ -124,6 +124,20 @@ def test_woodham_masks_dark_pixels():
     assert albedo.values[1, 1] == 0.0
 
 
+def test_lambertian_solvers_zero_albedo_off_its_mask():
+    # run_reconstruct writes albedo.values as they are, so both Lambertian
+    # solvers must leave 0 wherever the albedo mask is off: the scene's
+    # background, the pixels outside the caller's mask and the rejected ones.
+    images, lights, _, intr, mask = acceptance_sphere()
+    mask = mask & input_mask(images)
+    mask[:, :40] = False
+    for _, albedo in (woodham_normals(images, lights, mask=mask),
+                      lambertian_pps_closed_form(images, lights, intr, mask=mask)):
+        assert albedo.mask.any() and (~albedo.mask).any()
+        assert not (albedo.mask & ~mask).any()
+        assert (albedo.values[~albedo.mask] == 0.0).all()
+
+
 def test_woodham_respects_intensity_scaling():
     rig = [
         LightSource(np.array([0.0, 0.0, 1.0]), diffuse_intensity=2.0),
@@ -133,7 +147,7 @@ def test_woodham_respects_intensity_scaling():
     depth = bump_depth()
     normals = depth_to_normals_orthographic(depth, INTR)
     mat = Material(k_d=0.6)
-    images = [render_lambertian_orthographic(normals, li, mat) for li in rig]
+    images = [render_blinn_phong_orthographic(normals, li, mat) for li in rig]
     est, _ = woodham_normals(images, rig)
     joint = est.mask & normals.mask
     assert chord_angle(est.n[joint], normals.n[joint]).max() < 1e-9
@@ -452,6 +466,17 @@ def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
     assert sum(c["fused"] for c in calls) == 56869
 
 
+def test_ortho_solve_makes_one_lm_call_without_retry(monkeypatch):
+    # bp-ppn fits each pixel once from the Woodham start and keeps it when
+    # that fit converges: no zero-start retry, so one LM call on the
+    # acceptance sphere.
+    images, lights, material, intr, mask = acceptance_sphere()
+    calls = count_lm_rows(monkeypatch)
+    est = blinn_phong_ortho_solve(images, lights, material, mask=mask & input_mask(images))
+    assert calls == [{"problems": 9388, "residual": 9388, "fused": 59373}]
+    assert est.mask.sum() == 9356
+
+
 def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_path):
     # The acceptance sphere with seeded noise of 1e-3, through 16-bit PGM as
     # the CLI reads it.  Most fits keep a nonzero residual, where LM
@@ -501,11 +526,17 @@ def test_pps_solve_reduces_to_closed_form_without_specular():
     assert np.array_equal(bp.gy[joint], cf.gy[joint])
 
 
-def test_pps_solve_empty_input_returns_empty_mask():
+@pytest.mark.parametrize("method", ["bp-pps", "bp-ppn"])
+def test_pps_solve_empty_input_returns_empty_mask(method):
+    # All-dark images leave no pixel to fit: the one gather/fit/scatter path
+    # runs on zero pixels, without a warning.
     images = [Image(np.zeros((4, 4)))] * 3
-    lights = FRONTAL_RIG
-    est = blinn_phong_pps_solve(images, lights, Material(k_d=0.5, k_s=0.5, shininess=10.0),
-                                INTR)
+    material = Material(k_d=0.5, k_s=0.5, shininess=10.0)
+    if method == "bp-pps":
+        est = blinn_phong_pps_solve(images, FRONTAL_RIG, material, INTR)
+    else:
+        est = blinn_phong_ortho_solve(images, FRONTAL_RIG, material)
+        assert np.array_equal(est.n, np.broadcast_to([0.0, 0.0, 1.0], (4, 4, 3)))
     assert not est.mask.any()
 
 
@@ -545,7 +576,7 @@ def test_ortho_solve_matches_woodham_when_ks_zero():
     depth = bump_depth()
     normals = depth_to_normals_orthographic(depth, INTR)
     mat = Material(k_d=0.7, k_s=0.0, shininess=10.0)
-    images = [render_lambertian_orthographic(normals, li, mat) for li in FRONTAL_RIG]
+    images = [render_blinn_phong_orthographic(normals, li, mat) for li in FRONTAL_RIG]
     bp = blinn_phong_ortho_solve(images, FRONTAL_RIG, mat)
     wn, _ = woodham_normals(images, FRONTAL_RIG)
     joint = bp.mask & wn.mask
@@ -554,8 +585,6 @@ def test_ortho_solve_matches_woodham_when_ks_zero():
 
 
 def test_ortho_solve_recovers_specular_bump():
-    from psbp.render import render_blinn_phong_orthographic
-
     depth = bump_depth()
     normals = depth_to_normals_orthographic(depth, INTR)
     mat = Material(k_d=0.5, k_s=0.3, shininess=25.0)
