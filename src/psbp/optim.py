@@ -16,8 +16,9 @@ theory", 1978, which ends the linear tail to a nonzero-residual optimum);
 else it stops after MAX_ITER steps.  The unfinished problems' state is held
 in compact arrays, updated in place and shrunk as problems finish.  J^T F
 and the symmetric J^T J are built one Jacobian column pair at a time, the
-bits of a batched einsum in a fraction of its time.  The analytic Jacobians
-are tested against finite_difference_jacobian.
+bits of a batched einsum in a fraction of its time.  The problems are
+unconstrained: every trial state is evaluated as it stands.  The analytic
+Jacobians are tested against finite_difference_jacobian.
 """
 
 from __future__ import annotations
@@ -30,17 +31,18 @@ MAX_ITER = 100
 STEP_TOL = 1e-10
 COST_TOL = 3e-7
 RESIDUAL_TOL = 1e-12
+FD_STEP = 1e-6
 
 _LAMBDA_CEILING = 1e12
 
 
-def finite_difference_jacobian(residual, x, step_scale=1e-6):
-    """Central-difference Jacobian of residual at x; step 1e-6*max(1, |x_i|)."""
+def finite_difference_jacobian(residual, x):
+    """Central-difference Jacobian of residual at x; step FD_STEP*max(1, |x_i|)."""
     x = np.asarray(x, dtype=np.float64)
     f0 = np.atleast_1d(np.asarray(residual(x), dtype=np.float64))
     jac = np.empty((f0.size, x.size), dtype=np.float64)
     for i in range(x.size):
-        h = step_scale * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -97,7 +99,7 @@ def _damped_step(jac, f, lam):
     return np.where(bad[:, None], 0.0, d), bad
 
 
-def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None):
+def levenberg_marquardt_batch(residual, residual_and_jacobian, x0):
     """Run independent LM problems in parallel.
 
     residual(x, idx) -> f (k, m) and residual_and_jacobian(x, idx) -> (f, J)
@@ -107,8 +109,7 @@ def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None)
     problems that are still unfinished after that, then once per step at the
     trial states: an accepted step keeps the trial's f and J, a rejected one
     keeps the current ones, which are exact because the state did not move.
-    project, if given, maps trial states back into the feasible set before
-    evaluation.  Returns (x, residual_norm, converged, failed) arrays.
+    Returns (x, residual_norm, converged, failed) arrays.
     converged marks a step <= STEP_TOL, a residual norm <= RESIDUAL_TOL or an
     accepted step lowering the cost by <= COST_TOL * cost; the rest stop at
     MAX_ITER, or as failed: a start that is not finite or damping escalated
@@ -140,8 +141,6 @@ def levenberg_marquardt_batch(residual, residual_and_jacobian, x0, project=None)
 
         small = np.linalg.norm(d, axis=1) <= STEP_TOL
         xt = xa + d
-        if project is not None:
-            xt = project(xt)
         ft, jt = residual_and_jacobian(xt, ids)
         cost_t = _cost(ft)
 

@@ -2,10 +2,14 @@
 
 The Blinn-Phong model is written once, in _blinn_phong, from the dot
 products of a normal direction m with the light and halfway vectors and its
-length |m|.  Each projection forms those in one shading function shared with
-the solvers: orthographic_shading at unit normals, perspective_shading at
-log-depth gradients with m = (f*gx, f*gy, x*gx + y*gy + 1).  Both return the
-shading and, on request, its derivatives.  Lambertian rendering is
+length |m|.  Each projection forms those in one shading function:
+orthographic_shading at unit normals, for the orthographic renderer, and
+perspective_shading at log-depth gradients with
+m = (f*gx, f*gy, x*gx + y*gy + 1), for the perspective renderer and both
+Blinn-Phong solvers, with its derivatives on request.  At the principal
+point x = y = 0 with f = 1 the perspective shading of (gx, gy) is the
+orthographic shading of the normal (gx, gy, 1)/||.||, which is how bp-ppn
+fits orthographic normals.  Lambertian rendering is
 Blinn-Phong rendering with k_s = 0.  Renders clamp all dot products at zero;
 intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
 legitimately exceed 1 for light intensities above 1.
@@ -78,20 +82,16 @@ def _blinn_phong(light: LightSource, material: Material, m_l, m_h, norm, halfway
     return tuple(out)
 
 
-def orthographic_shading(n, light: LightSource, material: Material, derivatives=False):
+def orthographic_shading(n, light: LightSource, material: Material):
     """Orthographic Blinn-Phong shading of one light at unit normals.
 
     n has shape (..., 3).  The halfway vector is the fixed one of the light
     and the (0, 0, 1) view direction, the perspective view ray at the
-    principal point (skipped when k_s == 0).  With derivatives, returns
-    (shading, d/dn1, d/dn2), n3 = sqrt(1 - n1^2 - n2^2) being the dependent
-    component; otherwise the shading alone.
+    principal point (skipped when k_s == 0).
     """
     h = halfway_vector_grid(0.0, 0.0, 1.0, light) if material.k_s != 0.0 else None
-    # dn/dn1 = (1, 0, -n1/n3), dn/dn2 = (0, 1, -n2/n3), and |n| stays 1
-    partials = ((1.0, -n[..., c] / n[..., 2], 0.0) for c in (0, 1))
     return _blinn_phong(light, material, n @ light.direction, None if h is None else n @ h,
-                        1.0, h, partials if derivatives else None)
+                        1.0, h)
 
 
 def render_blinn_phong_orthographic(

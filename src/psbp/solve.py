@@ -5,20 +5,24 @@ Four per-pixel solvers are provided:
 * woodham_normals          -- linear orthographic Lambertian solve
 * lambertian_pps_closed_form -- algebraic perspective Lambertian solve for
                                 log-depth gradients and diffuse albedo
-* blinn_phong_ortho_solve  -- damped least squares over (n1, n2) under the
-                              orthographic Blinn-Phong model
+* blinn_phong_ortho_solve  -- damped least squares over the slope (a, b) of
+                              the normal (a, b, 1) under the orthographic
+                              Blinn-Phong model
 * blinn_phong_pps_solve    -- damped least squares over the log-depth
                               gradient on the absolute shading residuals of
                               the perspective Blinn-Phong model
 
 plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
-solvers fit one _ShadingModel, the absolute residuals I_k - R_k of the three
-images, built from the shading the renderers use: render.perspective_shading
-for bp-pps, render.orthographic_shading for bp-ppn.  Both take one path per
-pixel set: gather the mask's pixels (_pixels), fit them from the Lambertian
-start, and scatter the fitted states back into grids.  Only bp-pps retries
-from a zero start and tests the residual norm (_ShadingModel.fit_with_retry);
-bp-ppn keeps every pixel whose one fit converged.
+solvers fit one residual model, _perspective_model: the absolute residuals
+I_k - R_k of the three images, shaded by render.perspective_shading as the
+renderers shade them.  bp-ppn builds it at the principal point x = y = 0
+with f = 1, where the perspective shading of the slope (a, b) is the
+orthographic shading of the normal (a, b, 1)/||(a, b, 1)||.  Both take one
+path per pixel set: gather the mask's pixels (_pixels), fit them from the
+Lambertian start with a zero-start retry (_ShadingModel.fit_with_retry),
+and scatter the fitted states back into grids.  bp-pps keeps the pixels
+whose fit converged with a residual norm <= ACCEPT_TOL; bp-ppn keeps every
+converged pixel.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from .core import (
 )
 from .geometry import halfway_vector_grid, pixel_grid
 from .optim import levenberg_marquardt_batch
-from .render import orthographic_shading, perspective_shading
+from .render import perspective_shading
 
 SINGULAR_DET_THRESHOLD = 1e-12
-# Largest absolute shading-residual norm at which bp-pps accepts a pixel.
+# Largest absolute shading-residual norm at which bp-pps accepts a pixel;
+# both Blinn-Phong solvers retry a pixel above it from a zero start.
 ACCEPT_TOL = 1e-3
 INDICATOR_THRESHOLD = 1e-12
 
@@ -76,7 +81,7 @@ class ConditioningReport:
 def _inputs(images, lights, mask):
     """The solvers' common preamble: the three image grids, checked to share
     one shape, after checking every light is frontal, and the mask
-    (input_mask of the grids when None)."""
+    (input_mask of the grids when None, else checked to have their shape)."""
     grids = [img.data if isinstance(img, Image) else np.asarray(img, float) for img in images]
     if len(grids) != 3:
         raise ValueError("exactly 3 input images are required")
@@ -84,7 +89,12 @@ def _inputs(images, lights, mask):
         raise ValueError("input images must share one shape")
     for li in lights:
         li.require_frontal()
-    return grids, input_mask(grids) if mask is None else mask
+    if mask is None:
+        return grids, input_mask(grids)
+    if np.shape(mask) != grids[0].shape:
+        raise ValueError(f"mask shape {np.shape(mask)} differs from the images' shape "
+                         f"{grids[0].shape}")
+    return grids, mask
 
 
 def _light_arrays(lights):
@@ -101,7 +111,8 @@ def woodham_normals(images, lights, mask=None):
 
     Solves L_hat @ (k_d * n_hat) = I / l_d per pixel; the solution's norm is
     the diffuse albedo and its direction the normal.  Near-zero solutions
-    (shadowed or empty pixels) are masked out.
+    (shadowed or empty pixels) and normals with n3 = 0 are masked out, with
+    normal (0, 0, 1).
     """
     grids, mask = _inputs(images, lights, mask)
     dirs, norms, ld = _light_arrays(lights)
@@ -116,8 +127,8 @@ def woodham_normals(images, lights, mask=None):
     albedo = np.linalg.norm(b, axis=-1)
     ok = mask & (albedo > 1e-12)
     n = np.where(ok[..., None], b / np.where(ok, albedo, 1.0)[..., None], 0.0)
-    n[~ok] = (0.0, 0.0, 1.0)
     ok &= n[..., 2] != 0.0
+    n[~ok] = (0.0, 0.0, 1.0)
     normals = NormalField(n=n, mask=ok)
     return normals, AlbedoMap(values=np.where(ok, albedo, 0.0), mask=ok.copy())
 
@@ -231,13 +242,11 @@ class _ShadingModel:
     a set of pixels, for the LM engine: residuals alone for its start, and
     residuals with their Jacobian from one shading pass for each step (the
     engine's fused callback).  shading(x, idx, derivatives) returns per
-    light R_k, or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x;
-    project, if given, maps trial states back into the feasible set."""
+    light R_k, or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x."""
 
-    def __init__(self, intensities, shading, project=None):
+    def __init__(self, intensities, shading):
         self.I = intensities
         self.shading = shading
-        self.project = project
 
     def residuals(self, x, idx):
         return self.I[idx] - np.stack(self.shading(x, idx, False), axis=1)
@@ -261,15 +270,15 @@ class _ShadingModel:
         if sub is not None:
             res = lambda x, idx: self.residuals(x, sub[idx])
             fused = lambda x, idx: self.residuals_and_jacobian(x, sub[idx])
-        x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0, project=self.project)
+        x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0)
         return x, a, conv & ~fail
 
     def fit_with_retry(self, x0):
         """fit from x0, then again from zero at the pixels with a nonzero
         start that did not converge or keep a residual norm above
         ACCEPT_TOL: a zero start rescues pixels the first start sends to a
-        wrong minimum.  The better attempt is kept.  Returns x and the
-        accepted mask, converged with a residual norm <= ACCEPT_TOL."""
+        wrong minimum.  The better attempt is kept.  Returns
+        (x, residual norm, ok) as fit does."""
         x, a, ok = self.fit(x0)
         retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
         if retry.any():
@@ -279,7 +288,7 @@ class _ShadingModel:
             x[sub[better]] = x2[better]
             a[sub[better]] = a2[better]
             ok[sub[better]] = True
-        return x, ok & (a <= ACCEPT_TOL)
+        return x, a, ok
 
 
 def _pixels(grids, mask):
@@ -289,7 +298,8 @@ def _pixels(grids, mask):
 
 
 def _perspective_model(x, y, intensities, lights, material: Material, focal_length):
-    """bp-pps residuals over log-depth gradients at image points (x, y).  The
+    """Residuals over log-depth gradients at image points (x, y): bp-pps's at
+    the pixels' points, bp-ppn's at the principal point with f = 1.  The
     diffuse cosine is left unclamped so the residual stays smooth."""
     f = float(focal_length)
     # halfway vectors components first, (3, n): a gather reads three
@@ -306,29 +316,6 @@ def _perspective_model(x, y, intensities, lights, material: Material, focal_leng
                 for li, h in zip(lights, halfway)]
 
     return _ShadingModel(intensities, shading)
-
-
-def _n3(n12):
-    return np.sqrt(np.maximum(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2, 1e-12))
-
-
-def _into_unit_disk(n12):
-    r = np.linalg.norm(n12, axis=1)
-    limit = 1.0 - 1e-6
-    scale = np.where(r > limit, limit / np.maximum(r, 1e-300), 1.0)
-    return n12 * scale[:, None]
-
-
-def _orthographic_model(intensities, lights, material: Material):
-    """bp-ppn residuals over the first two normal components (n1, n2),
-    n3 = sqrt(1 - n1^2 - n2^2); trial states leaving the unit disk are
-    projected back to radius 1 - 1e-6."""
-    def shading(n12, idx, derivatives):
-        n = np.stack([n12[:, 0], n12[:, 1], _n3(n12)], axis=1)
-        return [orthographic_shading(n, li, material, derivatives=derivatives)
-                for li in lights]
-
-    return _ShadingModel(intensities, shading, project=_into_unit_disk)
 
 
 def blinn_phong_pps_solve(
@@ -352,13 +339,13 @@ def blinn_phong_pps_solve(
     X, Y = pixel_grid(w, h, intr)
     pix, intensities = _pixels(grids, mask)
     model = _perspective_model(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
-    x, good = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))
+    x, a, ok = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))
 
     # GradientField zeroes the gradients of the rejected pixels
     gx, gy = np.zeros((2, h, w))
     gx[pix], gy[pix] = x.T
     valid = np.zeros((h, w), dtype=bool)
-    valid[pix] = good
+    valid[pix] = ok & (a <= ACCEPT_TOL)
     return GradientField(gx=gx, gy=gy, mask=valid)
 
 
@@ -367,20 +354,29 @@ def blinn_phong_ortho_solve(
 ) -> NormalField:
     """Per-pixel orthographic Blinn-Phong fit of the surface normal.
 
-    The normal is parameterized by (n1, n2) with n3 = +sqrt(1 - n1^2 - n2^2);
-    trial steps leaving the unit disk are projected back to radius 1 - 1e-6.
-    Initialization comes from the linear Lambertian solve.  Pixels whose fit
-    does not converge are masked out, with normal (0, 0, 1).
+    The normal is (a, b, 1)/||(a, b, 1)||, fitted over its slope (a, b) with
+    the perspective residual model at the principal point x = y = 0, f = 1,
+    whose shading of (a, b) is the orthographic shading of that normal; as
+    in bp-pps, the diffuse cosine is left unclamped.  The start is the slope
+    (n1, n2)/|n3| of the linear Lambertian solve, with the zero-start retry
+    of bp-pps.  Pixels whose fit does not converge are masked out, with
+    normal (0, 0, 1).
     """
     grids, mask = _inputs(images, lights, mask)
     init_normals, _ = woodham_normals(grids, lights, mask=mask)
     pix, intensities = _pixels(grids, mask)
-    model = _orthographic_model(intensities, lights, material)
-    x, _, good = model.fit(_into_unit_disk(init_normals.n[pix][:, :2]))
+    n0 = init_normals.n[pix]
+    at_principal_point = np.zeros(len(n0))
+    model = _perspective_model(at_principal_point, at_principal_point, intensities, lights,
+                               material, 1.0)
+    x, _, good = model.fit_with_retry(n0[:, :2] / np.abs(n0[:, 2:]))
 
+    # slope 0 is the normal (0, 0, 1)
+    x[~good] = 0.0
+    m = np.column_stack([x, np.ones(len(x))])
     n = np.zeros(grids[0].shape + (3,))
     n[..., 2] = 1.0
-    n[pix] = np.where(good[:, None], np.column_stack([x, _n3(x)]), (0.0, 0.0, 1.0))
+    n[pix] = m / np.linalg.norm(m, axis=1, keepdims=True)
     ok = np.zeros(grids[0].shape, dtype=bool)
     ok[pix] = good
     return NormalField(n=n, mask=ok)

@@ -239,26 +239,6 @@ def test_batch_flags_failures_without_poisoning_others():
     assert x[1, 0] == pytest.approx(4.0, abs=1e-10)
 
 
-def test_batch_project_keeps_iterates_feasible():
-    seen = []
-
-    def residual(x, idx):
-        seen.append(x.copy())
-        return x - 5.0
-
-    def jacobian(x, idx):
-        seen.append(x.copy())
-        return np.ones((len(idx), 1, 1))
-
-    def project(x):
-        return np.clip(x, -1.0, 1.0)
-
-    x, rnorm, converged, failed = levenberg_marquardt_batch(
-        residual, fused(residual, jacobian), np.array([[0.0]]), project=project)
-    assert all(np.all(np.abs(s) <= 1.0) for s in seen)
-    assert x[0, 0] == pytest.approx(1.0)
-
-
 def rosenbrock_batch():
     """40 seeded Rosenbrock-type valleys a - x0, b * (x1 - x0^2) with their own
     shapes and starts: (a, x0, residual, jacobian); the root of each is

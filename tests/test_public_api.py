@@ -87,6 +87,31 @@ def test_every_private_definition_and_constant_is_loaded():
     assert dead == []
 
 
+def module_imports_never_loaded(path):
+    """The names a module-level import of path binds (from __future__
+    imports left out) that the module never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def test_every_import_is_used():
+    """A module-level import in src/psbp/ or tests/ is loaded by its module;
+    __init__.py, whose imports are the package's re-exports, is exempt."""
+    package = Path(psbp.__file__).resolve().parent
+    paths = [*package.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]
+    unused = sorted(f"{path.name}:{name}" for path in paths if path.name != "__init__.py"
+                    for name in module_imports_never_loaded(path))
+    assert unused == []
+
+
 def test_readme_cli_options_match_the_parser():
     """The long options README's CLI section names are the subcommands'
     options, -h/--help left out on both sides."""

@@ -16,7 +16,6 @@ from psbp.render import (
     MODEL_LAMBERTIAN,
     PROJECTION_ORTHOGRAPHIC,
     SceneSpec,
-    depth_to_normals_orthographic,
     log_depth_gradients,
     make_sphere_depth,
     orthographic_shading,

@@ -1,6 +1,7 @@
 """Per-pixel reconstruction solvers: orthographic and perspective paths."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from psbp import optim, solve
 from psbp.render import (
     SceneSpec,
     depth_to_normals_orthographic,
-    log_depth_gradients,
     make_sphere_depth,
-    orthographic_shading,
     perspective_shading,
     render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
@@ -33,7 +32,6 @@ from psbp.render import (
 from psbp.solve import (
     _closed_form_system,
     _light_arrays,
-    _orthographic_model,
     _perspective_model,
     _scaled_intensities,
     blinn_phong_ortho_solve,
@@ -122,6 +120,19 @@ def test_woodham_masks_dark_pixels():
     assert not normals.mask[1, 1]
     assert tuple(normals.n[1, 1]) == (0.0, 0.0, 1.0)
     assert albedo.values[1, 1] == 0.0
+
+
+def test_woodham_masks_grazing_normals_with_normal_up():
+    # Lit by the side light alone, the normal (1, 0, 0) has n3 = 0.  A
+    # caller's mask keeps the pixel; woodham masks it as (0, 0, 1), so
+    # bp-ppn's start, the slope (n1, n2)/|n3|, stays finite.
+    images = [Image(np.full((2, 2), v)) for v in (0.0, 0.4, 0.0)]
+    mask = np.ones((2, 2), dtype=bool)
+    normals, _ = woodham_normals(images, FRONTAL_RIG, mask=mask)
+    assert not normals.mask.any()
+    assert np.array_equal(normals.n, np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3)))
+    blinn_phong_ortho_solve(images, FRONTAL_RIG, Material(k_d=0.5, k_s=0.5, shininess=10.0),
+                            mask=mask)
 
 
 def test_lambertian_solvers_zero_albedo_off_its_mask():
@@ -328,18 +339,6 @@ def _shading_model(x, y, lights, mat, intr, clamp=False):
     return residual, jacobian
 
 
-def _ortho_model(x, y, lights, mat, intr):
-    """Orthographic shading and its derivatives over (n1, n2), with
-    n3 = sqrt(1 - n1^2 - n2^2), as bp-ppn fits it."""
-    def shade(v, derivatives=False):
-        n = np.array([v[0], v[1], np.sqrt(1.0 - v[0] ** 2 - v[1] ** 2)])
-        return [orthographic_shading(n, li, mat, derivatives=derivatives) for li in lights]
-
-    residual = lambda v: np.array(shade(v))
-    jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
-    return residual, jacobian
-
-
 def test_residual_jacobian_matches_finite_differences():
     _, lights, intr, _, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
@@ -349,10 +348,8 @@ def test_residual_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     # Random states near the surface, plus steep ones that turn the normal
     # away from some light's halfway vector (u <= 0: that lobe is off; at
-    # shininess 1 its slope jumps there) and, orthographically, away from
-    # some light (the diffuse term is off).  The orthographic model is
-    # checked at the normal (gx, gy, 1)/||.|| of each state, the convention
-    # of depth_to_normals_orthographic.
+    # shininess 1 its slope jumps there) and away from some light (the
+    # clamped model's diffuse term is off, and so is its slope).
     states = [*rng.uniform(-1.0, 1.0, size=(10, 2)), (-6.0, 0.0), (0.0, -6.0), (-4.0, -4.0)]
     lobe_off = 0
     diffuse_off = 0
@@ -361,12 +358,11 @@ def test_residual_jacobian_matches_finite_differences():
         x, y = X[r, c], Y[r, c]
         n = np.array([f * state[0], f * state[1], x * state[0] + y * state[1] + 1.0])
         lobe_off += any(n @ h[r, c] <= 0.0 for h in halfway)
-        n_ortho = np.array([state[0], state[1], 1.0]) / np.hypot(np.hypot(*state), 1.0)
-        diffuse_off += any(n_ortho @ li.unit <= 0.0 for li in lights)
-        cases = [(model, np.asarray(state)) for model in models] + [(_ortho_model, n_ortho[:2])]
+        diffuse_off += any(n @ li.direction <= 0.0 for li in lights)
+        at = np.asarray(state)
         for shininess in (mat.shininess, 1.0):
             material = Material(k_d=mat.k_d, k_s=mat.k_s, shininess=shininess)
-            for model, at in cases:
+            for model in models:
                 residual, jacobian = model(x, y, lights, material, intr)
                 jac = jacobian(at)
                 fd = finite_difference_jacobian(residual, at)
@@ -379,7 +375,9 @@ def test_residual_jacobian_matches_finite_differences():
 def test_fused_residuals_equal_residuals_bit_for_bit():
     # The LM engine takes a problem's first residuals from residuals and every
     # later one from residuals_and_jacobian, so the two must agree to the bit,
-    # also at states where some light's specular lobe is off (u <= 0).
+    # also at states where some light's specular lobe is off (u <= 0).  Both
+    # models are checked: bp-pps's at the pixels' image points, and bp-ppn's
+    # at the principal point x = y = 0 with f = 1.
     images, lights, intr, _, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
     f = intr.focal_length
@@ -390,30 +388,19 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
     grads = np.concatenate([rng.uniform(-1.0, 1.0, (58, 2)),
                             [(-20.0, 0.0), (0.0, -20.0), (-6.0, 0.0),
                              (0.0, -6.0), (-4.0, -4.0), (4.0, 4.0)]])
-    x, y = X.ravel()[idx], Y.ravel()[idx]
-    n = np.stack([f * grads[:, 0], f * grads[:, 1], x * grads[:, 0] + y * grads[:, 1] + 1.0],
-                 axis=1)
-    halfway = [halfway_vector_grid(x, y, f, li) for li in lights]
-    persp_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
+    zeros = np.zeros(256)
+    for x, y, focal in ((X.ravel(), Y.ravel(), f), (zeros, zeros, 1.0)):
+        xi, yi = x[idx], y[idx]
+        n = np.stack([focal * grads[:, 0], focal * grads[:, 1],
+                      xi * grads[:, 0] + yi * grads[:, 1] + 1.0], axis=1)
+        halfway = [halfway_vector_grid(xi, yi, focal, li) for li in lights]
+        lobe_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
+        assert lobe_off.sum() >= 3
 
-    radius = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, 58))
-    angle = rng.uniform(0.0, 2.0 * np.pi, 58)
-    n12 = np.concatenate([np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1),
-                          [(-0.99, 0.0), (0.0, -0.99), (-0.7, -0.7),
-                           (0.99, 0.0), (0.0, 0.99), (0.7, 0.7)]])
-    n3 = np.sqrt(1.0 - n12[:, 0] ** 2 - n12[:, 1] ** 2)
-    ortho_n = np.column_stack([n12, n3])
-    up = np.array([0.0, 0.0, 1.0])
-    ortho_off = np.any([ortho_n @ ((li.unit + up) / np.linalg.norm(li.unit + up)) <= 0.0
-                        for li in lights], axis=0)
-    assert persp_off.sum() >= 3 and ortho_off.sum() >= 3
-
-    persp = _perspective_model(X.ravel(), Y.ravel(), intensities, lights, mat, f)
-    ortho = _orthographic_model(intensities, lights, mat)
-    for model, states in ((persp, grads), (ortho, n12)):
-        res, jac = model.residuals_and_jacobian(states, idx)
+        model = _perspective_model(x, y, intensities, lights, mat, focal)
+        res, jac = model.residuals_and_jacobian(grads, idx)
         assert jac.shape == (64, 3, 2)
-        assert np.array_equal(res, model.residuals(states, idx))
+        assert np.array_equal(res, model.residuals(grads, idx))
 
 
 def acceptance_sphere():
@@ -466,15 +453,17 @@ def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
     assert sum(c["fused"] for c in calls) == 56869
 
 
-def test_ortho_solve_makes_one_lm_call_without_retry(monkeypatch):
-    # bp-ppn fits each pixel once from the Woodham start and keeps it when
-    # that fit converges: no zero-start retry, so one LM call on the
-    # acceptance sphere.
+def test_ortho_solve_fits_with_the_zero_start_retry(monkeypatch):
+    # bp-ppn fits each pixel from the Woodham slope, then again from zero at
+    # the pixels that did not converge or keep a residual norm above
+    # ACCEPT_TOL, as bp-pps does: two LM calls on the acceptance sphere.  It
+    # keeps every converged pixel.
     images, lights, material, intr, mask = acceptance_sphere()
     calls = count_lm_rows(monkeypatch)
     est = blinn_phong_ortho_solve(images, lights, material, mask=mask & input_mask(images))
-    assert calls == [{"problems": 9388, "residual": 9388, "fused": 59373}]
-    assert est.mask.sum() == 9356
+    assert calls == [{"problems": 9388, "residual": 9388, "fused": 62380},
+                     {"problems": 2900, "residual": 2900, "fused": 52655}]
+    assert est.mask.sum() == 9352
 
 
 def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_path):
@@ -538,6 +527,22 @@ def test_pps_solve_empty_input_returns_empty_mask(method):
         est = blinn_phong_ortho_solve(images, FRONTAL_RIG, material)
         assert np.array_equal(est.n, np.broadcast_to([0.0, 0.0, 1.0], (4, 4, 3)))
     assert not est.mask.any()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 5)], ids=["2x2", "4x5"])
+@pytest.mark.parametrize("solver", ["woodham", "lambert-pps", "bp-pps", "bp-ppn"])
+def test_solvers_reject_a_mask_of_another_shape(solver, shape):
+    images = [Image(np.full((4, 4), 0.5))] * 3
+    material = Material(k_d=0.5, k_s=0.5, shininess=10.0)
+    mask = np.ones(shape, dtype=bool)
+    run = {
+        "woodham": lambda: woodham_normals(images, FRONTAL_RIG, mask=mask),
+        "lambert-pps": lambda: lambertian_pps_closed_form(images, FRONTAL_RIG, INTR, mask=mask),
+        "bp-pps": lambda: blinn_phong_pps_solve(images, FRONTAL_RIG, material, INTR, mask=mask),
+        "bp-ppn": lambda: blinn_phong_ortho_solve(images, FRONTAL_RIG, material, mask=mask),
+    }[solver]
+    with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" + re.escape("(4, 4)")):
+        run()
 
 
 def test_pps_solve_one_dark_image_masks_pixels():
