@@ -10,18 +10,20 @@ deterministic: sorted keys, two-space indent, trailing newline.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 
-def _read_token(stream):
+def _read_token(stream, path):
     # Skip whitespace and '#' comments, then read one whitespace-delimited token.
     token = b""
     while True:
         ch = stream.read(1)
         if not ch:
-            raise ValueError("truncated header")
+            raise ValueError(f"{path}: truncated header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = stream.read(1)
@@ -33,23 +35,40 @@ def _read_token(stream):
         token += ch
 
 
+def _read_positive_int(stream, path, field):
+    token = _read_token(stream, path)
+    if not token.isdigit() or int(token) == 0:
+        raise ValueError(f"{path}: {field} must be a positive integer, got {token!r}")
+    return int(token)
+
+
+def _read_samples(stream, path, shape, dtype):
+    """The pixel data of the given shape, read only after checking that the
+    file holds that many bytes, so a header cannot ask for a huge read."""
+    size = math.prod(shape) * dtype.itemsize
+    left = os.fstat(stream.fileno()).st_size - stream.tell()
+    if left < size:
+        raise ValueError(f"{path}: truncated pixel data: the header declares "
+                         f"{size} bytes, but {left} remain")
+    return np.frombuffer(stream.read(size), dtype=dtype).reshape(shape)
+
+
 def read_pgm(path):
     """Read a binary PGM; returns (data, maxval) with data as uint8/uint16."""
     with open(path, "rb") as fh:
-        magic = _read_token(fh)
+        magic = _read_token(fh, path)
         if magic != b"P5":
             raise ValueError(f"{path}: not a binary PGM file (magic {magic!r})")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
-        if not 0 < maxval < 65536:
+        width = _read_positive_int(fh, path, "width")
+        height = _read_positive_int(fh, path, "height")
+        maxval = _read_positive_int(fh, path, "maxval")
+        if maxval >= 65536:
             raise ValueError(f"{path}: invalid maxval {maxval}")
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        count = width * height
-        raw = fh.read(count * dtype.itemsize)
-        if len(raw) != count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated pixel data")
-        data = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+        data = _read_samples(fh, path, (height, width), dtype)
+    # a full-range maxval cannot be exceeded, so 8- and 16-bit files skip the scan
+    if maxval < np.iinfo(dtype).max and data.max() > maxval:
+        raise ValueError(f"{path}: sample {data.max()} exceeds maxval {maxval}")
     if maxval > 255:
         return data.astype(np.uint16), maxval
     return data.astype(np.uint8), maxval
@@ -86,24 +105,26 @@ def save_image(path, values, maxval=65535):
 def read_pfm(path):
     """Read a PFM; returns (H, W) or (H, W, 3) float32 in top-down row order."""
     with open(path, "rb") as fh:
-        magic = _read_token(fh)
+        magic = _read_token(fh, path)
         if magic == b"PF":
             channels = 3
         elif magic == b"Pf":
             channels = 1
         else:
             raise ValueError(f"{path}: not a PFM file (magic {magic!r})")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        scale = float(_read_token(fh))
+        width = _read_positive_int(fh, path, "width")
+        height = _read_positive_int(fh, path, "height")
+        token = _read_token(fh, path)
+        try:
+            scale = float(token)
+        except ValueError:
+            scale = math.nan
+        # the scale's sign selects the byte order, so 0 and nan select none
+        if scale == 0.0 or not math.isfinite(scale):
+            raise ValueError(f"{path}: scale must be a nonzero finite number, got {token!r}")
         dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-        count = width * height * channels
-        raw = fh.read(count * 4)
-        if len(raw) != count * 4:
-            raise ValueError(f"{path}: truncated pixel data")
-        data = np.frombuffer(raw, dtype=dtype)
         shape = (height, width, channels) if channels == 3 else (height, width)
-        data = data.reshape(shape)
+        data = _read_samples(fh, path, shape, dtype)
     return np.ascontiguousarray(data[::-1]).astype(np.float32)
 
 

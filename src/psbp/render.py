@@ -1,18 +1,16 @@
 """Forward rendering under Lambertian and Blinn-Phong reflectance.
 
-The Blinn-Phong model is written once, in _blinn_phong, from the dot
-products of a normal direction m with the light and halfway vectors and its
-length |m|.  Each projection forms those in one shading function:
-orthographic_shading at unit normals, for the orthographic renderer, and
-perspective_shading at log-depth gradients with
-m = (f*gx, f*gy, x*gx + y*gy + 1), for the perspective renderer and both
-Blinn-Phong solvers, with its derivatives on request.  At the principal
-point x = y = 0 with f = 1 the perspective shading of (gx, gy) is the
-orthographic shading of the normal (gx, gy, 1)/||.||, which is how bp-ppn
-fits orthographic normals.  Lambertian rendering is
-Blinn-Phong rendering with k_s = 0.  Renders clamp all dot products at zero;
-intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
-legitimately exceed 1 for light intensities above 1.
+The Blinn-Phong model is computed in one function, perspective_shading, at
+log-depth gradients with normal direction m = (f*gx, f*gy, x*gx + y*gy + 1)
+and with its derivatives on request.  It serves the perspective renderer,
+both Blinn-Phong solvers (bp-pps and bp-ppn) and the reprojection check,
+and the orthographic renderer too: at the principal point x = y = 0 with
+f = 1 the perspective shading of the slope (n1/n3, n2/n3) is the
+orthographic shading of the normal n, so the orthographic renderer requires
+n3 > 0.  Lambertian rendering is Blinn-Phong rendering with k_s = 0.
+Renders clamp all dot products at zero; intensities are
+k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately exceed
+1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -39,84 +37,35 @@ PROJECTION_PERSPECTIVE = "perspective"
 PROJECTION_ORTHOGRAPHIC = "orthographic"
 
 
-def _blinn_phong(light: LightSource, material: Material, m_l, m_h, norm, halfway,
-                 partials=None, clamp=True):
-    """Blinn-Phong shading of one light at a normal direction m, given as its
-    dot products m_l = m.L with the light direction L and m_h = m.h with the
-    unit halfway vectors (None when k_s == 0), and its length norm = |m|:
-    diffuse k_d*l_d*cos, cos = m_l/(|m| |L|), clamped at 0 when clamp, plus
-    specular k_s*l_s*max(u, 0)^n, u = m_h/|m|.  partials, if given, yields
-    for each of two parameters p a triple (s, t, d|m|/dp) with
-    dm/dp = s*e_p + t*e_3, and the result is (shading, d/dp1, d/dp2);
-    otherwise the shading alone.
-    """
-    # m_l and m_h are the callers' temporaries, normalized in place: with one
-    # more full-size array alive per light, the allocator gave memory back to
-    # the system and faulted it in again on every LM step.
-    cosine = m_l
-    cosine /= norm * light.norm
-    kd = material.k_d * light.diffuse_intensity
-    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
-    if m_h is not None:
-        u = m_h
-        u /= norm
-        up = np.maximum(u, 0.0)
-        ks = material.k_s * light.specular_intensity
-        shade = shade + ks * up ** material.shininess
-        if partials is not None:
-            lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0),
-                                 0.0)
-    if partials is None:
-        return shade
-
-    direction = light.direction
-    out = [shade]
-    for c, (s, t, d_norm) in enumerate(partials):
-        dcos = ((s * direction[c] + direction[2] * t) / light.norm - cosine * d_norm) / norm
-        if clamp:
-            dcos = np.where(cosine > 0.0, dcos, 0.0)
-        d = kd * dcos
-        if m_h is not None:
-            d = d + lobe * (halfway[..., c] * s + halfway[..., 2] * t - u * d_norm) / norm
-        out.append(d)
-    return tuple(out)
-
-
-def orthographic_shading(n, light: LightSource, material: Material):
-    """Orthographic Blinn-Phong shading of one light at unit normals.
-
-    n has shape (..., 3).  The halfway vector is the fixed one of the light
-    and the (0, 0, 1) view direction, the perspective view ray at the
-    principal point (skipped when k_s == 0).
-    """
-    h = halfway_vector_grid(0.0, 0.0, 1.0, light) if material.k_s != 0.0 else None
-    return _blinn_phong(light, material, n @ light.direction, None if h is None else n @ h,
-                        1.0, h)
-
-
 def render_blinn_phong_orthographic(
     normals: NormalField, light: LightSource, material: Material
 ) -> Image:
-    """Orthographic Blinn-Phong: adds a specular lobe around the fixed
-    halfway vector of the light and the (0, 0, 1) view direction."""
+    """Orthographic Blinn-Phong: perspective_shading of the slope
+    (n1/n3, n2/n3) at the principal point x = y = 0 with f = 1, whose view
+    is (0, 0, 1).  Every n3 must be positive, or the slope would flip n."""
     light.require_frontal()
-    return Image(orthographic_shading(normals.n, light, material))
+    n = normals.n
+    if np.any(n[..., 2] <= 0.0):
+        raise ValueError("orthographic rendering requires n3 > 0 at every normal")
+    return Image(perspective_shading(n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0,
+                                     light, material, 1.0))
 
 
 def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, focal_length,
                         halfway=None, clamp=True, derivatives=False):
-    """Perspective Blinn-Phong shading of one light at log-depth gradients.
+    """Blinn-Phong shading of one light at log-depth gradients: the only
+    place the reflectance model is computed.
 
     gx, gy, x, y are broadcastable arrays (or scalars) of log-depth gradients
     and metric image coordinates.  The normal direction is
-    (f*gx, f*gy, x*gx + y*gy + 1), and the specular lobe is taken about the
-    per-pixel halfway vector of the light and the view ray (x, y, f)
-    (skipped when k_s == 0).  halfway may pass precomputed halfway vectors,
-    shape (..., 3).  clamp clamps the diffuse cosine at 0 as a renderer
-    must; left unclamped the shading is smooth in the gradient, as a
-    least-squares residual needs.  With derivatives, returns
-    (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
-    alone.
+    m = (f*gx, f*gy, x*gx + y*gy + 1), and the shading is
+    k_d*l_d*m.L/(|m| |L|) + k_s*l_s*max(m.h/|m|, 0)^n about the per-pixel
+    halfway vector h of the light and the view ray (x, y, f) (skipped when
+    k_s == 0; halfway may pass precomputed ones, shape (..., 3)).  clamp
+    clamps the diffuse cosine at 0 as a renderer must; left unclamped the
+    shading is smooth in the gradient, as a least-squares residual needs.
+    With derivatives, returns (shading, d/dgx, d/dgy) computed in the same
+    pass; otherwise the shading alone.
     """
     f = focal_length
     specular = material.k_s != 0.0
@@ -124,15 +73,41 @@ def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, fo
     # a render's peak memory, and with it its page faults, down.
     if specular and halfway is None:
         halfway = halfway_vector_grid(x, y, f, light)
-    alpha, beta, gamma = light.direction
+    direction = light.direction
     w = x * gx + y * gy + 1.0
     norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
-    # dm/dgx = (f, 0, x), dm/dgy = (0, f, y); d|m| is built only when used
-    partials = ((f, coord, (f * f * g + w * coord) / norm) for coord, g in ((x, gx), (y, gy)))
-    return _blinn_phong(light, material, f * alpha * gx + f * beta * gy + gamma * w,
-                        halfway[..., 0] * f * gx + halfway[..., 1] * f * gy
-                        + halfway[..., 2] * w if specular else None,
-                        norm, halfway, partials if derivatives else None, clamp)
+    # Both dot products are formed before either is normalized in place: with
+    # one more full-size array alive per light, the allocator gave memory back
+    # to the system and faulted it in again on every LM step.
+    cosine = f * direction[0] * gx + f * direction[1] * gy + direction[2] * w
+    if specular:
+        u = halfway[..., 0] * f * gx + halfway[..., 1] * f * gy + halfway[..., 2] * w
+    cosine /= norm * light.norm
+    kd = material.k_d * light.diffuse_intensity
+    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
+    if specular:
+        u /= norm
+        up = np.maximum(u, 0.0)
+        ks = material.k_s * light.specular_intensity
+        shade = shade + ks * up ** material.shininess
+        if derivatives:
+            lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0),
+                                 0.0)
+    if not derivatives:
+        return shade
+
+    out = [shade]
+    # dm/dgx = (f, 0, x) and dm/dgy = (0, f, y)
+    for c, (coord, g) in enumerate(((x, gx), (y, gy))):
+        d_norm = (f * f * g + w * coord) / norm
+        dcos = ((f * direction[c] + direction[2] * coord) / light.norm - cosine * d_norm) / norm
+        if clamp:
+            dcos = np.where(cosine > 0.0, dcos, 0.0)
+        d = kd * dcos
+        if specular:
+            d = d + lobe * (halfway[..., c] * f + halfway[..., 2] * coord - u * d_norm) / norm
+        out.append(d)
+    return tuple(out)
 
 
 def render_lambertian_perspective(

@@ -13,7 +13,7 @@ Four per-pixel solvers are provided:
                               the perspective Blinn-Phong model
 
 plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
-solvers fit one residual model, _perspective_model: the absolute residuals
+solvers fit one residual model, _ShadingModel: the absolute residuals
 I_k - R_k of the three images, shaded by render.perspective_shading as the
 renderers shade them.  bp-ppn builds it at the principal point x = y = 0
 with f = 1, where the perspective shading of the slope (a, b) is the
@@ -196,9 +196,11 @@ def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> Cond
     Each expression is a product combination of light components (and, for
     expressions 4-11, the pixel coordinates) whose vanishing can make the
     per-pixel system singular; |expression| < INDICATOR_THRESHOLD raises a
-    flag.  The report also carries a global non-coplanarity check of the rig
-    and the per-pixel |det| of the system evaluated at the intensities
-    I_k = l_d,k.
+    flag.  Expression 7 (1-based) is the negative of expression 4, and
+    expression 10 of expression 5, up to rounding, so their flags coincide
+    for every rig.  The report also carries a global non-coplanarity check
+    of the rig and the per-pixel |det| of the system evaluated at the
+    intensities I_k = l_d,k.
     """
     dirs, norms, _ = _light_arrays(lights)
     X, Y = pixel_grid(width, height, intr)
@@ -241,12 +243,32 @@ class _ShadingModel:
     """Batched absolute shading residuals I_k - R_k of the three lights over
     a set of pixels, for the LM engine: residuals alone for its start, and
     residuals with their Jacobian from one shading pass for each step (the
-    engine's fused callback).  shading(x, idx, derivatives) returns per
-    light R_k, or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x."""
+    engine's fused callback).  The states are log-depth gradients at image
+    points (x, y): bp-pps's at the pixels' points, bp-ppn's at the principal
+    point with f = 1.  shading(x, idx, derivatives) returns per light R_k,
+    or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x, shaded by
+    render.perspective_shading as the renderers shade them, with the
+    diffuse cosine left unclamped so the residual stays smooth."""
 
-    def __init__(self, intensities, shading):
+    def __init__(self, x, y, intensities, lights, material: Material, focal_length):
+        self.x = x
+        self.y = y
         self.I = intensities
-        self.shading = shading
+        self.lights = lights
+        self.material = material
+        self.f = float(focal_length)
+        # halfway vectors components first, (3, n): a gather reads three
+        # contiguous rows and the shading reads contiguous components
+        self.halfway = [np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
+                        if material.k_s != 0.0 else None for li in lights]
+
+    def shading(self, nu, idx, derivatives):
+        xi = self.x[idx]
+        yi = self.y[idx]
+        return [perspective_shading(nu[:, 0], nu[:, 1], xi, yi, li, self.material, self.f,
+                                    halfway=None if h is None else np.take(h, idx, axis=1).T,
+                                    clamp=False, derivatives=derivatives)
+                for li, h in zip(self.lights, self.halfway)]
 
     def residuals(self, x, idx):
         return self.I[idx] - np.stack(self.shading(x, idx, False), axis=1)
@@ -297,27 +319,6 @@ def _pixels(grids, mask):
     return pix, np.stack([g[pix] for g in grids], axis=1)
 
 
-def _perspective_model(x, y, intensities, lights, material: Material, focal_length):
-    """Residuals over log-depth gradients at image points (x, y): bp-pps's at
-    the pixels' points, bp-ppn's at the principal point with f = 1.  The
-    diffuse cosine is left unclamped so the residual stays smooth."""
-    f = float(focal_length)
-    # halfway vectors components first, (3, n): a gather reads three
-    # contiguous rows and the shading reads contiguous components
-    halfway = [np.ascontiguousarray(halfway_vector_grid(x, y, f, li).T)
-               if material.k_s != 0.0 else None for li in lights]
-
-    def shading(nu, idx, derivatives):
-        xi = x[idx]
-        yi = y[idx]
-        return [perspective_shading(nu[:, 0], nu[:, 1], xi, yi, li, material, f,
-                                    halfway=None if h is None else np.take(h, idx, axis=1).T,
-                                    clamp=False, derivatives=derivatives)
-                for li, h in zip(lights, halfway)]
-
-    return _ShadingModel(intensities, shading)
-
-
 def blinn_phong_pps_solve(
     images, lights, material: Material, intr: CameraIntrinsics, mask=None,
 ) -> GradientField:
@@ -338,7 +339,7 @@ def blinn_phong_pps_solve(
     h, w = grids[0].shape
     X, Y = pixel_grid(w, h, intr)
     pix, intensities = _pixels(grids, mask)
-    model = _perspective_model(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
+    model = _ShadingModel(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
     x, a, ok = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))
 
     # GradientField zeroes the gradients of the rejected pixels
@@ -367,8 +368,8 @@ def blinn_phong_ortho_solve(
     pix, intensities = _pixels(grids, mask)
     n0 = init_normals.n[pix]
     at_principal_point = np.zeros(len(n0))
-    model = _perspective_model(at_principal_point, at_principal_point, intensities, lights,
-                               material, 1.0)
+    model = _ShadingModel(at_principal_point, at_principal_point, intensities, lights,
+                          material, 1.0)
     x, _, good = model.fit_with_retry(n0[:, :2] / np.abs(n0[:, 2:]))
 
     # slope 0 is the normal (0, 0, 1)

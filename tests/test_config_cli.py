@@ -455,3 +455,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         save_image(dark / f"image_{i}.pgm", np.zeros((16, 16)))
     recon_cfg = reconstruct_payload(dark, tmp_path / "out2")
     assert main(["reconstruct", "--config", _write_cfg(tmp_path, recon_cfg)]) == 2
+
+
+def test_reconstruct_names_an_image_with_samples_above_maxval(tmp_path, capsys):
+    # a sample above maxval would load above 1 and mask the image as
+    # saturated, so the run must stop at the file as a validation error
+    for i in (1, 3):
+        (tmp_path / f"image_{i}.pgm").write_bytes(b"P5\n16 16\n100\n" + bytes([50] * 256))
+    (tmp_path / "image_2.pgm").write_bytes(b"P5\n16 16\n100\n" + bytes([50] * 255 + [200]))
+    cfg = _write_cfg(tmp_path, reconstruct_payload(tmp_path, tmp_path / "out"))
+    assert main(["reconstruct", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "image_2.pgm") in err
+    assert "exceeds maxval 100" in err

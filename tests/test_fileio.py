@@ -160,3 +160,44 @@ def test_json_deterministic_output(tmp_path):
 def test_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_json(tmp_path / "nan.json", {"v": float("nan")})
+
+
+@pytest.mark.parametrize("token", [b"nan", b"0"])
+def test_pfm_rejects_a_zero_or_nonfinite_scale(tmp_path, token):
+    # the scale's sign selects the byte order, which zero and nan cannot do
+    p = tmp_path / "scale.pfm"
+    p.write_bytes(b"Pf\n2 1\n" + token + b"\n" + np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match="scale.pfm: scale must be a nonzero finite number"):
+        read_pfm(p)
+
+
+@pytest.mark.parametrize("size", [b"-2 2", b"abc 2", b"2 0", b"0 0"])
+@pytest.mark.parametrize("header, reader", [(b"P5\n%s\n255\n", read_pgm),
+                                            (b"Pf\n%s\n-1.0\n", read_pfm)])
+def test_nonpositive_or_nonnumeric_dimensions_are_rejected(tmp_path, size, header, reader):
+    p = tmp_path / "dims.img"
+    p.write_bytes(header % size + bytes(64))
+    with pytest.raises(ValueError, match=r"dims\.img: (width|height) must be a positive integer"):
+        reader(p)
+
+
+@pytest.mark.parametrize("header, reader", [(b"P5\n4096 4096\n255\n", read_pgm),
+                                            (b"Pf\n4096 4096\n-1\n", read_pfm)])
+def test_declared_size_is_checked_against_the_file_before_reading(tmp_path, header, reader):
+    # a 20-byte file whose header declares a 4096 x 4096 image
+    p = tmp_path / "short.img"
+    p.write_bytes(header + bytes(20 - len(header)))
+    assert p.stat().st_size == 20
+    with pytest.raises(ValueError, match=r"short\.img: truncated pixel data: the header "
+                                         r"declares \d+ bytes, but \d remain"):
+        reader(p)
+
+
+def test_pgm_rejects_samples_above_maxval(tmp_path):
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 200]))
+    with pytest.raises(ValueError, match="over.pgm: sample 200 exceeds maxval 100"):
+        read_pgm(p)
+    at_max = tmp_path / "at_max.pgm"
+    at_max.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
+    assert load_image(at_max).tolist() == [[0.0, 1.0]]

@@ -18,7 +18,6 @@ from psbp.render import (
     SceneSpec,
     log_depth_gradients,
     make_sphere_depth,
-    orthographic_shading,
     perspective_shading,
     render_blinn_phong_orthographic,
     render_blinn_phong_perspective,
@@ -202,7 +201,8 @@ def test_orthographic_blinn_phong_peak_at_mirror_normal():
 @pytest.mark.parametrize("f", [1.0, 2.5])
 def test_projections_shade_alike_at_the_principal_point(f):
     # At x = y = 0 the perspective view ray is (0, 0, 1), the orthographic
-    # view, so both projections must shade the same normal alike.
+    # view, so the perspective shading of a gradient must match the
+    # orthographic Blinn-Phong formula at its unit normal, written out here.
     rng = np.random.default_rng(12)
     g = rng.uniform(-0.8, 0.8, size=(200, 2))
     n = np.column_stack([f * g, np.ones(200)])
@@ -213,9 +213,27 @@ def test_projections_shade_alike_at_the_principal_point(f):
     for shininess in (1.0, 30.0, 150.0):
         mat = Material(k_d=0.5, k_s=0.5, shininess=shininess)
         for li in lights:
+            unit = li.direction / np.linalg.norm(li.direction)
+            h = unit + np.array([0.0, 0.0, 1.0])
+            h /= np.linalg.norm(h)
+            reference = (mat.k_d * li.diffuse_intensity * np.maximum(n @ unit, 0.0)
+                         + mat.k_s * li.specular_intensity
+                         * np.maximum(n @ h, 0.0) ** mat.shininess)
             persp = perspective_shading(g[:, 0], g[:, 1], 0.0, 0.0, li, mat, f)
-            worst = max(worst, np.abs(persp - orthographic_shading(n, li, mat)).max())
+            worst = max(worst, np.abs(persp - reference).max())
     assert worst < 1e-12
+
+
+def test_orthographic_render_rejects_a_back_facing_normal():
+    # The renderer shades the slope (n1/n3, n2/n3), which would flip a
+    # normal with n3 < 0, so such a normal is refused, not shaded.
+    n = np.zeros((1, 2, 3))
+    n[0, 0] = (0.0, 0.0, 1.0)
+    n[0, 1] = (0.6, 0.0, -0.8)
+    light = LightSource(np.array([0.0, 0.0, 1.0]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="n3 > 0"):
+        render_blinn_phong_orthographic(NormalField(n), light,
+                                        Material(k_d=0.5, k_s=0.5, shininess=10.0))
 
 
 def test_render_scene_returns_consistent_stack():

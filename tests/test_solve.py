@@ -32,7 +32,7 @@ from psbp.render import (
 from psbp.solve import (
     _closed_form_system,
     _light_arrays,
-    _perspective_model,
+    _ShadingModel,
     _scaled_intensities,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
@@ -397,7 +397,7 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         lobe_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
         assert lobe_off.sum() >= 3
 
-        model = _perspective_model(x, y, intensities, lights, mat, focal)
+        model = _ShadingModel(x, y, intensities, lights, mat, focal)
         res, jac = model.residuals_and_jacobian(grads, idx)
         assert jac.shape == (64, 3, 2)
         assert np.array_equal(res, model.residuals(grads, idx))
