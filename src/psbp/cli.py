@@ -7,7 +7,8 @@ Flags override the corresponding config fields; a relative --out is taken
 from the working directory, while relative paths in the config file resolve
 against the file's directory.  Exit codes: 0 on success
 (and for --help), 1 on usage, configuration and validation errors, 2 on
-numerical failures.
+numerical failures.  An exit-1 error about an input file (missing,
+malformed or of the wrong size) names both the config field and the file.
 """
 
 from __future__ import annotations

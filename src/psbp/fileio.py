@@ -37,8 +37,11 @@ def _read_token(stream, path):
 
 def _read_positive_int(stream, path, field):
     token = _read_token(stream, path)
-    if not token.isdigit() or int(token) == 0:
-        raise ValueError(f"{path}: {field} must be a positive integer, got {token!r}")
+    # int() refuses more than 4,300 digits, and no grid or maxval needs 19
+    if not token.isdigit() or len(token) > 18 or int(token) == 0:
+        shown = repr(token[:18]) + ("..." if len(token) > 18 else "")
+        raise ValueError(f"{path}: {field} must be a positive integer below 10**18, "
+                         f"got {shown}")
     return int(token)
 
 

@@ -88,6 +88,28 @@ class _StageTimer:
         self.seconds[name] = time.perf_counter() - start
 
 
+def _read(field, path, reader, shape=None):
+    """reader(path) for a file that config field `field` names: the one
+    place a bad input file is reported.  Every such file but report.json is
+    one single-channel grid, and with shape it must have those dimensions.
+    A file that cannot be read, parsed or used raises ConfigError naming
+    the field and the file.  Callers pass this module's readers, looked up
+    when they call, so that a tracer may rebind them."""
+    try:
+        data = reader(path)
+    except (OSError, ValueError) as exc:
+        # fileio's and the system's messages name the file; json's do not
+        reason = str(exc) if str(path) in str(exc) else f"{path}: {exc}"
+        raise ConfigError(f"config field {field!r}: {reason}") from exc
+    if isinstance(data, np.ndarray) and data.ndim != 2:
+        raise ConfigError(f"config field {field!r}: {path} has dimensions {data.shape}, "
+                          "not one channel")
+    if shape is not None and data.shape != shape:
+        raise ConfigError(f"config field {field!r}: {path} has dimensions {data.shape}, "
+                          f"not {shape}")
+    return data
+
+
 def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
     scene = cfg.scene
     if scene.type == SCENE_SPHERE:
@@ -95,13 +117,9 @@ def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
             scene.size[0], scene.size[1], cfg.intrinsics, scene.center, scene.radius,
             projection=scene.projection,
         )
-    z = np.asarray(read_pfm(scene.path), dtype=np.float64)
-    if z.ndim != 2:
-        raise ConfigError("config field 'scene.path': depth map must be single-channel")
+    z = np.asarray(_read("scene.path", scene.path, read_pfm), dtype=np.float64)
     mask_path = scene.path.parent / "mask.pgm"
-    mask = load_mask(mask_path) if mask_path.exists() else z > 0
-    if mask.shape != z.shape:
-        raise ConfigError("config field 'scene.path': mask dimensions do not match depth")
+    mask = _read("scene.path", mask_path, load_mask, z.shape) if mask_path.exists() else z > 0
     return DepthMap(z=np.where(mask, z, 0.0), mask=mask)
 
 
@@ -137,16 +155,10 @@ def run_render(cfg: PipelineConfig):
     return payload
 
 
-def _load_input_images(paths):
-    grids = []
-    for p in paths:
-        try:
-            grids.append(load_image(p))
-        except OSError as exc:
-            raise ConfigError(f"config field 'images': cannot read {p}: {exc}") from exc
-    if any(g.shape != grids[0].shape for g in grids):
-        raise ConfigError("config field 'images': input images must share one size")
-    return grids
+def _load_input_images(paths, shape=None):
+    """The input images, each of the given shape, or else of the first's."""
+    first = _read("images", paths[0], load_image, shape)
+    return [first] + [_read("images", p, load_image, first.shape) for p in paths[1:]]
 
 
 def run_reconstruct(cfg: PipelineConfig):
@@ -225,67 +237,32 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     return errors
 
 
-def _read_artifact(directory, name, reader, shape=None):
-    """Read one reconstruction artifact; with shape, it must have those
-    dimensions (those of depth.pfm)."""
-    path = directory / name
-    if not path.exists():
-        raise ConfigError(
-            f"config field 'estimate_dir': missing reconstruction artifact {name}"
-        )
-    data = reader(path)
-    if shape is not None and data.shape != shape:
-        raise ConfigError(
-            f"config field 'estimate_dir': {name} dimensions {data.shape} "
-            f"do not match depth.pfm {shape}"
-        )
-    return data
-
-
 def run_evaluate(cfg: PipelineConfig):
     """Score a reconstruction against ground truth."""
     timer = _StageTimer()
     cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("load"):
-        est_z = np.asarray(_read_artifact(cfg.estimate_dir, "depth.pfm", read_pfm),
-                           dtype=np.float64)
-        est_mask = _read_artifact(cfg.estimate_dir, "mask.pgm", load_mask, est_z.shape)
-        gx = np.asarray(_read_artifact(cfg.estimate_dir, "grad_x.pfm", read_pfm, est_z.shape),
-                        dtype=np.float64)
-        gy = np.asarray(_read_artifact(cfg.estimate_dir, "grad_y.pfm", read_pfm, est_z.shape),
-                        dtype=np.float64)
-        recon = {}
-        if (cfg.estimate_dir / "report.json").exists():
-            recon = read_json(cfg.estimate_dir / "report.json")
+        est = cfg.estimate_dir
+        est_z = np.asarray(_read("estimate_dir", est / "depth.pfm", read_pfm), dtype=np.float64)
+        shape = est_z.shape
+        est_mask = _read("estimate_dir", est / "mask.pgm", load_mask, shape)
+        gx, gy = (np.asarray(_read("estimate_dir", est / name, read_pfm, shape), dtype=np.float64)
+                  for name in ("grad_x.pfm", "grad_y.pfm"))
+        report = est / "report.json"
+        recon = _read("estimate_dir", report, read_json) if report.exists() else {}
+        if not isinstance(recon, dict):
+            raise ConfigError(f"config field 'estimate_dir': {report} holds no JSON object")
         method = cfg.method or recon.get("method", "unknown")
 
-        try:
-            gt_z = np.asarray(read_pfm(cfg.ground_truth), dtype=np.float64)
-        except OSError as exc:
-            raise ConfigError(
-                f"config field 'ground_truth': cannot read {cfg.ground_truth}: {exc}"
-            ) from exc
+        gt_z = np.asarray(_read("ground_truth", cfg.ground_truth, read_pfm, shape),
+                          dtype=np.float64)
         if cfg.ground_truth_mask is not None:
-            gt_mask, mask_field = load_mask(cfg.ground_truth_mask), "ground_truth_mask"
+            gt_mask = _read("ground_truth_mask", cfg.ground_truth_mask, load_mask, shape)
         else:
             sibling = cfg.ground_truth.parent / "mask.pgm"
-            gt_mask = load_mask(sibling) if sibling.exists() else gt_z > 0
-            mask_field = "ground_truth"
-        if gt_z.shape != est_z.shape:
-            raise ConfigError(
-                "config field 'ground_truth': dimensions "
-                f"{gt_z.shape} do not match estimate {est_z.shape}"
-            )
-        if gt_mask.shape != est_z.shape:
-            raise ConfigError(
-                f"config field {mask_field!r}: mask dimensions "
-                f"{gt_mask.shape} do not match estimate {est_z.shape}"
-            )
-        grids = _load_input_images(cfg.images)
-        if grids[0].shape != est_z.shape:
-            raise ConfigError(
-                "config field 'images': dimensions do not match the estimate"
-            )
+            gt_mask = (_read("ground_truth", sibling, load_mask, shape) if sibling.exists()
+                       else gt_z > 0)
+        grids = _load_input_images(cfg.images, shape)
 
     with timer.stage("align"):
         estimate = DepthMap(z=np.where(est_mask, est_z, 0.0), mask=est_mask)
@@ -295,11 +272,9 @@ def run_evaluate(cfg: PipelineConfig):
     with timer.stage("reproject"):
         grad = GradientField(gx=gx, gy=gy, mask=est_mask)
         albedo = None
-        if cfg.reprojection_model == MODEL_LAMBERTIAN and (
-            cfg.estimate_dir / "albedo.pfm"
-        ).exists():
-            albedo = np.asarray(_read_artifact(cfg.estimate_dir, "albedo.pfm", read_pfm,
-                                               est_z.shape), dtype=np.float64)
+        if cfg.reprojection_model == MODEL_LAMBERTIAN and (est / "albedo.pfm").exists():
+            albedo = np.asarray(_read("estimate_dir", est / "albedo.pfm", read_pfm, shape),
+                                dtype=np.float64)
         needs_material = cfg.reprojection_model == MODEL_BLINN_PHONG or albedo is None
         if needs_material and cfg.material is None:
             raise ConfigError(

@@ -80,8 +80,9 @@ class ConditioningReport:
 
 def _inputs(images, lights, mask):
     """The solvers' common preamble: the three image grids, checked to share
-    one shape, after checking every light is frontal, and the mask
-    (input_mask of the grids when None, else checked to have their shape)."""
+    one shape, after checking every light is frontal with a positive diffuse
+    intensity (every solver divides by it), and the mask (input_mask of the
+    grids when None, else checked to have their shape)."""
     grids = [img.data if isinstance(img, Image) else np.asarray(img, float) for img in images]
     if len(grids) != 3:
         raise ValueError("exactly 3 input images are required")
@@ -89,6 +90,8 @@ def _inputs(images, lights, mask):
         raise ValueError("input images must share one shape")
     for li in lights:
         li.require_frontal()
+        if li.diffuse_intensity <= 0:
+            raise ValueError("diffuse light intensities must be positive")
     if mask is None:
         return grids, input_mask(grids)
     if np.shape(mask) != grids[0].shape:
@@ -120,8 +123,6 @@ def woodham_normals(images, lights, mask=None):
     det = np.linalg.det(lmat)
     if abs(det) < SINGULAR_DET_THRESHOLD:
         raise ValueError("light directions are coplanar: singular light matrix")
-    if np.any(ld <= 0):
-        raise ValueError("diffuse light intensities must be positive")
     rhs = np.stack([g / l for g, l in zip(grids, ld)], axis=-1)
     b = rhs @ np.linalg.inv(lmat).T
     albedo = np.linalg.norm(b, axis=-1)
@@ -181,12 +182,10 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     gy = np.where(ok, (m1 * h2 - h1 * m3) / safe, 0.0)
     grad = GradientField(gx=gx, gy=gy, mask=ok)
 
-    wterm = X * gx + Y * gy + 1.0
-    nn = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + wterm * wterm)
-    alpha, beta, gamma = dirs[0]
-    denom = ld[0] * ((f * alpha + X * gamma) * gx + (f * beta + Y * gamma) * gy + gamma)
-    ok_alb = ok & (np.abs(denom) > 1e-12)
-    albedo = np.where(ok_alb, grids[0] * norms[0] * nn / np.where(ok_alb, denom, 1.0), 0.0)
+    # Material() is k_d = 1, k_s = 0, so the first image over this shading is the albedo
+    shading = perspective_shading(gx, gy, X, Y, lights[0], Material(), f, clamp=False)
+    ok_alb = ok & (np.abs(shading) > 1e-12)
+    albedo = np.where(ok_alb, grids[0] / np.where(ok_alb, shading, 1.0), 0.0)
     return grad, AlbedoMap(values=albedo, mask=ok_alb)
 
 

@@ -457,14 +457,75 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["reconstruct", "--config", _write_cfg(tmp_path, recon_cfg)]) == 2
 
 
-def test_reconstruct_names_an_image_with_samples_above_maxval(tmp_path, capsys):
-    # a sample above maxval would load above 1 and mask the image as
-    # saturated, so the run must stop at the file as a validation error
-    for i in (1, 3):
-        (tmp_path / f"image_{i}.pgm").write_bytes(b"P5\n16 16\n100\n" + bytes([50] * 256))
-    (tmp_path / "image_2.pgm").write_bytes(b"P5\n16 16\n100\n" + bytes([50] * 255 + [200]))
-    cfg = _write_cfg(tmp_path, reconstruct_payload(tmp_path, tmp_path / "out"))
-    assert main(["reconstruct", "--config", cfg]) == 1
+P5_64 = b"P5\n64 64\n255\n"
+PF_64 = b"Pf\n64 64\n%s\n"
+
+
+# (mode, config field, file under tmp_path, its bytes or None for no file,
+#  what stderr says of it); image_2 is read after a good image_1
+@pytest.mark.parametrize("mode, field, name, content, says", [
+    # the size check fails before a 10 GB read
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n100000 100000\n255\n" + bytes(16),
+     "declares 10000000000 bytes, but 16 remain"),
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n-2 2\n255\n" + bytes(4),
+     "width must be a positive integer"),
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\nabc 2\n255\n" + bytes(4),
+     "width must be a positive integer"),
+    # a sample above maxval would load above 1 and mask the image as saturated
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n16 16\n100\n" + bytes([50] * 255 + [200]),
+     "sample 200 exceeds maxval 100"),
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n0 0\n255\n",
+     "width must be a positive integer"),
+    ("reconstruct", "images", "in/image_2.pgm", P5_64 + bytes(100), "truncated pixel data"),
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4),
+     "width must be a positive integer"),
+    ("reconstruct", "images", "in/image_2.pgm", b"P5\n32 32\n255\n" + bytes(1024),
+     "has dimensions (32, 32), not (64, 64)"),
+    ("evaluate", "images", "in/image_1.pgm", b"P5\n32 32\n255\n" + bytes(1024),
+     "has dimensions (32, 32), not (64, 64)"),
+    ("render", "scene.path", "in/depth_gt.pfm", PF_64 % b"nan" + bytes(4 * 64 * 64),
+     "scale must be a nonzero finite number"),
+    ("render", "scene.path", "in/depth_gt.pfm", b"PF\n64 64\n-1.0\n" + bytes(12 * 64 * 64),
+     "has dimensions (64, 64, 3), not one channel"),
+    ("render", "scene.path", "in/depth_gt.pfm", None, "No such file"),
+    ("render", "scene.path", "in/mask.pgm", b"P5\n16 16\n255\n" + bytes(256),
+     "has dimensions (16, 16), not (64, 64)"),
+    ("evaluate", "estimate_dir", "recon/grad_x.pfm", PF_64 % b"-1.0" + bytes(100),
+     "truncated pixel data"),
+    ("evaluate", "estimate_dir", "recon/mask.pgm", None, "No such file"),
+    ("evaluate", "estimate_dir", "recon/report.json", b'{"method": ', "Expecting value"),
+    ("evaluate", "estimate_dir", "recon/report.json", b"[1]", "holds no JSON object"),
+    ("evaluate", "ground_truth", "in/depth_gt.pfm", PF_64 % b"0" + bytes(4 * 64 * 64),
+     "scale must be a nonzero finite number"),
+    ("evaluate", "ground_truth_mask", "gt_mask.pgm", P5_64 + bytes(10), "truncated pixel data"),
+], ids=["images-huge-header", "images-negative-width", "images-nonnumeric-width",
+        "images-samples-above-maxval", "images-0x0", "images-truncated",
+        "images-5000-digit-width", "images-wrong-size", "evaluate-images-wrong-size",
+        "scene-nan-scale", "scene-3-channel", "scene-missing", "scene-mask-wrong-size",
+        "estimate-truncated", "estimate-missing", "report-malformed", "report-not-an-object",
+        "ground-truth-zero-scale", "ground-truth-mask-truncated"])
+def test_cli_names_the_field_and_file_of_a_malformed_input(rendered_sphere, lambert_recon,
+                                                            tmp_path, capsys, mode, field,
+                                                            name, content, says):
+    shutil.copytree(rendered_sphere, tmp_path / "in")
+    out = tmp_path / "out"
+    if mode == "render":
+        payload = sphere_render_payload(out)
+        payload["scene"] = {"type": "depth-map", "path": str(tmp_path / "in" / "depth_gt.pfm")}
+    elif mode == "reconstruct":
+        payload = reconstruct_payload(tmp_path / "in", out)
+    else:
+        shutil.copytree(lambert_recon, tmp_path / "recon")
+        payload = evaluate_payload(tmp_path / "in", tmp_path / "recon", out)
+    if field == "ground_truth_mask":
+        payload["ground_truth_mask"] = str(tmp_path / name)
+    bad = tmp_path / name
+    if content is None:
+        bad.unlink(missing_ok=True)
+    else:
+        bad.write_bytes(content)
+    capsys.readouterr()
+    assert main([mode, "--config", _write_cfg(tmp_path, payload)]) == 1
     err = capsys.readouterr().err
-    assert str(tmp_path / "image_2.pgm") in err
-    assert "exceeds maxval 100" in err
+    assert f"config field '{field}'" in err and str(bad) in err and says in err, err
+    assert "Traceback" not in err

@@ -171,7 +171,10 @@ def test_pfm_rejects_a_zero_or_nonfinite_scale(tmp_path, token):
         read_pfm(p)
 
 
-@pytest.mark.parametrize("size", [b"-2 2", b"abc 2", b"2 0", b"0 0"])
+# a 5,000-digit width is past what int() converts, and int()'s own error
+# names neither the file nor the field
+@pytest.mark.parametrize("size", [b"-2 2", b"abc 2", b"2 0", b"0 0",
+                                  pytest.param(b"9" * 5000 + b" 2", id="5000-digit-width")])
 @pytest.mark.parametrize("header, reader", [(b"P5\n%s\n255\n", read_pgm),
                                             (b"Pf\n%s\n-1.0\n", read_pfm)])
 def test_nonpositive_or_nonnumeric_dimensions_are_rejected(tmp_path, size, header, reader):

@@ -545,6 +545,28 @@ def test_solvers_reject_a_mask_of_another_shape(solver, shape):
         run()
 
 
+@pytest.mark.parametrize("solver", ["woodham", "lambert-pps", "bp-pps", "bp-ppn"])
+def test_solvers_reject_a_zero_diffuse_intensity_before_any_arithmetic(solver):
+    # every solver divides by l_d; a divide warning would fail this test
+    intr = CameraIntrinsics(focal_length=1.0, h_x=0.009375, h_y=0.009375,
+                            delta_x=31.5, delta_y=31.5)
+    lights = [LightSource(np.array(d), l_d, 1.2)
+              for d, l_d in (((0.0, 0.0, 1.0), 1.2), ((1.0, 0.0, 2.0), 0.0),
+                             ((0.0, 1.0, 2.0), 1.2))]
+    material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    depth = make_sphere_depth(64, 64, intr, (0.0, 0.0, 4.0), 1.0)
+    images, _, _ = render_scene(SceneSpec(depth=depth, material=material, lights=lights,
+                                          intrinsics=intr))
+    run = {
+        "woodham": lambda: woodham_normals(images, lights),
+        "lambert-pps": lambda: lambertian_pps_closed_form(images, lights, intr),
+        "bp-pps": lambda: blinn_phong_pps_solve(images, lights, material, intr),
+        "bp-ppn": lambda: blinn_phong_ortho_solve(images, lights, material),
+    }[solver]
+    with pytest.raises(ValueError, match="diffuse light intensities must be positive"):
+        run()
+
+
 def test_pps_solve_one_dark_image_masks_pixels():
     images, lights, intr, grad, mat = specular_plane_scene()
     data = images[0].data.copy()
