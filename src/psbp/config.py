@@ -276,6 +276,10 @@ def parse_config(payload, base_dir=".") -> PipelineConfig:
         cfg.material = _parse_material(payload, required=True)
     elif mode == MODE_RECONSTRUCT:
         cfg.method = _string(payload, "method", required=True, choices=set(METHODS))
+        # every solver divides by the diffuse intensities; render accepts 0
+        for i, light in enumerate(cfg.lights):
+            if light.diffuse_intensity <= 0:
+                _fail(f"lights[{i}].diffuse_intensity", "must be positive to reconstruct")
         cfg.images = _parse_images(payload, base_dir)
         needs_material = cfg.method in (METHOD_BP_PPN, METHOD_BP_PPS)
         cfg.material = _parse_material(payload, required=needs_material)

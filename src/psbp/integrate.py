@@ -6,17 +6,44 @@ boundaries, i.e. it solves the five-point Laplacian with the divergence of g
 on the right-hand side.  The input gradients are per-pixel, as the solvers
 return them; each edge between two neighbouring pixels of the mask takes the
 mean of its two pixels' gradients.  On the full rectangle a cosine transform
-diagonalizes the operator.  Masked domains use conjugate gradients on the
-sparse normal equations, preconditioned by that full-rectangle solve
-restricted to the mask (Simchony, Chellappa & Shao, PAMI 1990) with no
-projection per iteration: it is symmetric positive definite on a partial mask
-and the right-hand side sums to zero on every 4-connected component, so CG
-converges on the singular system (Kaasschieter, J. Comput. Appl. Math. 1988).
-Each component's mean is removed once, from the solution; an isolated pixel
-is 0.  The preconditioner runs in single precision on a normalized residual
-and normalized eigenvalues; CG's recurrences and stopping test stay in double,
-as an inexact preconditioner only changes the iteration count (Golub & Ye,
-SIAM J. Sci. Comput. 1999).
+diagonalizes the operator.  A partial mask is assembled once into the sparse
+normal equations, singular once per 4-connected component, and solved by one
+of two methods, chosen by the number of unknowns:
+
+- At most DIRECT_MAX_UNKNOWNS: one sparse LU factorization (SuperLU) with one
+  node per component pinned.  The pinned matrix is symmetric positive
+  definite, and its solution differs from the singular system's only by a
+  constant per component.  A mask full of holes, as a noisy or specular image
+  leaves after bp-pps rejects pixels, has small separators, so its factor
+  stays small; it is also where the full-frame preconditioner below is
+  weakest and CG needs hundreds of iterations.
+- Above it: conjugate gradients preconditioned by the full-rectangle solve
+  restricted to the mask (Simchony, Chellappa & Shao, PAMI 1990) with no
+  projection per iteration: it is symmetric positive definite on a partial
+  mask and the right-hand side sums to zero on every component, so CG
+  converges on the singular system (Kaasschieter, J. Comput. Appl. Math.
+  1988).  The preconditioner runs in single precision on a normalized
+  residual and normalized eigenvalues; CG's recurrences and stopping test
+  stay in double, as an inexact preconditioner only changes the iteration
+  count (Golub & Ye, SIAM J. Sci. Comput. 1999).  On a large compact mask
+  the LU factor fills in faster than CG's iterations grow.
+
+Median seconds per solve on the benchmark's spheres, range over two sets of
+seven solves (2-core Xeon, numpy 2.4.6, scipy 1.17.1), "noisy" with
+sigma = 1e-3 sensor noise:
+
+    mask          unknowns   components   CG            direct
+    noisy 256^2   24,111     465          0.32-0.35     0.04
+    noisy 384^2   54,703     887          0.70-0.80     0.08-0.11
+    clean 128^2    8,931       7          0.014-0.020   0.016-0.023
+    clean 256^2   35,604      23          0.07-0.10     0.11-0.14
+    clean 512^2  142,520      67          0.44          0.61-0.67
+
+Fragmentation, not size alone, sets the crossover.  The limit sends every
+fragmented mask up to 2^15 pixels to the factorization, at the cost of a few
+milliseconds on a compact mask of ~9k pixels (clean 128^2: 2 to 8 ms over
+repeated runs), and keeps CG where its factor would fill in.  Each
+component's mean is removed once, from the solution; an isolated pixel is 0.
 """
 
 from __future__ import annotations
@@ -29,11 +56,16 @@ import scipy.sparse.linalg
 
 from .core import DepthMap, GradientField, NumericalError, mse, normalize_unit_range
 
-# conjugate gradients stop at this residual norm relative to the right-hand
-# side, or fail after CG_MAX_ITER iterations; preconditioned solves that
-# converge take a few hundred at most
+# conjugate gradients, which integrate masks of more than DIRECT_MAX_UNKNOWNS
+# pixels, stop at this residual norm relative to the right-hand side, or fail
+# after CG_MAX_ITER iterations; preconditioned solves that converge take a few
+# hundred at most (205 on a 24k-pixel mask in 465 pieces, which is why such
+# masks are factorized instead; 74 on the compact 142.5k-pixel 512^2 disc)
 CG_RTOL = 1e-10
 CG_MAX_ITER = 2000
+# partial masks of at most this many pixels are integrated by one sparse LU
+# factorization; see the module docstring for the measured crossover
+DIRECT_MAX_UNKNOWNS = 2**15
 
 
 def _divergence(ex, ey, hx, hy):
@@ -102,28 +134,29 @@ def _dct_preconditioner(mask, hx, hy):
     return precondition
 
 
-def _poisson_cg(ex, ey, mask, hx, hy):
+def _components(mask):
+    """Index of the 4-connected component of each masked pixel, in mask
+    order.  +grad^T grad is singular once per component; each component's
+    mean is removed once, from the solution."""
+    labels, _ = scipy.ndimage.label(mask)
+    return labels[mask] - 1
+
+
+def _masked_system(ex, ey, mask, hx, hy, comp, pin):
+    """The sparse normal equations +grad^T grad u = rhs on the masked pixels,
+    as (symmetric CSR matrix, rhs).  With pin, one node per component gains
+    1/(hx hy) on its diagonal; otherwise the matrix is singular once per
+    component."""
     h, w = mask.shape
-    n = np.count_nonzero(mask)
+    n = comp.size
     idx = -np.ones((h, w), dtype=np.int64)
     idx[mask] = np.arange(n)
-
-    # The labels and the preconditioner's buffers below are allocated before
-    # the matrix: allocated after it, they left the top of the heap free once
-    # the solve returned, and the next 512^2 render paid ~2.5k page faults to
-    # map it again.  +grad^T grad is singular once per 4-connected component;
-    # each component's mean is removed once, from the solution.
-    labels, _ = scipy.ndimage.label(mask)
-    comp = labels[mask] - 1
-    precondition = _dct_preconditioner(mask, hx, hy)
 
     # an edge exists where both of its pixels lie in the mask; each adds +-g
     # to its two ends, so the right-hand side sums to zero on every component
     okx = mask[:, :-1] & mask[:, 1:]
     oky = mask[:-1, :] & mask[1:, :]
     rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
-    if np.linalg.norm(rhs) == 0.0:
-        return np.zeros((h, w))
     rows, cols, vals = [], [], []
 
     def add_edges(ok, p_idx, q_idx, step):
@@ -137,8 +170,50 @@ def _poisson_cg(ex, ey, mask, hx, hy):
 
     add_edges(okx, idx[:, :-1], idx[:, 1:], hx)
     add_edges(oky, idx[:-1, :], idx[1:, :], hy)
+    if pin:
+        pins = np.unique(comp, return_index=True)[1]
+        rows.append(pins)
+        cols.append(pins)
+        vals.append(np.full(pins.size, 1.0 / (hx * hy)))
     a = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return a, rhs
+
+
+def _centered(sol, mask, comp):
+    """The masked solution with each component's mean removed, in a frame
+    that is zero off the mask."""
+    out = np.zeros(mask.shape)
+    out[mask] = sol - (np.bincount(comp, weights=sol) / np.bincount(comp))[comp]
+    return out
+
+
+def _poisson_direct(ex, ey, mask, hx, hy):
+    comp = _components(mask)
+    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=True)
+    # With one node per component pinned the matrix is symmetric positive
+    # definite.  The right-hand side sums to zero on each component, so a
+    # pinned node solves to 0 and the rest match the singular system's
+    # solution up to that component's constant, which centering removes.
+    # SuperLU takes CSC, which for a symmetric matrix is its transpose's CSR,
+    # so a.T is a without a copy.  No pivoting, minimum degree on A + A^T,
+    # and small panels and supernodes: SuperLU's default workspace raised
+    # glibc's mmap threshold once freed, and the process kept ~9% more
+    # resident memory.
+    lu = scipy.sparse.linalg.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True}, panel_size=4, relax=1)
+    return _centered(lu.solve(rhs), mask, comp)
+
+
+def _poisson_cg(ex, ey, mask, hx, hy):
+    # The labels and the preconditioner's buffers are allocated before the
+    # matrix: allocated after it, they left the top of the heap free once
+    # the solve returned, and the next 512^2 render paid ~2.5k page faults to
+    # map it again.
+    comp = _components(mask)
+    precondition = _dct_preconditioner(mask, hx, hy)
+    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=False)
+    n = comp.size
     m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
     sol, info = scipy.sparse.linalg.cg(
         a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER, M=m
@@ -149,9 +224,7 @@ def _poisson_cg(ex, ey, mask, hx, hy):
         )
     if info < 0:
         raise NumericalError("conjugate-gradient integration failed")
-    out = np.zeros((h, w))
-    out[mask] = sol - (np.bincount(comp, weights=sol) / np.bincount(comp))[comp]
-    return out
+    return _centered(sol, mask, comp)
 
 
 def _integrate_edges(ex, ey, mask, hx, hy):
@@ -161,6 +234,8 @@ def _integrate_edges(ex, ey, mask, hx, hy):
         u = _poisson_dct(ex, ey, hx, hy)
         u -= np.mean(u[mask])
         return u
+    if np.count_nonzero(mask) <= DIRECT_MAX_UNKNOWNS:
+        return _poisson_direct(ex, ey, mask, hx, hy)
     return _poisson_cg(ex, ey, mask, hx, hy)
 
 

@@ -418,6 +418,20 @@ def test_nonfinite_config_numbers_are_rejected(tmp_path, capsys, mode, keys, val
     assert not list(tmp_path.rglob("*.pgm"))
 
 
+def test_reconstruct_names_a_light_without_diffuse_intensity(tmp_path, capsys):
+    """Every solver divides by the diffuse intensities, so reconstruct
+    rejects 0 at validation, naming the light; render still draws with it."""
+    payload = reconstruct_payload(tmp_path / "nowhere", tmp_path / "out")
+    payload["lights"][1]["diffuse_intensity"] = 0
+    assert main(["reconstruct", "--config", _write_cfg(tmp_path, payload)]) == 1
+    assert "config field 'lights[1].diffuse_intensity'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    render = sphere_render_payload(tmp_path / "out")
+    render["lights"][1]["diffuse_intensity"] = 0
+    assert parse_config(render).lights[1].diffuse_intensity == 0.0
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 0: help; 1: usage errors, which argparse alone would exit with 2
     cfg = _write_cfg(tmp_path, sphere_render_payload(tmp_path / "out"))

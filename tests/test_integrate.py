@@ -11,6 +11,7 @@ from psbp.integrate import (
     _dct_preconditioner,
     _integrate_edges,
     _poisson_cg,
+    _poisson_direct,
     _poisson_dct,
     align_depth,
     exp_depth,
@@ -104,11 +105,11 @@ def test_dct_and_cg_agree_on_full_rectangle():
 ])
 def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_scale,
                                                                 spacing_scale):
-    """On a mask with several 4-connected components the preconditioned CG
-    recovers the field minus its mean on each component, leaves an isolated
-    pixel at 0, and converges in a few dozen iterations, at field magnitudes
-    and pixel spacings far outside the single-precision preconditioner's
-    range."""
+    """On a mask with several 4-connected components both masked solvers
+    recover the field minus its mean on each component and leave an isolated
+    pixel at 0, at field magnitudes and pixel spacings far outside the
+    single-precision preconditioner's range; the preconditioned CG converges
+    in a few dozen iterations."""
     n = 128
     mask = disc_mask(n)
     mask[50:62, 40:75] = False  # rectangular hole
@@ -118,16 +119,16 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
     hx, hy = 0.5 * spacing_scale, 0.25 * spacing_scale
     ex, ey = edge_gradient(u, hx=hx, hy=hy)
 
-    iterations = count_cg_iterations(monkeypatch)
-    v = _integrate_edges(ex, ey, mask, hx, hy)
-
     labels, count = scipy.ndimage.label(mask)
     assert count == 3
-    for k in range(1, count + 1):
-        comp = labels == k
-        assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8 * u_scale
-    assert v[124, 4] == 0.0
-    assert np.all(v[~mask] == 0.0)
+    iterations = count_cg_iterations(monkeypatch)
+    for solve in (_poisson_direct, _poisson_cg):
+        v = solve(ex, ey, mask, hx, hy)
+        for k in range(1, count + 1):
+            comp = labels == k
+            assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8 * u_scale
+        assert v[124, 4] == 0.0
+        assert np.all(v[~mask] == 0.0)
     assert len(iterations) == 1 and iterations[0] <= 50
 
 
@@ -135,28 +136,71 @@ def test_fragmented_mask_with_isolated_pixels_is_exact_per_component(monkeypatch
     """A disc with 35% of its pixels removed at random splits into 196
     4-connected components, 121 of them isolated pixels: the mask on which
     a preconditioner without per-iteration mean removal puts the most weight
-    in the null space.  CG still recovers the field minus its mean on every
-    component in one call.  The gates come from a preconditioner that removed
-    the component means in every iteration: 246 iterations, worst gap
-    1.0e-7."""
+    in the null space.  Both masked solvers recover the field minus its mean
+    on every component, CG in one call.  The gates come from a preconditioner
+    that removed the component means in every iteration: 246 iterations,
+    worst gap 1.0e-7."""
     n = 128
     rng = np.random.default_rng(21)
     mask = holed_disc(rng, n, 60.0, 0.35)
     u = rng.standard_normal((n, n))
     ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
 
-    iterations = count_cg_iterations(monkeypatch)
-    v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
-
     labels, count = scipy.ndimage.label(mask)
     comp = labels[mask] - 1
     size = np.bincount(comp)
     assert count == 196 and np.count_nonzero(size == 1) == 121
     mean = np.bincount(comp, weights=u[mask]) / size
-    assert np.abs(v[mask] - (u[mask] - mean[comp])).max() < 1.5e-7
-    assert np.all(v[mask][size[comp] == 1] == 0.0)
-    assert np.all(v[~mask] == 0.0)
+    iterations = count_cg_iterations(monkeypatch)
+    for solve in (_poisson_direct, _poisson_cg):
+        v = solve(ex, ey, mask, 0.5, 0.25)
+        assert np.abs(v[mask] - (u[mask] - mean[comp])).max() < 1.5e-7
+        assert np.all(v[mask][size[comp] == 1] == 0.0)
+        assert np.all(v[~mask] == 0.0)
     assert len(iterations) == 1 and iterations[0] <= 260
+
+
+def test_direct_and_cg_agree_on_a_holed_disc():
+    """On a smooth potential, as a surface's log-depth is; on white noise
+    CG's stopping tolerance alone leaves gaps of ~1e-8, which the
+    per-component tests above gate against the true field."""
+    rng = np.random.default_rng(23)
+    mask = holed_disc(rng, 64, 30.0, 0.2)
+    cols, rows = np.meshgrid(np.arange(64.0), np.arange(64.0))
+    u = np.sin((cols - 31.5) * 0.05) * np.cos((rows - 31.5) * 0.05)
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+    v1 = _poisson_direct(ex, ey, mask, 0.5, 0.25)
+    v2 = _poisson_cg(ex, ey, mask, 0.5, 0.25)
+    assert np.abs(v1 - v2).max() < 1e-9
+
+
+def test_mask_of_isolated_pixels_integrates_to_zeros():
+    """No edge joins two pixels of a checkerboard mask: every pixel is a
+    component of its own, at 0, whichever masked solver runs."""
+    rng = np.random.default_rng(24)
+    rows, cols = np.mgrid[0:32, 0:32]
+    mask = (rows + cols) % 2 == 0
+    ex, ey = rng.standard_normal((32, 31)), rng.standard_normal((31, 32))
+    for solve in (_integrate_edges, _poisson_cg):
+        assert np.all(solve(ex, ey, mask, 0.5, 0.25) == 0.0)
+
+
+@pytest.mark.parametrize("removed, cg_calls", [(64, 0), (1, 1)],
+                         ids=["at-the-limit", "above-the-limit"])
+def test_masks_up_to_the_direct_limit_skip_cg(monkeypatch, removed, cg_calls):
+    """A partial mask of at most DIRECT_MAX_UNKNOWNS pixels is factorized
+    once and makes no CG call; a larger one makes exactly one.  A 192 x 192
+    frame less a 64 x 64 corner holds 2^15 pixels, less one pixel 36,863."""
+    mask = np.ones((192, 192), dtype=bool)
+    mask[:removed, :removed] = False
+    assert (np.count_nonzero(mask) <= psbp.integrate.DIRECT_MAX_UNKNOWNS) == (cg_calls == 0)
+    u = np.random.default_rng(25).standard_normal(mask.shape)
+    ex, ey = edge_gradient(u)
+
+    iterations = count_cg_iterations(monkeypatch)
+    v = _integrate_edges(ex, ey, mask, 1.0, 1.0)
+    assert len(iterations) == cg_calls
+    assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
 
 
 def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():
@@ -228,7 +272,7 @@ def test_masked_solve_that_cannot_converge_raises_at_the_iteration_cap(monkeypat
     monkeypatch.setattr(psbp.integrate, "CG_RTOL", 0.0)
     monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
     with pytest.raises(NumericalError, match="did not converge"):
-        _integrate_edges(ex, ey, mask, 1.0, 1.0)
+        _poisson_cg(ex, ey, mask, 1.0, 1.0)
     assert iterations[0] == psbp.integrate.CG_MAX_ITER
 
 
