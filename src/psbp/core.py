@@ -7,7 +7,7 @@ pixels with True.  Objects are treated as immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,23 +78,20 @@ class LightSource:
     direction: np.ndarray
     diffuse_intensity: float = 1.0
     specular_intensity: float = 1.0
+    # |direction| and direction / |direction|, computed once at construction
+    norm: float = field(init=False, repr=False, compare=False)
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if not _all_finite(self.direction) or np.linalg.norm(self.direction) == 0:
+        self.norm = float(np.linalg.norm(self.direction))
+        if not _all_finite(self.direction) or self.norm == 0:
             raise ValueError("light direction must be a finite nonzero 3-vector")
         if not _all_finite((self.diffuse_intensity, self.specular_intensity)):
             raise ValueError("light intensities must be finite")
         if self.diffuse_intensity < 0 or self.specular_intensity < 0:
             raise ValueError("light intensities must be non-negative")
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.direction))
-
-    @property
-    def unit(self):
-        return self.direction / self.norm
+        self.unit = self.direction / self.norm
 
     def require_frontal(self):
         if self.direction[2] <= 0:

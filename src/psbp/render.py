@@ -1,14 +1,16 @@
 """Forward rendering under Lambertian and Blinn-Phong reflectance.
 
-The Blinn-Phong model is computed in one function, perspective_shading, at
-log-depth gradients with normal direction m = (f*gx, f*gy, x*gx + y*gy + 1)
-and with its derivatives on request.  It serves the perspective renderer,
-both Blinn-Phong solvers (bp-pps and bp-ppn) and the reprojection check,
-and the orthographic renderer too: at the principal point x = y = 0 with
-f = 1 the perspective shading of the slope (n1/n3, n2/n3) is the
-orthographic shading of the normal n, so the orthographic renderer requires
-n3 > 0.  Lambertian rendering is Blinn-Phong rendering with k_s = 0.
-Renders clamp all dot products at zero; intensities are
+The Blinn-Phong model is computed in one function, perspective_shading, for
+a sequence of lights at log-depth gradients with normal direction
+m = (f*gx, f*gy, x*gx + y*gy + 1), sharing the per-pixel geometry across the
+lights, and with its derivatives on request.  It serves the perspective
+renderer (one light per call), both Blinn-Phong solvers (bp-pps and bp-ppn,
+all three lights per call) and the reprojection check, and the orthographic
+renderer too: at the principal point x = y = 0 with f = 1 the perspective
+shading of the slope (n1/n3, n2/n3) is the orthographic shading of the
+normal n, so the orthographic renderer requires n3 > 0.  Lambertian
+rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp all dot
+products at zero; intensities are
 k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately exceed
 1 for light intensities above 1.
 """
@@ -47,67 +49,88 @@ def render_blinn_phong_orthographic(
     n = normals.n
     if np.any(n[..., 2] <= 0.0):
         raise ValueError("orthographic rendering requires n3 > 0 at every normal")
-    return Image(perspective_shading(n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0,
-                                     light, material, 1.0))
+    [shading] = perspective_shading(n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0,
+                                    [light], material, 1.0)
+    return Image(shading)
 
 
-def perspective_shading(gx, gy, x, y, light: LightSource, material: Material, focal_length,
+def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length,
                         halfway=None, clamp=True, derivatives=False):
-    """Blinn-Phong shading of one light at log-depth gradients: the only
-    place the reflectance model is computed.
+    """Blinn-Phong shading of a sequence of lights at log-depth gradients:
+    the only place the reflectance model is computed.
 
     gx, gy, x, y are broadcastable arrays (or scalars) of log-depth gradients
     and metric image coordinates.  The normal direction is
-    m = (f*gx, f*gy, x*gx + y*gy + 1), and the shading is
+    m = (f*gx, f*gy, x*gx + y*gy + 1), and the shading of light L is
     k_d*l_d*m.L/(|m| |L|) + k_s*l_s*max(m.h/|m|, 0)^n about the per-pixel
     halfway vector h of the light and the view ray (x, y, f) (skipped when
-    k_s == 0; halfway may pass precomputed ones, shape (..., 3)).  clamp
-    clamps the diffuse cosine at 0 as a renderer must; left unclamped the
-    shading is smooth in the gradient, as a least-squares residual needs.
-    With derivatives, returns (shading, d/dgx, d/dgy) computed in the same
-    pass; otherwise the shading alone.
+    k_s == 0; halfway may pass precomputed ones, an iterable of one (..., 3)
+    array per light).  The per-pixel geometry, w = x*gx + y*gy + 1, |m| and
+    d|m|/dgx, d|m|/dgy, is computed once per call and shared by every light.
+    clamp clamps the diffuse cosine at 0 as a renderer must; left unclamped
+    the shading is smooth in the gradient, as a least-squares residual needs.
+
+    Yields one entry per light, in order: with derivatives,
+    (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
+    alone.  Each light is shaded when its entry is asked for, so a caller
+    that is done with one light's arrays before it asks for the next holds
+    one light's arrays at a time.
     """
     f = focal_length
     specular = material.k_s != 0.0
     # Halfway vectors first, while few full-size arrays are alive: this keeps
     # a render's peak memory, and with it its page faults, down.
-    if specular and halfway is None:
-        halfway = halfway_vector_grid(x, y, f, light)
-    direction = light.direction
+    if not specular:
+        halfway = [None] * len(lights)
+    elif halfway is None:
+        halfway = [halfway_vector_grid(x, y, f, li) for li in lights]
     w = x * gx + y * gy + 1.0
     norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
-    # Both dot products are formed before either is normalized in place: with
-    # one more full-size array alive per light, the allocator gave memory back
-    # to the system and faulted it in again on every LM step.
-    cosine = f * direction[0] * gx + f * direction[1] * gy + direction[2] * w
-    if specular:
-        u = halfway[..., 0] * f * gx + halfway[..., 1] * f * gy + halfway[..., 2] * w
-    cosine /= norm * light.norm
-    kd = material.k_d * light.diffuse_intensity
-    shade = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
-    if specular:
-        u /= norm
-        up = np.maximum(u, 0.0)
-        ks = material.k_s * light.specular_intensity
-        shade = shade + ks * up ** material.shininess
-        if derivatives:
-            lobe = ks * np.where(u > 0.0, material.shininess * up ** (material.shininess - 1.0),
-                                 0.0)
-    if not derivatives:
-        return shade
-
-    out = [shade]
     # dm/dgx = (f, 0, x) and dm/dgy = (0, f, y)
-    for c, (coord, g) in enumerate(((x, gx), (y, gy))):
-        d_norm = (f * f * g + w * coord) / norm
-        dcos = ((f * direction[c] + direction[2] * coord) / light.norm - cosine * d_norm) / norm
-        if clamp:
-            dcos = np.where(cosine > 0.0, dcos, 0.0)
-        d = kd * dcos
+    if derivatives:
+        d_norms = [(f * f * g + w * coord) / norm for coord, g in ((x, gx), (y, gy))]
+
+    def shade(light, half):
+        direction = light.direction
+        # Both dot products are formed before either is normalized in place:
+        # with one more full-size array alive per light, the allocator gave
+        # memory back to the system and faulted it in again on every LM step.
+        cosine = f * direction[0] * gx + f * direction[1] * gy + direction[2] * w
         if specular:
-            d = d + lobe * (halfway[..., c] * f + halfway[..., 2] * coord - u * d_norm) / norm
-        out.append(d)
-    return tuple(out)
+            u = half[..., 0] * f * gx + half[..., 1] * f * gy + half[..., 2] * w
+        cosine /= norm * light.norm
+        kd = material.k_d * light.diffuse_intensity
+        shading = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
+        if specular:
+            u /= norm
+            up = np.maximum(u, 0.0)
+            ks = material.k_s * light.specular_intensity
+            shading = shading + ks * up ** material.shininess
+            if derivatives:
+                lobe = ks * np.where(u > 0.0,
+                                     material.shininess * up ** (material.shininess - 1.0), 0.0)
+        if not derivatives:
+            return shading
+        out = [shading]
+        # the diffuse term's slope, then the lobe's added to it, formed in
+        # place so that few full-size arrays are alive at once
+        for c, (coord, d_norm) in enumerate(zip((x, y), d_norms)):
+            d = (f * direction[c] + direction[2] * coord) / light.norm - cosine * d_norm
+            d /= norm
+            if clamp:
+                d = np.where(cosine > 0.0, d, 0.0)
+            d *= kd
+            if specular:
+                slope = half[..., c] * f + half[..., 2] * coord - u * d_norm
+                slope *= lobe
+                slope /= norm
+                slope += d
+                d = slope
+            out.append(d)
+        return tuple(out)
+
+    for light, half in zip(lights, halfway):
+        yield shade(light, half)
 
 
 def render_lambertian_perspective(
@@ -124,8 +147,9 @@ def render_blinn_phong_perspective(
     vector against the light, specular lobe raised to the shininess."""
     light.require_frontal()
     X, Y = pixel_grid(grad.width, grad.height, intr)
-    return Image(perspective_shading(grad.gx, grad.gy, X, Y, light, material,
-                                     intr.focal_length))
+    [shading] = perspective_shading(grad.gx, grad.gy, X, Y, [light], material,
+                                    intr.focal_length)
+    return Image(shading)
 
 
 def make_sphere_depth(

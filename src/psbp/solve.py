@@ -183,7 +183,7 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     grad = GradientField(gx=gx, gy=gy, mask=ok)
 
     # Material() is k_d = 1, k_s = 0, so the first image over this shading is the albedo
-    shading = perspective_shading(gx, gy, X, Y, lights[0], Material(), f, clamp=False)
+    [shading] = perspective_shading(gx, gy, X, Y, lights[:1], Material(), f, clamp=False)
     ok_alb = ok & (np.abs(shading) > 1e-12)
     albedo = np.where(ok_alb, grids[0] / np.where(ok_alb, shading, 1.0), 0.0)
     return grad, AlbedoMap(values=albedo, mask=ok_alb)
@@ -244,44 +244,57 @@ class _ShadingModel:
     residuals with their Jacobian from one shading pass for each step (the
     engine's fused callback).  The states are log-depth gradients at image
     points (x, y): bp-pps's at the pixels' points, bp-ppn's at the principal
-    point with f = 1.  shading(x, idx, derivatives) returns per light R_k,
-    or (R_k, dR_k/dx0, dR_k/dx1), of the pixels idx at states x, shaded by
-    render.perspective_shading as the renderers shade them, with the
-    diffuse cosine left unclamped so the residual stays smooth."""
+    point with f = 1.  Like the engine, the callbacks work component-major:
+    at states x (2, k) of the pixels idx they return the residuals f (3, k),
+    one row per light, and the Jacobian (2, 3, k), one (3, k) block per
+    gradient component.  One render.perspective_shading call shades all
+    three lights, sharing the pixels' geometry, as the renderers shade them
+    but with the diffuse cosine left unclamped so the residual stays smooth;
+    its rows are written into f and J in place."""
 
     def __init__(self, x, y, intensities, lights, material: Material, focal_length):
         self.x = x
         self.y = y
+        # intensities (3, n) and halfway vectors components first, (3, n): a
+        # gather reads three contiguous rows and the shading reads contiguous
+        # components
         self.I = intensities
         self.lights = lights
         self.material = material
         self.f = float(focal_length)
-        # halfway vectors components first, (3, n): a gather reads three
-        # contiguous rows and the shading reads contiguous components
-        self.halfway = [np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
-                        if material.k_s != 0.0 else None for li in lights]
+        self.halfway = (None if material.k_s == 0.0 else
+                        [np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
+                         for li in lights])
 
     def shading(self, nu, idx, derivatives):
-        xi = self.x[idx]
-        yi = self.y[idx]
-        return [perspective_shading(nu[:, 0], nu[:, 1], xi, yi, li, self.material, self.f,
-                                    halfway=None if h is None else np.take(h, idx, axis=1).T,
-                                    clamp=False, derivatives=derivatives)
-                for li, h in zip(self.lights, self.halfway)]
+        """perspective_shading of the three lights at the states nu (2, k)
+        of the pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1).  A
+        light's halfway vectors are gathered when it is shaded."""
+        halfway = (None if self.halfway is None else
+                   (np.take(h, idx, axis=1).T for h in self.halfway))
+        return perspective_shading(nu[0], nu[1], self.x[idx], self.y[idx], self.lights,
+                                   self.material, self.f, halfway=halfway, clamp=False,
+                                   derivatives=derivatives)
 
     def residuals(self, x, idx):
-        return self.I[idx] - np.stack(self.shading(x, idx, False), axis=1)
+        f = np.take(self.I, idx, axis=1)
+        for row, shade in zip(f, self.shading(x, idx, False)):
+            row -= shade
+        return f
 
     def residuals_and_jacobian(self, x, idx):
-        f = np.take(self.I, idx, axis=0)
+        f = np.take(self.I, idx, axis=1)
+        jac = np.empty((2,) + f.shape)
         per_light = self.shading(x, idx, True)
-        # allocated after the shading pass, so it does not raise that pass's
-        # peak heap: a larger peak is given back and faulted in on every step
-        jac = np.empty(f.shape + (2,))
-        for k, (shade, *slopes) in enumerate(per_light):
-            f[:, k] -= shade
-            for c, slope in enumerate(slopes):
-                np.negative(slope, out=jac[:, k, c])
+        for k in range(len(f)):
+            # a light's rows are freed before the next light is shaded, which
+            # keeps the step's peak heap down: a larger peak is given back to
+            # the system and faulted in again on every step
+            shade, dgx, dgy = next(per_light)
+            f[k] -= shade
+            np.negative(dgx, out=jac[0, k])
+            np.negative(dgy, out=jac[1, k])
+            del shade, dgx, dgy
         return f, jac
 
     def fit(self, x0, sub=None):
@@ -313,9 +326,10 @@ class _ShadingModel:
 
 
 def _pixels(grids, mask):
-    """The mask's pixel index tuple and the pixels' (n, 3) intensities."""
+    """The mask's pixel index tuple and the pixels' intensities, one row per
+    image, (3, n)."""
     pix = np.nonzero(mask)
-    return pix, np.stack([g[pix] for g in grids], axis=1)
+    return pix, np.stack([g[pix] for g in grids])
 
 
 def blinn_phong_pps_solve(

@@ -369,7 +369,7 @@ def test_analytic_jacobian_matches_finite_differences():
               for li in lights]
     X, Y = pixel_grid(16, 16, intr)
     model = _ShadingModel(X.ravel(), Y.ravel(),
-                          np.stack([img.data.ravel() for img in images], axis=1),
+                          np.stack([img.data.ravel() for img in images]),
                           lights, material, intr.focal_length)
 
     rng = np.random.default_rng(3)
@@ -378,8 +378,8 @@ def test_analytic_jacobian_matches_finite_differences():
         r, c = rng.integers(0, 16, size=2)
         idx = np.array([r * 16 + c])
         state = rng.uniform(-1.0, 1.0, size=2)
-        jac = model.residuals_and_jacobian(state[None], idx)[1][0]
-        fd = finite_difference_jacobian(lambda v: model.residuals(v[None], idx)[0], state)
+        jac = model.residuals_and_jacobian(state[:, None], idx)[1][..., 0].T
+        fd = finite_difference_jacobian(lambda v: model.residuals(v[:, None], idx)[:, 0], state)
         worst = max(worst, np.abs(jac - fd).max() / max(np.abs(fd).max(), 1e-12))
     verdict("analytic Jacobian", worst < 1e-4,
             f"max relative gap to central differences {worst:.3e} < 1e-04 "

@@ -1,5 +1,9 @@
 """Damped least-squares solver: the batched LM engine and the
-finite-difference reference Jacobian."""
+finite-difference reference Jacobian.
+
+The engine's callbacks are component-major: at states x (p, k) they return
+residuals (m, k) and a Jacobian (p, m, k), while starts and results are
+(n, p)."""
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from psbp import optim
 from psbp.optim import (
     MAX_ITER,
+    _cost,
     _normal_equations,
     finite_difference_jacobian,
     levenberg_marquardt_batch,
@@ -27,11 +32,11 @@ def solve_one(residual, jacobian, x0):
     calls = [0]
 
     def res(x, idx):
-        return np.stack([np.atleast_1d(residual(v)) for v in x])
+        return np.stack([np.atleast_1d(residual(v)) for v in x.T], axis=-1)
 
     def jac(x, idx):
         calls[0] += 1
-        return np.stack([np.atleast_2d(jacobian(v)) for v in x])
+        return np.stack([np.atleast_2d(jacobian(v)).T for v in x.T], axis=-1)
 
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x, rnorm, converged, failed = levenberg_marquardt_batch(res, fused(res, jac), x0)
@@ -146,10 +151,10 @@ def test_batch_matches_single_problem_runs():
     targets = rng.uniform(-3.0, 3.0, size=(50, 2))
 
     def residual(x, idx):
-        return x - targets[idx]
+        return x - targets[idx].T
 
     def jacobian(x, idx):
-        return np.broadcast_to(np.eye(2), (len(idx), 2, 2)).copy()
+        return np.broadcast_to(np.eye(2)[:, :, None], (2, 2, len(idx))).copy()
 
     x0 = rng.standard_normal((50, 2))
     x, rnorm, converged, failed = levenberg_marquardt_batch(
@@ -167,10 +172,10 @@ def test_batch_nonlinear_problems():
     roots = rng.uniform(0.5, 2.0, size=20)
 
     def residual(x, idx):
-        return x**2 - roots[idx][:, None] ** 2
+        return x**2 - roots[idx] ** 2
 
     def jacobian(x, idx):
-        return (2.0 * x)[:, :, None]
+        return (2.0 * x)[:, None, :]
 
     x0 = np.full((20, 1), 1.0)
     x, rnorm, converged, failed = levenberg_marquardt_batch(
@@ -181,14 +186,29 @@ def test_batch_nonlinear_problems():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_normal_equations_match_batched_einsum_exactly(p):
-    # the column-pair build sums the same products in the same order as the
-    # batched einsum it replaced, so the bits must agree
+    # the row sums over the component-major stacks add the same products in
+    # the same order as the batched einsum over the row-major ones, so the
+    # bits must agree for every number of residuals m
     rng = np.random.default_rng(p)
-    jac = rng.standard_normal((1000, 3, p)) * np.exp(rng.uniform(-20.0, 20.0, (1000, 3, p)))
-    f = rng.standard_normal((1000, 3))
-    grad, hess = _normal_equations(jac, f)
-    assert np.array_equal(grad, np.einsum("nmp,nm->np", jac, f))
-    assert np.array_equal(hess, np.einsum("nmp,nmq->npq", jac, jac))
+    for m in (1, 2, 3, 4):
+        jac = rng.standard_normal((1000, m, p)) * np.exp(rng.uniform(-20.0, 20.0, (1000, m, p)))
+        f = rng.standard_normal((1000, m)) * np.exp(rng.uniform(-20.0, 20.0, (1000, m)))
+        grad, hess = _normal_equations(np.ascontiguousarray(jac.transpose(2, 1, 0)),
+                                       np.ascontiguousarray(f.T))
+        assert np.array_equal(grad, np.einsum("nmp,nm->np", jac, f).T)
+        assert np.array_equal(hess, np.einsum("nmp,nmq->npq", jac, jac).transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cost_matches_einsum_exactly(m):
+    # numpy's einsum adds a contiguous row of three squares as
+    # (f0^2 + f2^2) + f1^2, not left to right; the cost keeps those bits
+    rng = np.random.default_rng(m)
+    f = rng.standard_normal((1000, m)) * np.exp(rng.uniform(-20.0, 20.0, (1000, m)))
+    f[:5] = np.inf
+    expected = np.einsum("nm,nm->n", f, f)
+    assert np.array_equal(_cost(np.ascontiguousarray(f.T)),
+                          np.where(np.isfinite(expected), expected, np.inf))
 
 
 def test_batch_three_parameter_least_squares_matches_lstsq():
@@ -204,10 +224,10 @@ def test_batch_three_parameter_least_squares_matches_lstsq():
     b += 1e-4 * rng.standard_normal((30, 4))
 
     def residual(x, idx):
-        return np.einsum("nmp,np->nm", a[idx], x) - b[idx]
+        return (np.einsum("nmp,pn->nm", a[idx], x) - b[idx]).T
 
     def jacobian(x, idx):
-        return a[idx]
+        return a[idx].transpose(2, 1, 0)
 
     x, rnorm, converged, failed = levenberg_marquardt_batch(
         residual, fused(residual, jacobian), np.zeros((30, 3)))
@@ -223,12 +243,12 @@ def test_batch_flags_failures_without_poisoning_others():
     # damping escalates past the ceiling; problem 1 is a plain linear solve
     def residual(x, idx):
         r = x - 4.0
-        r[idx == 0] = 1e30
+        r[:, idx == 0] = 1e30
         return r
 
     def jacobian(x, idx):
-        j = np.ones((len(idx), 1, 1))
-        j[idx == 0] = 1e15
+        j = np.ones((1, 1, len(idx)))
+        j[..., idx == 0] = 1e15
         return j
 
     x0 = np.array([[1.0], [1.0]])
@@ -249,13 +269,13 @@ def rosenbrock_batch():
     x0 = rng.uniform(-2.0, 2.0, size=(40, 2))
 
     def residual(x, idx):
-        return np.stack([a[idx] - x[:, 0], b[idx] * (x[:, 1] - x[:, 0] ** 2)], axis=1)
+        return np.stack([a[idx] - x[0], b[idx] * (x[1] - x[0] ** 2)])
 
     def jacobian(x, idx):
-        jac = np.zeros((len(idx), 2, 2))
-        jac[:, 0, 0] = -1.0
-        jac[:, 1, 0] = -2.0 * b[idx] * x[:, 0]
-        jac[:, 1, 1] = b[idx]
+        jac = np.zeros((2, 2, len(idx)))
+        jac[0, 0] = -1.0
+        jac[0, 1] = -2.0 * b[idx] * x[0]
+        jac[1, 1] = b[idx]
         return jac
 
     return a, x0, residual, jacobian
@@ -270,7 +290,7 @@ def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluat
     visits = {}
 
     def residual_and_jacobian(x, idx):
-        for i, v in zip(idx, x):
+        for i, v in zip(idx, x.T):
             visits.setdefault(int(i), []).append(v.copy())
         return residual(x, idx), jacobian(x, idx)
 
@@ -281,7 +301,7 @@ def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluat
     for i, states in visits.items():
         assert len({v.tobytes() for v in states}) == len(states)
         # the engine's rule: a trial is kept only if its cost is lower
-        costs = [float(np.sum(residual(v[None], np.array([i])) ** 2)) for v in states]
+        costs = [float(np.sum(residual(v[:, None], np.array([i])) ** 2)) for v in states]
         best = costs[0]
         for c in costs[1:]:
             rejected += c >= best
@@ -290,8 +310,8 @@ def test_batch_of_rosenbrock_problems_matches_single_runs_without_repeat_evaluat
     assert len({len(states) for states in visits.values()}) > 1
 
     for i in range(40):
-        alone = solve_one(lambda v, i=i: residual(v[None], np.array([i]))[0],
-                          lambda v, i=i: jacobian(v[None], np.array([i]))[0], x0[i])
+        alone = solve_one(lambda v, i=i: residual(v[:, None], np.array([i]))[:, 0],
+                          lambda v, i=i: jacobian(v[:, None], np.array([i]))[..., 0].T, x0[i])
         assert np.array_equal(x[i], alone[0])
         assert rnorm[i] == alone[1]
 
@@ -321,11 +341,11 @@ def test_cost_stop_ends_the_linear_tail_of_nonzero_residual_fits(monkeypatch):
     y = a * np.exp(b * t) + 1e-3 * rng.standard_normal((50, 6))
 
     def residual(x, idx):
-        return x[:, :1] * np.exp(x[:, 1:] * t) - y[idx]
+        return x[0] * np.exp(x[1] * t[:, None]) - y[idx].T
 
     def residual_and_jacobian(x, idx):
-        e = np.exp(x[:, 1:] * t)
-        return x[:, :1] * e - y[idx], np.stack([e, x[:, :1] * t * e], axis=2)
+        e = np.exp(x[1] * t[:, None])
+        return x[0] * e - y[idx].T, np.stack([e, x[0] * t[:, None] * e])
 
     x0 = np.tile([1.0, 0.0], (50, 1))
     counted, rows = counted_rows(residual_and_jacobian)
@@ -353,3 +373,34 @@ def test_cost_stop_keeps_zero_residual_problems_converging_fully(monkeypatch):
     monkeypatch.setattr(optim, "COST_TOL", 0.0)
     assert np.array_equal(x, levenberg_marquardt_batch(
         residual, fused(residual, jacobian), x0)[0])
+
+
+def test_singular_damped_system_is_a_rejected_step_not_an_error():
+    # Two rank-one three-parameter problems, the second scaled by 1e8: its
+    # J^T J has entries of about 1.3e16, where adding lam <= 1 rounds away,
+    # so its damped system is singular in float64 until lam has grown.  A
+    # stacked solve would raise for the whole batch; instead that problem's
+    # step is marked bad and left in place while lam grows, and the first
+    # problem runs as it does alone.
+    rows = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.25, 0.25, 0.25]])
+    scale = np.array([1.0, 1e8])
+    visits = {0: [], 1: []}
+
+    def residual(x, idx):
+        return scale[idx] * (rows @ x)
+
+    def residual_and_jacobian(x, idx):
+        for i, v in zip(idx, x.T):
+            visits[int(i)].append(v.copy())
+        return residual(x, idx), scale[idx] * rows.T[:, :, None]
+
+    x0 = np.array([[3.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    x, rnorm, converged, failed = levenberg_marquardt_batch(residual, residual_and_jacobian, x0)
+    assert converged[0] and not failed[0]
+    alone = solve_one(lambda v: rows @ v, lambda v: rows, x0[0])
+    assert np.array_equal(x[0], alone[0]) and rnorm[0] == alone[1]
+    # the start, then trials at the unmoved start while the system is singular
+    assert np.array_equal(visits[1][1], x0[1])
+    assert any(not np.array_equal(v, x0[1]) for v in visits[1])
+    assert np.isfinite(x[1]).all()
+    assert rnorm[1] < np.linalg.norm(1e8 * rows @ x0[1])

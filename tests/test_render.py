@@ -219,9 +219,29 @@ def test_projections_shade_alike_at_the_principal_point(f):
             reference = (mat.k_d * li.diffuse_intensity * np.maximum(n @ unit, 0.0)
                          + mat.k_s * li.specular_intensity
                          * np.maximum(n @ h, 0.0) ** mat.shininess)
-            persp = perspective_shading(g[:, 0], g[:, 1], 0.0, 0.0, li, mat, f)
+            [persp] = perspective_shading(g[:, 0], g[:, 1], 0.0, 0.0, [li], mat, f)
             worst = max(worst, np.abs(persp - reference).max())
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_lights_shaded_together_match_lights_shaded_alone(clamp):
+    # One call shares the pixels' geometry across its lights; each light's
+    # shading and slopes must keep the bits of a call with that light alone.
+    rng = np.random.default_rng(8)
+    g = rng.uniform(-2.0, 2.0, size=(2, 500))
+    x, y = rng.uniform(-0.3, 0.3, size=(2, 500))
+    lights = [LightSource(np.array(d), 1.2, 0.9)
+              for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0))]
+    for mat in (Material(k_d=0.5, k_s=0.5, shininess=150.0), Material(k_d=0.7)):
+        for derivatives in (False, True):
+            together = list(perspective_shading(g[0], g[1], x, y, lights, mat, 2.5,
+                                                clamp=clamp, derivatives=derivatives))
+            assert len(together) == 3
+            for li, shaded in zip(lights, together):
+                [alone] = perspective_shading(g[0], g[1], x, y, [li], mat, 2.5,
+                                              clamp=clamp, derivatives=derivatives)
+                assert np.array_equal(np.asarray(shaded), np.asarray(alone))
 
 
 def test_orthographic_render_rejects_a_back_facing_normal():

@@ -331,8 +331,8 @@ def _shading_model(x, y, lights, mat, intr, clamp=False):
     """Per-light shading and its derivatives: unclamped as bp-pps fits it,
     clamped as the renderer draws it."""
     def shade(v, derivatives=False):
-        return [perspective_shading(v[0], v[1], x, y, li, mat, intr.focal_length,
-                                    clamp=clamp, derivatives=derivatives) for li in lights]
+        return list(perspective_shading(v[0], v[1], x, y, lights, mat, intr.focal_length,
+                                        clamp=clamp, derivatives=derivatives))
 
     residual = lambda v: np.array(shade(v))
     jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
@@ -381,7 +381,7 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
     images, lights, intr, _, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
     f = intr.focal_length
-    intensities = np.stack([img.data.ravel() for img in images], axis=1)
+    intensities = np.stack([img.data.ravel() for img in images])
     rng = np.random.default_rng(6)
     idx = rng.integers(0, 256, size=64)
 
@@ -398,9 +398,9 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         assert lobe_off.sum() >= 3
 
         model = _ShadingModel(x, y, intensities, lights, mat, focal)
-        res, jac = model.residuals_and_jacobian(grads, idx)
-        assert jac.shape == (64, 3, 2)
-        assert np.array_equal(res, model.residuals(grads, idx))
+        res, jac = model.residuals_and_jacobian(grads.T, idx)
+        assert jac.shape == (2, 3, 64)
+        assert np.array_equal(res, model.residuals(grads.T, idx))
 
 
 def acceptance_sphere():
@@ -464,6 +464,37 @@ def test_ortho_solve_fits_with_the_zero_start_retry(monkeypatch):
     assert calls == [{"problems": 9388, "residual": 9388, "fused": 62380},
                      {"problems": 2900, "residual": 2900, "fused": 52655}]
     assert est.mask.sum() == 9352
+
+
+@pytest.mark.parametrize("method", ["bp-pps", "bp-ppn"])
+def test_batch_composition_does_not_change_a_pixels_fit(method):
+    # Every problem of an LM batch follows its own path: fitting a seeded,
+    # shuffled fifth of the acceptance sphere's pixels gives those pixels
+    # the bits of the fit of all of them, for bp-pps's model at the pixels'
+    # points and bp-ppn's at the principal point with f = 1.
+    images, lights, material, intr, mask = acceptance_sphere()
+    mask &= input_mask(images)
+    pix, intensities = solve._pixels([img.data for img in images], mask)
+    if method == "bp-pps":
+        init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
+        X, Y = pixel_grid(128, 128, intr)
+        model = _ShadingModel(X[pix], Y[pix], intensities, lights, material,
+                              intr.focal_length)
+        x0 = np.stack([init.gx[pix], init.gy[pix]], axis=1)
+    else:
+        n0 = woodham_normals(images, lights, mask=mask)[0].n[pix]
+        zeros = np.zeros(len(n0))
+        model = _ShadingModel(zeros, zeros, intensities, lights, material, 1.0)
+        x0 = n0[:, :2] / np.abs(n0[:, 2:])
+    sub = np.random.default_rng(21).permutation(len(x0))[:len(x0) // 5]
+
+    full = optim.levenberg_marquardt_batch(model.residuals, model.residuals_and_jacobian, x0)
+    part = optim.levenberg_marquardt_batch(
+        lambda x, idx: model.residuals(x, sub[idx]),
+        lambda x, idx: model.residuals_and_jacobian(x, sub[idx]), x0[sub])
+    assert full[2][sub].sum() > 1000
+    for whole, alone in zip(full, part):
+        assert np.array_equal(whole[sub], alone)
 
 
 def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_path):
