@@ -26,24 +26,32 @@ of two methods, chosen by the number of unknowns:
   residual and normalized eigenvalues; CG's recurrences and stopping test
   stay in double, as an inexact preconditioner only changes the iteration
   count (Golub & Ye, SIAM J. Sci. Comput. 1999).  On a large compact mask
-  the LU factor fills in faster than CG's iterations grow.
+  the LU factor fills in faster than CG's iterations grow.  The full-frame
+  solve cannot see the mask's edge, so the band of masked pixels within
+  BAND_WIDTH of an off-mask pixel (the limb, every hole and every small
+  island) is solved exactly around it, in a symmetric two-level Schwarz
+  form (Toselli & Widlund, Domain Decomposition Methods, 2005); the band's
+  block is factorized once, as in the direct method, unless it holds more
+  than DIRECT_MAX_UNKNOWNS pixels.
 
 Median seconds per solve on the benchmark's spheres, range over two sets of
 seven solves (2-core Xeon, numpy 2.4.6, scipy 1.17.1), "noisy" with
-sigma = 1e-3 sensor noise:
+sigma = 1e-3 sensor noise, "clean" without.  CG is shown with the
+full-frame preconditioner alone -> with the band solved around it; the
+noisy masks lie wholly in their band, and the 384^2 one is over the limit:
 
-    mask          unknowns   components   CG            direct
-    noisy 256^2   24,111     465          0.32-0.35     0.04
-    noisy 384^2   54,703     887          0.70-0.80     0.08-0.11
-    clean 128^2    8,931       7          0.014-0.020   0.016-0.023
-    clean 256^2   35,604      23          0.07-0.10     0.11-0.14
-    clean 512^2  142,520      67          0.44          0.61-0.67
+    mask        unknowns components    band  CG iterations CG s                    direct s
+    noisy 256^2   24,111        465  24,111  205 -> 1      0.148-0.150 -> 0.025    0.020-0.021
+    noisy 384^2   54,703        887  54,703  222           0.354-0.360             0.050-0.052
+    clean 128^2    8,931          7   2,843  36 -> 10      0.0085-0.0086 -> 0.0083 0.0102-0.0103
+    clean 256^2   35,604         23   6,427  51 -> 13      0.043-0.044 -> 0.027    0.057-0.058
+    clean 512^2  142,520         67  14,531  75 -> 17      0.268 -> 0.118-0.121    0.33-0.35
 
 Fragmentation, not size alone, sets the crossover.  The limit sends every
-fragmented mask up to 2^15 pixels to the factorization, at the cost of a few
-milliseconds on a compact mask of ~9k pixels (clean 128^2: 2 to 8 ms over
-repeated runs), and keeps CG where its factor would fill in.  Each
-component's mean is removed once, from the solution; an isolated pixel is 0.
+fragmented mask up to 2^15 pixels to the factorization, at the cost of ~2 ms
+on a compact mask of ~9k pixels (clean 128^2), and keeps CG where its factor
+would fill in.  Each component's mean is removed once, from the solution; an
+isolated pixel is 0.
 """
 
 from __future__ import annotations
@@ -59,13 +67,16 @@ from .core import DepthMap, GradientField, NumericalError, mse, normalize_unit_r
 # conjugate gradients, which integrate masks of more than DIRECT_MAX_UNKNOWNS
 # pixels, stop at this residual norm relative to the right-hand side, or fail
 # after CG_MAX_ITER iterations; preconditioned solves that converge take a few
-# hundred at most (205 on a 24k-pixel mask in 465 pieces, which is why such
-# masks are factorized instead; 74 on the compact 142.5k-pixel 512^2 disc)
+# hundred at most (222 on a 55k-pixel mask in 887 pieces, whose band is over
+# the limit; 17 on the 142.5k-pixel 512^2 disc with its holes)
 CG_RTOL = 1e-10
 CG_MAX_ITER = 2000
 # partial masks of at most this many pixels are integrated by one sparse LU
 # factorization; see the module docstring for the measured crossover
 DIRECT_MAX_UNKNOWNS = 2**15
+# CG's preconditioner solves exactly for the masked pixels that lie within
+# this many pixels of an off-mask pixel, in rows and in columns
+BAND_WIDTH = 4
 
 
 def _divergence(ex, ey, hx, hy):
@@ -126,6 +137,8 @@ def _dct_preconditioner(mask, hx, hy):
         # zero off a partial mask, never a non-zero constant, so S^T L^+ S is
         # symmetric positive definite; CG's null-space drift goes at the end.
         scale = np.abs(r).max()
+        if scale == 0.0:
+            return np.zeros(flat.size)
         grid.fill(0.0)
         frame[flat] = r / scale
         return np.multiply(np.take(_neumann_solve(grid, lam), flat), scale / top,
@@ -188,6 +201,17 @@ def _centered(sol, mask, comp):
     return out
 
 
+def _factorize(a):
+    """SuperLU factorization of a symmetric positive definite CSR matrix.
+    SuperLU takes CSC, which for a symmetric matrix is its transpose's CSR,
+    so a.T is a without a copy.  No pivoting, minimum degree on A + A^T,
+    and small panels and supernodes: SuperLU's default workspace raised
+    glibc's mmap threshold once freed, and the process kept ~9% more
+    resident memory."""
+    return scipy.sparse.linalg.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True}, panel_size=4, relax=1)
+
+
 def _poisson_direct(ex, ey, mask, hx, hy):
     comp = _components(mask)
     a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=True)
@@ -195,14 +219,44 @@ def _poisson_direct(ex, ey, mask, hx, hy):
     # definite.  The right-hand side sums to zero on each component, so a
     # pinned node solves to 0 and the rest match the singular system's
     # solution up to that component's constant, which centering removes.
-    # SuperLU takes CSC, which for a symmetric matrix is its transpose's CSR,
-    # so a.T is a without a copy.  No pivoting, minimum degree on A + A^T,
-    # and small panels and supernodes: SuperLU's default workspace raised
-    # glibc's mmap threshold once freed, and the process kept ~9% more
-    # resident memory.
-    lu = scipy.sparse.linalg.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True}, panel_size=4, relax=1)
-    return _centered(lu.solve(rhs), mask, comp)
+    return _centered(_factorize(a).solve(rhs), mask, comp)
+
+
+def _band_preconditioner(a, mask, comp, hx, hy, precondition):
+    """Wrap the full-frame preconditioner P in an exact solve B on the band
+    of masked pixels within BAND_WIDTH of an off-mask pixel, where P is
+    weakest, in the symmetric two-level form
+
+        z = B r;  z += P (r - A z);  z += B (r - A z).
+
+    B = R^T K^-1 R, where R restricts to the band and K is the band's block
+    of A plus D, which pins one node of each component that lies wholly in
+    the band, as the direct solve does; without it K would be singular.  The
+    whole is R^T K^-1 (K + D) K^-1 R + (I - B A) P (I - A B): both terms are
+    symmetric positive semi-definite and only zero makes both vanish, so it
+    is symmetric positive definite.  A band of more than DIRECT_MAX_UNKNOWNS
+    pixels is not factorized, and P is returned as it is."""
+    near = scipy.ndimage.maximum_filter(~mask, size=2 * BAND_WIDTH + 1, mode="constant")[mask]
+    band = np.flatnonzero(near)
+    if band.size == 0 or band.size > DIRECT_MAX_UNKNOWNS:
+        return precondition
+    rows = a[band]
+    whole = np.bincount(comp, weights=~near) == 0
+    labels, first = np.unique(comp[band], return_index=True)
+    pins = first[whole[labels]]
+    block = rows[:, band] + scipy.sparse.csr_matrix(
+        (np.full(pins.size, 1.0 / (hx * hy)), (pins, pins)), shape=(band.size, band.size))
+    lu = _factorize(block)
+    cols = rows.T
+
+    def two_level(r):
+        y = lu.solve(r[band])
+        z = precondition(r - cols @ y)
+        z[band] += y
+        z[band] += lu.solve(r[band] - rows @ z)
+        return z
+
+    return two_level
 
 
 def _poisson_cg(ex, ey, mask, hx, hy):
@@ -213,6 +267,7 @@ def _poisson_cg(ex, ey, mask, hx, hy):
     comp = _components(mask)
     precondition = _dct_preconditioner(mask, hx, hy)
     a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=False)
+    precondition = _band_preconditioner(a, mask, comp, hx, hy, precondition)
     n = comp.size
     m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
     sol, info = scipy.sparse.linalg.cg(
@@ -255,12 +310,12 @@ def exp_depth(potential, mask=None) -> DepthMap:
     u = np.asarray(potential, dtype=np.float64)
     if mask is None:
         mask = np.ones(u.shape, dtype=bool)
-    big = mask & (np.abs(u) > 700.0)
-    if np.any(big):
-        r, c = np.argwhere(big)[0]
-        raise NumericalError(
-            f"log-depth overflow at pixel (col={c}, row={r}): |value| > 700"
-        )
+    for bad, what in ((~np.isfinite(u), "non-finite log-depth"),
+                      (np.abs(u) > 700.0, "log-depth overflow (|value| > 700)")):
+        bad &= mask
+        if np.any(bad):
+            r, c = np.argwhere(bad)[0]
+            raise NumericalError(f"{what} at pixel (col={c}, row={r}): {u[r, c]:g}")
     z = np.where(mask, np.exp(np.where(mask, u, 0.0)), 0.0)
     return DepthMap(z=z, mask=mask.copy())
 

@@ -354,6 +354,28 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
     assert not (ev / "evaluation.json").exists()
 
 
+def test_reconstruct_exits_2_on_a_non_finite_potential(rendered_sphere, tmp_path, monkeypatch,
+                                                       capsys):
+    """A NaN in the integrated potential is a numerical failure (exit 2)
+    that names the pixel, not an invalid depth map (exit 1)."""
+    import psbp.pipeline
+
+    integrate = psbp.pipeline.poisson_integrate
+
+    def nan_potential(grad, hx, hy):
+        u = integrate(grad, hx, hy)
+        u[tuple(np.argwhere(grad.mask)[0])] = np.nan
+        return u
+
+    monkeypatch.setattr(psbp.pipeline, "poisson_integrate", nan_potential)
+    recon = tmp_path / "recon"
+    cfgp = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 2
+    assert "numerical failure: non-finite log-depth at pixel" in capsys.readouterr().err
+    assert not (recon / "depth.pfm").exists()
+
+
 @pytest.fixture(scope="module")
 def lambert_recon(rendered_sphere, tmp_path_factory):
     """A lambert-pps reconstruction of the rendered sphere (it writes albedo.pfm)."""

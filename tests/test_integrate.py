@@ -8,8 +8,11 @@ import scipy.sparse.linalg
 import psbp.integrate
 from psbp.core import DepthMap, GradientField, NumericalError
 from psbp.integrate import (
+    _band_preconditioner,
+    _components,
     _dct_preconditioner,
     _integrate_edges,
+    _masked_system,
     _poisson_cg,
     _poisson_direct,
     _poisson_dct,
@@ -52,6 +55,41 @@ def count_cg_iterations(monkeypatch):
     return iterations
 
 
+def count_factorizations(monkeypatch):
+    """Route scipy's sparse LU through a recorder; returns one entry per
+    factorization, its number of unknowns."""
+    splu = scipy.sparse.linalg.splu
+    unknowns = []
+
+    def counting_splu(a, *args, **kwargs):
+        unknowns.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return unknowns
+
+
+def band(mask):
+    """The masked pixels within BAND_WIDTH pixels of an off-mask pixel, in
+    rows and in columns, as a frame."""
+    width = 2 * psbp.integrate.BAND_WIDTH + 1
+    return scipy.ndimage.maximum_filter(~mask, size=width, mode="constant") & mask
+
+
+def ragged_holed_disc():
+    """A disc of more than 2^15 pixels with the holes and the ragged limb
+    that bp-pps leaves on a specular sphere: 200 square holes of 2 to 8
+    pixels, and 30% of the pixels of its outer 6-pixel ring removed, which
+    cuts off small islands."""
+    rng = np.random.default_rng(26)
+    rows, cols = np.mgrid[0:256, 0:256]
+    radius = np.hypot(rows - 127.5, cols - 127.5)
+    mask = radius < 120.0
+    for (r, c), k in zip(rng.integers(16, 240, size=(200, 2)), rng.integers(2, 9, size=200)):
+        mask[r:r + k, c:c + k] = False
+    return mask & ~((radius > 114.0) & (rng.random((256, 256)) < 0.3))
+
+
 def test_zero_gradient_integrates_to_zero():
     grad = GradientField(gx=np.zeros((8, 8)), gy=np.zeros((8, 8)))
     u = poisson_integrate(grad)
@@ -91,13 +129,17 @@ def test_projection_property_masked_domain():
     assert np.all(v[~mask] == 0.0)
 
 
-def test_dct_and_cg_agree_on_full_rectangle():
+def test_dct_and_cg_agree_on_full_rectangle(monkeypatch):
+    """A full mask has no band, so CG runs with the full-frame
+    preconditioner alone and factorizes nothing."""
     rng = np.random.default_rng(9)
     u = rng.standard_normal((32, 48))
     ex, ey = edge_gradient(u)
+    factorizations = count_factorizations(monkeypatch)
     v1 = _poisson_dct(ex, ey, 1.0, 1.0)
     v2 = _poisson_cg(ex, ey, np.ones((32, 48), dtype=bool), 1.0, 1.0)
     assert np.abs(v1 - v2).max() < 1e-9
+    assert factorizations == []
 
 
 @pytest.mark.parametrize("u_scale, spacing_scale", [
@@ -185,12 +227,14 @@ def test_mask_of_isolated_pixels_integrates_to_zeros():
         assert np.all(solve(ex, ey, mask, 0.5, 0.25) == 0.0)
 
 
-@pytest.mark.parametrize("removed, cg_calls", [(64, 0), (1, 1)],
+@pytest.mark.parametrize("removed, cg_calls, factorized", [(64, 0, [2**15]), (1, 1, [24])],
                          ids=["at-the-limit", "above-the-limit"])
-def test_masks_up_to_the_direct_limit_skip_cg(monkeypatch, removed, cg_calls):
+def test_masks_up_to_the_direct_limit_skip_cg(monkeypatch, removed, cg_calls, factorized):
     """A partial mask of at most DIRECT_MAX_UNKNOWNS pixels is factorized
-    once and makes no CG call; a larger one makes exactly one.  A 192 x 192
-    frame less a 64 x 64 corner holds 2^15 pixels, less one pixel 36,863."""
+    once and makes no CG call; a larger one makes exactly one, and
+    factorizes only its band.  A 192 x 192 frame less a 64 x 64 corner holds
+    2^15 pixels; less one corner pixel it holds 36,863, and its band is the
+    24 pixels within 4 of that pixel."""
     mask = np.ones((192, 192), dtype=bool)
     mask[:removed, :removed] = False
     assert (np.count_nonzero(mask) <= psbp.integrate.DIRECT_MAX_UNKNOWNS) == (cg_calls == 0)
@@ -198,28 +242,128 @@ def test_masks_up_to_the_direct_limit_skip_cg(monkeypatch, removed, cg_calls):
     ex, ey = edge_gradient(u)
 
     iterations = count_cg_iterations(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
     v = _integrate_edges(ex, ey, mask, 1.0, 1.0)
     assert len(iterations) == cg_calls
+    assert factorizations == factorized
+    assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
+
+
+def test_holed_disc_above_the_direct_limit_converges_in_few_iterations(monkeypatch):
+    """CG with the band solved exactly inside its preconditioner integrates a
+    ragged, holed disc of more than 2^15 pixels in at most 25 iterations,
+    where the full-frame preconditioner alone (BAND_WIDTH 0) needs more than
+    four times as many, and agrees with the factorization of the whole mask.
+    The band is the only factorization CG makes, within the direct limit."""
+    mask = ragged_holed_disc()
+    n = np.count_nonzero(mask)
+    assert n > psbp.integrate.DIRECT_MAX_UNKNOWNS and scipy.ndimage.label(mask)[1] > 50
+    cols, rows = np.meshgrid(np.arange(256.0), np.arange(256.0))
+    u = np.sin((cols - 127.5) * 0.03) * np.cos((rows - 127.5) * 0.02)
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+
+    iterations = count_cg_iterations(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
+    v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
+    assert factorizations == [np.count_nonzero(band(mask))]
+    assert factorizations[0] <= psbp.integrate.DIRECT_MAX_UNKNOWNS
+    assert len(iterations) == 1 and iterations[0] <= 25
+    assert np.abs(v - _poisson_direct(ex, ey, mask, 0.5, 0.25)).max() < 1e-9
+
+    monkeypatch.setattr(psbp.integrate, "BAND_WIDTH", 0)
+    _integrate_edges(ex, ey, mask, 0.5, 0.25)
+    assert len(iterations) == 2 and iterations[1] > 4 * iterations[0]
+
+
+def test_islands_inside_the_band_are_pinned_and_exact_per_component(monkeypatch):
+    """Components that lie wholly in the band (a 4 x 4 and a 3 x 3 island, a
+    2 x 10 strip and an isolated pixel) would make the band's block singular;
+    with one node of each pinned, CG recovers the field minus its mean on
+    every component, beside a disc that reaches out of the band."""
+    n = 128
+    mask = disc_mask(n)
+    mask[50:62, 40:75] = False
+    mask[118:122, 118:122] = True
+    mask[110:113, 2:5] = True
+    mask[2:4, 100:110] = True
+    mask[124, 4] = True
+    labels, count = scipy.ndimage.label(mask)
+    assert count == 5
+    near = band(mask)
+    inside = [k for k in range(1, count + 1) if np.all(near[labels == k])]
+    assert len(inside) == 4
+    u = np.random.default_rng(27).standard_normal((n, n))
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+
+    factorizations = count_factorizations(monkeypatch)
+    v = _poisson_cg(ex, ey, mask, 0.5, 0.25)
+    assert factorizations == [np.count_nonzero(near)]
+    for k in range(1, count + 1):
+        comp = labels == k
+        assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8
+    assert v[124, 4] == 0.0
+    assert np.all(v[~mask] == 0.0)
+
+
+def test_band_over_the_limit_is_not_factorized(monkeypatch):
+    """With the limit lowered to 100 unknowns, the band of a small holed disc
+    exceeds it: CG factorizes nothing, runs with the full-frame
+    preconditioner itself, and still converges to the field."""
+    monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", 100)
+    rng = np.random.default_rng(28)
+    mask = disc_mask(64, 31.5, 28.0)
+    mask[20:24, 30:36] = False
+    assert np.count_nonzero(band(mask)) > 100
+    u = rng.standard_normal(mask.shape)
+    ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
+
+    comp = _components(mask)
+    a, _ = _masked_system(ex, ey, mask, 0.5, 0.25, comp, pin=False)
+    precondition = _dct_preconditioner(mask, 0.5, 0.25)
+    assert _band_preconditioner(a, mask, comp, 0.5, 0.25, precondition) is precondition
+
+    iterations = count_cg_iterations(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
+    v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
+    assert factorizations == [] and len(iterations) == 1
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
 
 
 def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():
-    """The preconditioner is the full-frame cosine-transform solve restricted
+    """The full-frame preconditioner is the cosine-transform solve restricted
     to the mask, S^T L^+ S.  S v is zero off a partial mask, so it is never
     a non-zero constant, the one null vector of L^+: the restricted solve is
     symmetric positive definite on the masked unknowns, and CG needs no mean
-    removal inside it."""
+    removal inside it.  So is the two-level one built around it, with the
+    band solved exactly, whether the band is the whole mask (16 x 16) or
+    leaves an interior (28 x 28, with an island in the band).  Either maps a
+    zero residual to zero."""
     rng = np.random.default_rng(22)
-    mask = holed_disc(rng, 16, 7.5, 0.2)
-    mask[0, 0] = True  # an isolated corner pixel
-    n = np.count_nonzero(mask)
-    assert n <= 200 and scipy.ndimage.label(mask)[1] >= 3
-    precondition = _dct_preconditioner(mask, 0.5, 0.25)
-    p = np.stack([precondition(e) for e in np.eye(n)], axis=1)
-
-    top = np.abs(p).max()
-    assert np.abs(p - p.T).max() < 8 * np.finfo(np.float32).eps * top
-    assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() > 1e-3 * top
+    small = holed_disc(rng, 16, 7.5, 0.2)
+    small[0, 0] = True  # an isolated corner pixel
+    large = disc_mask(28, 13.5, 13.0) & (rng.random((28, 28)) >= 0.02)
+    large[12:15, 8:11] = False  # a hole
+    large[26, 1:3] = True  # an island in the band
+    large[0, 0] = True
+    assert band(small)[small].all()
+    assert band(large)[large].any() and not band(large)[large].all()
+    for mask in (small, large):
+        n = np.count_nonzero(mask)
+        assert n <= 600 and scipy.ndimage.label(mask)[1] >= 3
+        h, w = mask.shape
+        comp = _components(mask)
+        a, _ = _masked_system(np.zeros((h, w - 1)), np.zeros((h - 1, w)), mask, 0.5, 0.25, comp,
+                              pin=False)
+        full_frame = _dct_preconditioner(mask, 0.5, 0.25)
+        two_level = _band_preconditioner(a, mask, comp, 0.5, 0.25, full_frame)
+        assert two_level is not full_frame
+        for precondition in (full_frame, two_level):
+            p = np.stack([precondition(e) for e in np.eye(n)], axis=1)
+            top = np.abs(p).max()
+            assert np.abs(p - p.T).max() < 8 * np.finfo(np.float32).eps * top
+            assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() > 1e-3 * top
+            zeros = precondition(np.zeros(n))
+            assert zeros.shape == (n,) and np.all(zeros == 0.0)
 
 
 def test_smooth_analytic_gradients_default_sampling():
@@ -288,6 +432,20 @@ def test_exp_depth_basic_and_overflow():
     assert "col=1" in str(exc.value) and "row=0" in str(exc.value)
     # masked overflow is ignored
     exp_depth(np.array([[0.0, 800.0]]), mask=np.array([[True, False]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_exp_depth_rejects_a_non_finite_potential(value):
+    """A non-finite potential is a numerical failure named by its first
+    pixel, not a depth map that DepthMap would reject as invalid input; off
+    the mask it is ignored."""
+    u = np.zeros((3, 2))
+    u[1, 0] = u[2, 1] = value
+    with pytest.raises(NumericalError, match=r"non-finite log-depth at pixel \(col=0, row=1\)"):
+        exp_depth(u)
+    mask = np.ones((3, 2), dtype=bool)
+    mask[1, 0] = mask[2, 1] = False
+    assert np.all(exp_depth(u, mask=mask).z[mask] == 1.0)
 
 
 def test_align_depth_recovers_global_scale():
