@@ -159,38 +159,63 @@ def _masked_system(ex, ey, mask, hx, hy, comp, pin):
     """The sparse normal equations +grad^T grad u = rhs on the masked pixels,
     as (symmetric CSR matrix, rhs).  With pin, one node per component gains
     1/(hx hy) on its diagonal; otherwise the matrix is singular once per
-    component."""
+    component.  The matrix is written in CSR order in one pass, with no
+    duplicates to sum: a row holds its pixel's edges to the pixels above and
+    to the left, its diagonal, and its edges to the right and below, where
+    they exist.  An isolated pixel without a pin has an empty row."""
     h, w = mask.shape
     n = comp.size
-    idx = -np.ones((h, w), dtype=np.int64)
-    idx[mask] = np.arange(n)
+    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.int64
+    idx = np.zeros((h, w), dtype=itype)
+    idx[mask] = np.arange(n, dtype=itype)
 
     # an edge exists where both of its pixels lie in the mask; each adds +-g
     # to its two ends, so the right-hand side sums to zero on every component
     okx = mask[:, :-1] & mask[:, 1:]
     oky = mask[:-1, :] & mask[1:, :]
     rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
-    rows, cols, vals = [], [], []
 
-    def add_edges(ok, p_idx, q_idx, step):
-        wgt = 1.0 / (step * step)
-        p = p_idx[ok]
-        q = q_idx[ok]
-        rows.extend([p, q, p, q])
-        cols.extend([p, q, q, p])
-        vals.extend([np.full(p.size, wgt), np.full(p.size, wgt),
-                     np.full(p.size, -wgt), np.full(p.size, -wgt)])
+    # each edge's two ends, listed in mask order (a pixel's right neighbour is
+    # the next masked pixel), and per pixel whether it is such an end
+    left = idx[:, :-1][okx]
+    right = left + 1
+    top = idx[:-1, :][oky]
+    bottom = idx[1:, :][oky]
 
-    add_edges(okx, idx[:, :-1], idx[:, 1:], hx)
-    add_edges(oky, idx[:-1, :], idx[1:, :], hy)
+    def flags(ends):
+        out = np.zeros(n, dtype=bool)
+        out[ends] = True
+        return out
+
+    is_left, is_right, is_top, is_bottom = (flags(e) for e in (left, right, top, bottom))
+    wx, wy = 1.0 / (hx * hx), 1.0 / (hy * hy)
+    # the diagonal adds its pixel's edge weights in turn, as the duplicates
+    # of one entry are summed
+    diag = np.zeros(n)
+    for flag, wgt in ((is_left, wx), (is_right, wx), (is_top, wy), (is_bottom, wy)):
+        np.add(diag, wgt, out=diag, where=flag)
+    on_diag = is_left | is_right | is_top | is_bottom
     if pin:
         pins = np.unique(comp, return_index=True)[1]
-        rows.append(pins)
-        cols.append(pins)
-        vals.append(np.full(pins.size, 1.0 / (hx * hy)))
-    a = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return a, rhs
+        diag[pins] += 1.0 / (hx * hy)
+        on_diag[pins] = True
+    # per row in column order: (which rows hold the entry, its columns and
+    # values in row order)
+    entries = ((is_bottom, top, -wy), (is_right, left, -wx),
+               (on_diag, np.flatnonzero(on_diag), diag[on_diag]),
+               (is_left, right, -wx), (is_top, bottom, -wy))
+
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(sum(flag.astype(itype) for flag, _, _ in entries), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=itype)
+    data = np.empty(indptr[-1])
+    at = indptr[:-1].copy()
+    for flag, cols, vals in entries:
+        put = at[flag]
+        indices[put] = cols
+        data[put] = vals
+        at += flag
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)), rhs
 
 
 def _centered(sol, mask, comp):
@@ -260,10 +285,6 @@ def _band_preconditioner(a, mask, comp, hx, hy, precondition):
 
 
 def _poisson_cg(ex, ey, mask, hx, hy):
-    # The labels and the preconditioner's buffers are allocated before the
-    # matrix: allocated after it, they left the top of the heap free once
-    # the solve returned, and the next 512^2 render paid ~2.5k page faults to
-    # map it again.
     comp = _components(mask)
     precondition = _dct_preconditioner(mask, hx, hy)
     a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=False)

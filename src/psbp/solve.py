@@ -20,9 +20,10 @@ with f = 1, where the perspective shading of the slope (a, b) is the
 orthographic shading of the normal (a, b, 1)/||(a, b, 1)||.  Both take one
 path per pixel set: gather the mask's pixels (_pixels), fit them from the
 Lambertian start with a zero-start retry (_ShadingModel.fit_with_retry),
-and scatter the fitted states back into grids.  bp-pps keeps the pixels
-whose fit converged with a residual norm <= ACCEPT_TOL; bp-ppn keeps every
-converged pixel.
+each attempt in the fewest equal blocks of at most LM_BLOCK pixels so that
+its memory follows the block, not the image, and scatter the fitted states
+back into grids.  bp-pps keeps the pixels whose fit converged with a
+residual norm <= ACCEPT_TOL; bp-ppn keeps every converged pixel.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ SINGULAR_DET_THRESHOLD = 1e-12
 # both Blinn-Phong solvers retry a pixel above it from a zero start.
 ACCEPT_TOL = 1e-3
 INDICATOR_THRESHOLD = 1e-12
+# Both Blinn-Phong solvers fit their pixels in the fewest equal blocks of at
+# most this many, so a fit's memory follows the block, not the image.  The
+# 512^2 specular sphere's 144.6k pixels run as three blocks of 48.2k, which
+# peaked at 138 MB resident against 147 MB for blocks of 2^16, 2^16 and
+# 13.6k; blocks of 2^15 split the 256^2 noisy sphere's 55k pixels in two, and
+# each half's slow LM tail made its solve 8% slower.
+LM_BLOCK = 2**16
 
 
 @dataclass
@@ -298,8 +306,27 @@ class _ShadingModel:
         return f, jac
 
     def fit(self, x0, sub=None):
-        """LM from x0 over the pixels sub (all when None).  Returns
-        (x, residual norm, ok) with ok marking convergence."""
+        """LM from x0 over the pixels sub (all when None), in the fewest
+        equal blocks of at most LM_BLOCK problems, one engine call each, so
+        the engine's memory follows the block, not the image.  A pixel's fit
+        does not depend on the other problems of its call, so the blocks
+        change no bit.  Returns (x, residual norm, ok) with ok marking
+        convergence."""
+        n = len(x0)
+        blocks = -(-n // LM_BLOCK)
+        if blocks <= 1:
+            return self._fit_block(x0, sub)
+        x = np.empty((n, 2))
+        a = np.empty(n)
+        ok = np.empty(n, dtype=bool)
+        bounds = [n * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = np.arange(lo, hi) if sub is None else sub[lo:hi]
+            x[lo:hi], a[lo:hi], ok[lo:hi] = self._fit_block(x0[lo:hi], part)
+        return x, a, ok
+
+    def _fit_block(self, x0, sub):
+        """One engine call from x0 over the pixels sub (all when None)."""
         res, fused = self.residuals, self.residuals_and_jacobian
         if sub is not None:
             res = lambda x, idx: self.residuals(x, sub[idx])

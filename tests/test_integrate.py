@@ -1,8 +1,11 @@
 """Poisson integration of gradient fields and depth alignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage
+import scipy.sparse
 import scipy.sparse.linalg
 
 import psbp.integrate
@@ -11,6 +14,7 @@ from psbp.integrate import (
     _band_preconditioner,
     _components,
     _dct_preconditioner,
+    _divergence,
     _integrate_edges,
     _masked_system,
     _poisson_cg,
@@ -327,6 +331,79 @@ def test_band_over_the_limit_is_not_factorized(monkeypatch):
     v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
     assert factorizations == [] and len(iterations) == 1
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
+
+
+def quadruple_system(ex, ey, mask, hx, hy, comp, pin):
+    """The reference assembly of _masked_system: four COO entries per edge,
+    (p, p), (q, q), (p, q) and (q, p), and one per pin, summed as
+    duplicates into CSR."""
+    h, w = mask.shape
+    n = comp.size
+    idx = -np.ones((h, w), dtype=np.int64)
+    idx[mask] = np.arange(n)
+    okx = mask[:, :-1] & mask[:, 1:]
+    oky = mask[:-1, :] & mask[1:, :]
+    rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
+    rows, cols, vals = [], [], []
+    for ok, p_idx, q_idx, step in ((okx, idx[:, :-1], idx[:, 1:], hx),
+                                   (oky, idx[:-1, :], idx[1:, :], hy)):
+        wgt = 1.0 / (step * step)
+        p = p_idx[ok]
+        q = q_idx[ok]
+        rows.extend([p, q, p, q])
+        cols.extend([p, q, q, p])
+        vals.extend([np.full(p.size, wgt), np.full(p.size, wgt),
+                     np.full(p.size, -wgt), np.full(p.size, -wgt)])
+    if pin:
+        pins = np.unique(comp, return_index=True)[1]
+        rows.append(pins)
+        cols.append(pins)
+        vals.append(np.full(pins.size, 1.0 / (hx * hy)))
+    a = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return a, rhs
+
+
+@pytest.mark.parametrize("pin", [False, True])
+@pytest.mark.parametrize("hx, hy, ulps", [(0.5, 0.5, 0), (0.0046875, 0.0046875, 0),
+                                          (0.3, 0.7, 1), (1e-3, 3e-3, 1)])
+def test_masked_system_matches_the_quadruple_assembly(pin, hx, hy, ulps):
+    """The one-pass assembly has the reference's structure with no stored
+    zero, though the ragged disc has isolated pixels, and its right-hand
+    side.  Its entries keep their bits at equal spacings; at unequal ones the
+    diagonal's summation order may differ, by at most one ulp."""
+    mask = ragged_holed_disc()
+    comp = _components(mask)
+    assert np.any(np.bincount(comp) == 1)
+    rng = np.random.default_rng(27)
+    ex = rng.standard_normal((256, 255))
+    ey = rng.standard_normal((255, 256))
+    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin)
+    ref, ref_rhs = quadruple_system(ex, ey, mask, hx, hy, comp, pin)
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.all(a.data != 0.0)
+    assert np.all(np.abs(a.data - ref.data) <= ulps * np.spacing(np.abs(ref.data)))
+    assert np.array_equal(rhs, ref_rhs)
+
+
+def test_masked_system_peaks_below_the_quadruple_assembly():
+    """Assembled in one pass with no duplicates, the matrix of the ragged
+    disc peaks at most 0.75x of the reference assembly's traced heap (0.29x
+    measured); numpy reports its buffers to tracemalloc, so both are exact."""
+    mask = ragged_holed_disc()
+    comp = _components(mask)
+    ex, ey = np.zeros((256, 255)), np.zeros((255, 256))
+    peaks = []
+    for assemble in (_masked_system, quadruple_system):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assemble(ex, ey, mask, 0.5, 0.5, comp, pin=True)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.75 * peaks[1]
 
 
 def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():

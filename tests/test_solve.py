@@ -2,6 +2,7 @@
 
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,69 @@ def test_batch_composition_does_not_change_a_pixels_fit(method):
     assert full[2][sub].sum() > 1000
     for whole, alone in zip(full, part):
         assert np.array_equal(whole[sub], alone)
+
+
+def test_blocks_keep_every_bit(monkeypatch):
+    # Both solvers fit in the fewest equal blocks of at most LM_BLOCK
+    # problems, one LM call each.  With blocks of at most 1,000 the
+    # acceptance sphere's first attempt runs in 10 equal parts of its 9,388
+    # pixels, the retry in its own blocks, and every output keeps the bits
+    # of one call per attempt, with the same model rows.
+    images, lights, material, intr, mask = acceptance_sphere()
+    mask &= input_mask(images)
+    solvers = {"bp-pps": lambda: blinn_phong_pps_solve(images, lights, material, intr, mask=mask),
+               "bp-ppn": lambda: blinn_phong_ortho_solve(images, lights, material, mask=mask)}
+    whole = {method: solver() for method, solver in solvers.items()}
+    monkeypatch.setattr(solve, "LM_BLOCK", 1000)
+    calls = count_lm_rows(monkeypatch)
+    fused = {}
+    for method, solver in solvers.items():
+        calls.clear()
+        blocked = solver()
+        for name, value in vars(whole[method]).items():
+            assert np.array_equal(getattr(blocked, name), value), (method, name)
+        first = [c["problems"] for c in calls[:10]]
+        assert sum(first) == 9388 and max(first) - min(first) <= 1
+        assert max(c["problems"] for c in calls) <= 1000
+        assert all(c["residual"] == c["problems"] for c in calls)
+        fused[method] = (sum(c["fused"] for c in calls[:10]), sum(c["fused"] for c in calls[10:]))
+    assert sum(fused["bp-pps"]) == 56869
+    assert fused["bp-ppn"] == (62380, 52655)
+
+
+def traced_peak(call):
+    """The largest heap tracemalloc sees during call(), above the heap at its
+    start; numpy reports its buffers to tracemalloc, so this is exact."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_follows_the_block(monkeypatch):
+    # Four blocks' worth of problems, the same 1,500 pixels from the middle
+    # of the acceptance sphere four times over, fit in at most 1.5x the
+    # traced heap of one block's worth (1.28x measured); a single LM call
+    # over all of them would need about 4x.
+    images, lights, material, intr, mask = acceptance_sphere()
+    mask &= input_mask(images)
+    pix, intensities = solve._pixels([img.data for img in images], mask)
+    init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
+    X, Y = pixel_grid(128, 128, intr)
+    block = 1500
+    monkeypatch.setattr(solve, "LM_BLOCK", block)
+    peaks = []
+    for copies in (1, 4):
+        def tiled(a):
+            return np.tile(a[..., 4000:4000 + block], copies)
+        model = _ShadingModel(tiled(X[pix]), tiled(Y[pix]), tiled(intensities), lights,
+                              material, intr.focal_length)
+        x0 = np.stack([tiled(init.gx[pix]), tiled(init.gy[pix])], axis=1)
+        peaks.append(traced_peak(lambda: model.fit(x0)))
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_path):
