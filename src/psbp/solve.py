@@ -15,7 +15,8 @@ Four per-pixel solvers are provided:
 plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
 solvers fit one residual model, _ShadingModel: the absolute residuals
 I_k - R_k of the three images, shaded by render.perspective_shading as the
-renderers shade them.  bp-ppn builds it at the principal point x = y = 0
+renderers shade them, handed to the LM engine as their squared norm and
+normal equations.  bp-ppn builds it at the principal point x = y = 0
 with f = 1, where the perspective shading of the slope (a, b) is the
 orthographic shading of the normal (a, b, 1)/||(a, b, 1)||.  Both take one
 path per pixel set: gather the mask's pixels (_pixels), fit them from the
@@ -246,19 +247,25 @@ def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> Cond
     )
 
 
+def _squared_norms(f):
+    """|f|^2 of the residuals f (3, k), in the order einsum adds a row of three."""
+    return (f[0] * f[0] + f[2] * f[2]) + f[1] * f[1]
+
+
 class _ShadingModel:
-    """Batched absolute shading residuals I_k - R_k of the three lights over
-    a set of pixels, for the LM engine: residuals alone for its start, and
-    residuals with their Jacobian from one shading pass for each step (the
-    engine's fused callback).  The states are log-depth gradients at image
+    """Batched absolute shading residuals f_k = I_k - R_k of the three lights
+    over a set of pixels, and the LM engine's callbacks: the cost |f|^2 for
+    its start, and for each step the cost with J^T f and J^T J, J = -dR,
+    from one shading pass.  The states are log-depth gradients at image
     points (x, y): bp-pps's at the pixels' points, bp-ppn's at the principal
     point with f = 1.  Like the engine, the callbacks work component-major:
-    at states x (2, k) of the pixels idx they return the residuals f (3, k),
-    one row per light, and the Jacobian (2, 3, k), one (3, k) block per
-    gradient component.  One render.perspective_shading call shades all
-    three lights, sharing the pixels' geometry, as the renderers shade them
-    but with the diffuse cosine left unclamped so the residual stays smooth;
-    its rows are written into f and J in place."""
+    at states x (2, k) of the pixels idx they return one row per light or
+    component, the pixels along the last axis.  One render.perspective_shading
+    call shades all three lights, sharing the pixels' geometry, as the
+    renderers shade them but with the diffuse cosine left unclamped so the
+    residual stays smooth.  No Jacobian is held: the sums are added light by
+    light, in the order numpy's einsum adds them over row-major (k, 3)
+    residuals and (k, 3, 2) Jacobians, so they keep its bits."""
 
     def __init__(self, x, y, intensities, lights, material: Material, focal_length):
         self.x = x
@@ -290,20 +297,34 @@ class _ShadingModel:
             row -= shade
         return f
 
-    def residuals_and_jacobian(self, x, idx):
+    def cost(self, x, idx):
+        return _squared_norms(self.residuals(x, idx))
+
+    def normal_equations(self, x, idx):
+        """(cost (k,), J^T f (2, k), J^T J packed as (H00, H01, H11) (3, k))."""
         f = np.take(self.I, idx, axis=1)
-        jac = np.empty((2,) + f.shape)
+        grad = np.empty((2,) + f.shape[1:])
+        hess = np.empty((3,) + f.shape[1:])
         per_light = self.shading(x, idx, True)
         for k in range(len(f)):
             # a light's rows are freed before the next light is shaded, which
             # keeps the step's peak heap down: a larger peak is given back to
             # the system and faulted in again on every step
-            shade, dgx, dgy = next(per_light)
+            shade, j0, j1 = next(per_light)
             f[k] -= shade
-            np.negative(dgx, out=jac[0, k])
-            np.negative(dgy, out=jac[1, k])
-            del shade, dgx, dgy
-        return f, jac
+            # J = -dR is negated before the products, and each sum starts
+            # from its first product: negating a finished sum, or starting
+            # from zero, would flip the sign of an exact zero
+            np.negative(j0, out=j0)
+            np.negative(j1, out=j1)
+            for out, a, b in ((grad[0], j0, f[k]), (grad[1], j1, f[k]),
+                              (hess[0], j0, j0), (hess[1], j0, j1), (hess[2], j1, j1)):
+                if k == 0:
+                    np.multiply(a, b, out=out)
+                else:
+                    out += a * b
+            del shade, j0, j1
+        return _squared_norms(f), grad, hess
 
     def fit(self, x0, sub=None):
         """LM from x0 over the pixels sub (all when None), in the fewest
@@ -327,11 +348,11 @@ class _ShadingModel:
 
     def _fit_block(self, x0, sub):
         """One engine call from x0 over the pixels sub (all when None)."""
-        res, fused = self.residuals, self.residuals_and_jacobian
+        cost, normal_equations = self.cost, self.normal_equations
         if sub is not None:
-            res = lambda x, idx: self.residuals(x, sub[idx])
-            fused = lambda x, idx: self.residuals_and_jacobian(x, sub[idx])
-        x, a, conv, fail = levenberg_marquardt_batch(res, fused, x0)
+            cost = lambda x, idx: self.cost(x, sub[idx])
+            normal_equations = lambda x, idx: self.normal_equations(x, sub[idx])
+        x, a, conv, fail = levenberg_marquardt_batch(cost, normal_equations, x0)
         return x, a, conv & ~fail
 
     def fit_with_retry(self, x0):

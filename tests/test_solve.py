@@ -374,9 +374,13 @@ def test_residual_jacobian_matches_finite_differences():
 
 
 def test_fused_residuals_equal_residuals_bit_for_bit():
-    # The LM engine takes a problem's first residuals from residuals and every
-    # later one from residuals_and_jacobian, so the two must agree to the bit,
-    # also at states where some light's specular lobe is off (u <= 0).  Both
+    # The LM engine takes a problem's first cost from cost and every later
+    # one from normal_equations, the fused callback that shades each step
+    # once, so the two costs must agree to the bit.  normal_equations hands
+    # the engine |f|^2, J^T f and J^T J, J = -dR, summed light by light; they
+    # must keep the bits of numpy's einsum over the row-major residuals
+    # (k, 3) and Jacobians (k, 3, 2) of perspective_shading, also at states
+    # where some light's specular lobe is off (u <= 0).  Both
     # models are checked: bp-pps's at the pixels' image points, and bp-ppn's
     # at the principal point x = y = 0 with f = 1.
     images, lights, intr, _, mat = specular_plane_scene()
@@ -398,10 +402,18 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         lobe_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
         assert lobe_off.sum() >= 3
 
+        shaded = list(perspective_shading(grads[:, 0], grads[:, 1], xi, yi, lights, mat, focal,
+                                          clamp=False, derivatives=True))
+        res = intensities[:, idx].T - np.stack([s[0] for s in shaded], axis=1)
+        jac = -np.stack([np.stack(s[1:], axis=1) for s in shaded], axis=1)
+        hess = np.einsum("nmp,nmq->npq", jac, jac)
+
         model = _ShadingModel(x, y, intensities, lights, mat, focal)
-        res, jac = model.residuals_and_jacobian(grads.T, idx)
-        assert jac.shape == (2, 3, 64)
-        assert np.array_equal(res, model.residuals(grads.T, idx))
+        cost, grad, packed = model.normal_equations(grads.T, idx)
+        assert np.array_equal(cost, np.einsum("nm,nm->n", res, res))
+        assert np.array_equal(grad, np.einsum("nmp,nm->np", jac, res).T)
+        assert np.array_equal(packed, np.stack([hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]]))
+        assert np.array_equal(cost, model.cost(grads.T, idx))
 
 
 def acceptance_sphere():
@@ -419,23 +431,24 @@ def acceptance_sphere():
 
 def count_lm_rows(monkeypatch):
     """Route the solver's LM calls through a counter; returns the list that
-    gets one {"problems", "residual", "fused"} row count per call."""
+    gets one {"problems", "cost", "normal"} row count per call: the rows of
+    its cost and normal_equations callbacks."""
     calls = []
     engine = solve.levenberg_marquardt_batch
 
-    def counted(residual, residual_and_jacobian, x0, *args, **kwargs):
-        rows = {"problems": len(x0), "residual": 0, "fused": 0}
+    def counted(cost, normal_equations, x0, *args, **kwargs):
+        rows = {"problems": len(x0), "cost": 0, "normal": 0}
         calls.append(rows)
 
-        def res(x, idx):
-            rows["residual"] += len(idx)
-            return residual(x, idx)
+        def counted_cost(x, idx):
+            rows["cost"] += len(idx)
+            return cost(x, idx)
 
-        def fused(x, idx):
-            rows["fused"] += len(idx)
-            return residual_and_jacobian(x, idx)
+        def counted_normal_equations(x, idx):
+            rows["normal"] += len(idx)
+            return normal_equations(x, idx)
 
-        return engine(res, fused, x0, *args, **kwargs)
+        return engine(counted_cost, counted_normal_equations, x0, *args, **kwargs)
 
     monkeypatch.setattr(solve, "levenberg_marquardt_batch", counted)
     return calls
@@ -443,15 +456,15 @@ def count_lm_rows(monkeypatch):
 
 def test_pps_solve_evaluates_the_model_once_per_lm_step(monkeypatch):
     # The 128x128 acceptance sphere.  Each LM call shades all its problems
-    # once with residuals, then once per step with residuals_and_jacobian;
-    # a second shading pass per step would add about 50k rows.  The 2,616
-    # pixels whose closed-form start already fits exactly get no Jacobian.
+    # once with cost, then once per step with normal_equations; a second
+    # shading pass per step would add about 50k rows.  The 2,616 pixels
+    # whose closed-form start already fits exactly get no normal equations.
     images, lights, material, intr, mask = acceptance_sphere()
     calls = count_lm_rows(monkeypatch)
     blinn_phong_pps_solve(images, lights, material, intr, mask=mask & input_mask(images))
     assert [c["problems"] for c in calls] == [9388, 288]
-    assert all(c["residual"] == c["problems"] for c in calls)
-    assert sum(c["fused"] for c in calls) == 56869
+    assert all(c["cost"] == c["problems"] for c in calls)
+    assert sum(c["normal"] for c in calls) == 56869
 
 
 def test_ortho_solve_fits_with_the_zero_start_retry(monkeypatch):
@@ -462,8 +475,8 @@ def test_ortho_solve_fits_with_the_zero_start_retry(monkeypatch):
     images, lights, material, intr, mask = acceptance_sphere()
     calls = count_lm_rows(monkeypatch)
     est = blinn_phong_ortho_solve(images, lights, material, mask=mask & input_mask(images))
-    assert calls == [{"problems": 9388, "residual": 9388, "fused": 62380},
-                     {"problems": 2900, "residual": 2900, "fused": 52655}]
+    assert calls == [{"problems": 9388, "cost": 9388, "normal": 62380},
+                     {"problems": 2900, "cost": 2900, "normal": 52655}]
     assert est.mask.sum() == 9352
 
 
@@ -489,10 +502,10 @@ def test_batch_composition_does_not_change_a_pixels_fit(method):
         x0 = n0[:, :2] / np.abs(n0[:, 2:])
     sub = np.random.default_rng(21).permutation(len(x0))[:len(x0) // 5]
 
-    full = optim.levenberg_marquardt_batch(model.residuals, model.residuals_and_jacobian, x0)
+    full = optim.levenberg_marquardt_batch(model.cost, model.normal_equations, x0)
     part = optim.levenberg_marquardt_batch(
-        lambda x, idx: model.residuals(x, sub[idx]),
-        lambda x, idx: model.residuals_and_jacobian(x, sub[idx]), x0[sub])
+        lambda x, idx: model.cost(x, sub[idx]),
+        lambda x, idx: model.normal_equations(x, sub[idx]), x0[sub])
     assert full[2][sub].sum() > 1000
     for whole, alone in zip(full, part):
         assert np.array_equal(whole[sub], alone)
@@ -511,7 +524,7 @@ def test_blocks_keep_every_bit(monkeypatch):
     whole = {method: solver() for method, solver in solvers.items()}
     monkeypatch.setattr(solve, "LM_BLOCK", 1000)
     calls = count_lm_rows(monkeypatch)
-    fused = {}
+    normal = {}
     for method, solver in solvers.items():
         calls.clear()
         blocked = solver()
@@ -520,10 +533,11 @@ def test_blocks_keep_every_bit(monkeypatch):
         first = [c["problems"] for c in calls[:10]]
         assert sum(first) == 9388 and max(first) - min(first) <= 1
         assert max(c["problems"] for c in calls) <= 1000
-        assert all(c["residual"] == c["problems"] for c in calls)
-        fused[method] = (sum(c["fused"] for c in calls[:10]), sum(c["fused"] for c in calls[10:]))
-    assert sum(fused["bp-pps"]) == 56869
-    assert fused["bp-ppn"] == (62380, 52655)
+        assert all(c["cost"] == c["problems"] for c in calls)
+        normal[method] = (sum(c["normal"] for c in calls[:10]),
+                          sum(c["normal"] for c in calls[10:]))
+    assert sum(normal["bp-pps"]) == 56869
+    assert normal["bp-ppn"] == (62380, 52655)
 
 
 def traced_peak(call):
@@ -578,11 +592,11 @@ def test_pps_solve_cost_stop_keeps_pixels_on_quantized_noise(monkeypatch, tmp_pa
 
     calls = count_lm_rows(monkeypatch)
     est = blinn_phong_pps_solve(loaded, lights, material, intr, mask=mask)
-    rows = sum(c["fused"] for c in calls)
+    rows = sum(c["normal"] for c in calls)
     monkeypatch.setattr(optim, "COST_TOL", 0.0)
     calls.clear()
     full = blinn_phong_pps_solve(loaded, lights, material, intr, mask=mask)
-    rows_full = sum(c["fused"] for c in calls)
+    rows_full = sum(c["normal"] for c in calls)
 
     assert est.mask.sum() > 0.5 * mask.sum()
     assert np.array_equal(est.mask, full.mask)
