@@ -7,38 +7,40 @@ on the right-hand side.  The input gradients are per-pixel, as the solvers
 return them; each edge between two neighbouring pixels of the mask takes the
 mean of its two pixels' gradients.  On the full rectangle a cosine transform
 diagonalizes the operator.  A partial mask is assembled once into the sparse
-normal equations, singular once per 4-connected component, and solved by one
-of two methods, chosen by the number of unknowns:
+normal equations, singular once per 4-connected component, and one block of
+them is factorized by sparse LU (SuperLU), with one node pinned in each
+component that lies wholly inside the block.  The pinned block is symmetric
+positive definite, and its solution differs from the singular system's only
+by a constant per component.  The number of unknowns chooses which pixels
+form the block:
 
-- At most DIRECT_MAX_UNKNOWNS: one sparse LU factorization (SuperLU) with one
-  node per component pinned.  The pinned matrix is symmetric positive
-  definite, and its solution differs from the singular system's only by a
-  constant per component.  A mask full of holes, as a noisy or specular image
-  leaves after bp-pps rejects pixels, has small separators, so its factor
-  stays small; it is also where the full-frame preconditioner below is
-  weakest and CG needs hundreds of iterations.
-- Above it: conjugate gradients preconditioned by the full-rectangle solve
+- At most DIRECT_MAX_UNKNOWNS: the whole mask, and its solve is the answer.
+  A mask full of holes, as a noisy or specular image leaves after bp-pps
+  rejects pixels, has small separators, so its factor stays small; it is
+  also where the full-frame preconditioner below is weakest and CG needs
+  hundreds of iterations.
+- Above it: the band of masked pixels within BAND_WIDTH of an off-mask
+  pixel (the limb, every hole and every small island), solved exactly
+  around the full-frame preconditioner of conjugate gradients in a
+  symmetric two-level Schwarz form (Toselli & Widlund, Domain Decomposition
+  Methods, 2005); a band of more than DIRECT_MAX_UNKNOWNS pixels is not
+  factorized.  The full-frame preconditioner is the full-rectangle solve
   restricted to the mask (Simchony, Chellappa & Shao, PAMI 1990) with no
   projection per iteration: it is symmetric positive definite on a partial
   mask and the right-hand side sums to zero on every component, so CG
   converges on the singular system (Kaasschieter, J. Comput. Appl. Math.
-  1988).  The preconditioner runs in single precision on a normalized
-  residual and normalized eigenvalues; CG's recurrences and stopping test
-  stay in double, as an inexact preconditioner only changes the iteration
-  count (Golub & Ye, SIAM J. Sci. Comput. 1999).  On a large compact mask
-  the LU factor fills in faster than CG's iterations grow.  The full-frame
-  solve cannot see the mask's edge, so the band of masked pixels within
-  BAND_WIDTH of an off-mask pixel (the limb, every hole and every small
-  island) is solved exactly around it, in a symmetric two-level Schwarz
-  form (Toselli & Widlund, Domain Decomposition Methods, 2005); the band's
-  block is factorized once, as in the direct method, unless it holds more
-  than DIRECT_MAX_UNKNOWNS pixels.
+  1988).  It runs in single precision on a normalized residual and
+  normalized eigenvalues; CG's recurrences and stopping test stay in
+  double, as an inexact preconditioner only changes the iteration count
+  (Golub & Ye, SIAM J. Sci. Comput. 1999).  On a large compact mask the
+  LU factor of the whole mask fills in faster than CG's iterations grow.
 
 Median seconds per solve on the benchmark's spheres, range over two sets of
 seven solves (2-core Xeon, numpy 2.4.6, scipy 1.17.1), "noisy" with
-sigma = 1e-3 sensor noise, "clean" without.  CG is shown with the
-full-frame preconditioner alone -> with the band solved around it; the
-noisy masks lie wholly in their band, and the 384^2 one is over the limit:
+sigma = 1e-3 sensor noise, "clean" without.  "direct s" factorizes the
+whole mask; CG is shown with the full-frame preconditioner alone -> with
+the band solved around it.  The noisy masks lie wholly in their band, and
+the 384^2 one is over the limit:
 
     mask        unknowns components    band  CG iterations CG s                    direct s
     noisy 256^2   24,111        465  24,111  205 -> 1      0.148-0.150 -> 0.025    0.020-0.021
@@ -47,11 +49,11 @@ noisy masks lie wholly in their band, and the 384^2 one is over the limit:
     clean 256^2   35,604         23   6,427  51 -> 13      0.043-0.044 -> 0.027    0.057-0.058
     clean 512^2  142,520         67  14,531  75 -> 17      0.268 -> 0.118-0.121    0.33-0.35
 
-Fragmentation, not size alone, sets the crossover.  The limit sends every
-fragmented mask up to 2^15 pixels to the factorization, at the cost of ~2 ms
-on a compact mask of ~9k pixels (clean 128^2), and keeps CG where its factor
-would fill in.  Each component's mean is removed once, from the solution; an
-isolated pixel is 0.
+Fragmentation, not size alone, sets the crossover.  The limit factorizes
+every fragmented mask up to 2^15 pixels whole, at the cost of ~2 ms on a
+compact mask of ~9k pixels (clean 128^2), where CG with its band would be
+faster, and keeps CG where the whole mask's factor would fill in.  Each
+component's mean is removed once, from the solution; an isolated pixel is 0.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ from .core import DepthMap, GradientField, NumericalError, mse, normalize_unit_r
 # the limit; 17 on the 142.5k-pixel 512^2 disc with its holes)
 CG_RTOL = 1e-10
 CG_MAX_ITER = 2000
-# partial masks of at most this many pixels are integrated by one sparse LU
-# factorization; see the module docstring for the measured crossover
+# the block factorized for a partial mask is the whole mask if it has at most
+# this many pixels, and otherwise the band, if that has at most this many;
+# see the module docstring for the measured crossover
 DIRECT_MAX_UNKNOWNS = 2**15
 # CG's preconditioner solves exactly for the masked pixels that lie within
 # this many pixels of an off-mask pixel, in rows and in columns
@@ -155,16 +158,15 @@ def _components(mask):
     return labels[mask] - 1
 
 
-def _masked_system(ex, ey, mask, hx, hy, comp, pin):
+def _masked_system(ex, ey, mask, hx, hy):
     """The sparse normal equations +grad^T grad u = rhs on the masked pixels,
-    as (symmetric CSR matrix, rhs).  With pin, one node per component gains
-    1/(hx hy) on its diagonal; otherwise the matrix is singular once per
-    component.  The matrix is written in CSR order in one pass, with no
-    duplicates to sum: a row holds its pixel's edges to the pixels above and
-    to the left, its diagonal, and its edges to the right and below, where
-    they exist.  An isolated pixel without a pin has an empty row."""
+    as (symmetric CSR matrix, rhs), singular once per component.  The matrix
+    is written in CSR order in one pass, with no duplicates to sum: a row
+    holds its pixel's edges to the pixels above and to the left, its
+    diagonal, and its edges to the right and below, where they exist.  An
+    isolated pixel has an empty row."""
     h, w = mask.shape
-    n = comp.size
+    n = np.count_nonzero(mask)
     itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.int64
     idx = np.zeros((h, w), dtype=itype)
     idx[mask] = np.arange(n, dtype=itype)
@@ -195,10 +197,6 @@ def _masked_system(ex, ey, mask, hx, hy, comp, pin):
     for flag, wgt in ((is_left, wx), (is_right, wx), (is_top, wy), (is_bottom, wy)):
         np.add(diag, wgt, out=diag, where=flag)
     on_diag = is_left | is_right | is_top | is_bottom
-    if pin:
-        pins = np.unique(comp, return_index=True)[1]
-        diag[pins] += 1.0 / (hx * hy)
-        on_diag[pins] = True
     # per row in column order: (which rows hold the entry, its columns and
     # values in row order)
     entries = ((is_bottom, top, -wy), (is_right, left, -wx),
@@ -226,70 +224,66 @@ def _centered(sol, mask, comp):
     return out
 
 
-def _factorize(a):
-    """SuperLU factorization of a symmetric positive definite CSR matrix.
-    SuperLU takes CSC, which for a symmetric matrix is its transpose's CSR,
-    so a.T is a without a copy.  No pivoting, minimum degree on A + A^T,
-    and small panels and supernodes: SuperLU's default workspace raised
-    glibc's mmap threshold once freed, and the process kept ~9% more
-    resident memory."""
-    return scipy.sparse.linalg.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                    options={"SymmetricMode": True}, panel_size=4, relax=1)
+def _poisson_masked(ex, ey, mask, hx, hy):
+    """Integrate a partial mask through its one factorized block (see the
+    module docstring).  On the whole mask the pinned block's solve is the
+    answer: the right-hand side sums to zero on each component, so a pinned
+    node solves to 0 and the rest differ from the singular system's
+    solution by that component's constant, which centering removes.  On
+    the band, CG runs with the exact band solve B = R^T K^-1 R around the
+    full-frame preconditioner P in the symmetric two-level form
 
+        z = B r;  z += P (r - A z);  z += B (r - A z),
 
-def _poisson_direct(ex, ey, mask, hx, hy):
+    where R restricts to the band and K is the band's pinned block.  The
+    whole is R^T K^-1 (K + D) K^-1 R + (I - B A) P (I - A B), D the pins:
+    both terms are symmetric positive semi-definite and only zero makes both
+    vanish, so it is symmetric positive definite.  Without a factorized
+    band, CG runs with P alone."""
     comp = _components(mask)
-    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=True)
-    # With one node per component pinned the matrix is symmetric positive
-    # definite.  The right-hand side sums to zero on each component, so a
-    # pinned node solves to 0 and the rest match the singular system's
-    # solution up to that component's constant, which centering removes.
-    return _centered(_factorize(a).solve(rhs), mask, comp)
-
-
-def _band_preconditioner(a, mask, comp, hx, hy, precondition):
-    """Wrap the full-frame preconditioner P in an exact solve B on the band
-    of masked pixels within BAND_WIDTH of an off-mask pixel, where P is
-    weakest, in the symmetric two-level form
-
-        z = B r;  z += P (r - A z);  z += B (r - A z).
-
-    B = R^T K^-1 R, where R restricts to the band and K is the band's block
-    of A plus D, which pins one node of each component that lies wholly in
-    the band, as the direct solve does; without it K would be singular.  The
-    whole is R^T K^-1 (K + D) K^-1 R + (I - B A) P (I - A B): both terms are
-    symmetric positive semi-definite and only zero makes both vanish, so it
-    is symmetric positive definite.  A band of more than DIRECT_MAX_UNKNOWNS
-    pixels is not factorized, and P is returned as it is."""
-    near = scipy.ndimage.maximum_filter(~mask, size=2 * BAND_WIDTH + 1, mode="constant")[mask]
-    band = np.flatnonzero(near)
-    if band.size == 0 or band.size > DIRECT_MAX_UNKNOWNS:
-        return precondition
-    rows = a[band]
-    whole = np.bincount(comp, weights=~near) == 0
-    labels, first = np.unique(comp[band], return_index=True)
-    pins = first[whole[labels]]
-    block = rows[:, band] + scipy.sparse.csr_matrix(
-        (np.full(pins.size, 1.0 / (hx * hy)), (pins, pins)), shape=(band.size, band.size))
-    lu = _factorize(block)
-    cols = rows.T
-
-    def two_level(r):
-        y = lu.solve(r[band])
-        z = precondition(r - cols @ y)
-        z[band] += y
-        z[band] += lu.solve(r[band] - rows @ z)
-        return z
-
-    return two_level
-
-
-def _poisson_cg(ex, ey, mask, hx, hy):
-    comp = _components(mask)
-    precondition = _dct_preconditioner(mask, hx, hy)
-    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin=False)
-    precondition = _band_preconditioner(a, mask, comp, hx, hy, precondition)
     n = comp.size
+    whole = n <= DIRECT_MAX_UNKNOWNS
+    # on the CG route the full-frame preconditioner's buffers come first:
+    # allocated after the band's factorization, they left the process with
+    # ~2% more resident memory on the 512^2 specular sphere
+    precondition = full_frame = None if whole else _dct_preconditioner(mask, hx, hy)
+    a, rhs = _masked_system(ex, ey, mask, hx, hy)
+    near = (np.ones(n, dtype=bool) if whole else scipy.ndimage.maximum_filter(
+        ~mask, size=2 * BAND_WIDTH + 1, mode="constant")[mask])
+    band = np.flatnonzero(near)
+    factorized = 0 < band.size <= DIRECT_MAX_UNKNOWNS
+    if factorized:
+        rows = None if whole else a[band]
+        # one node of each component that lies wholly in the block is
+        # pinned; without it the block would be singular
+        inside = np.bincount(comp, weights=~near) == 0
+        labels, first = np.unique(comp[band], return_index=True)
+        pins = first[inside[labels]]
+        block = (a if whole else rows[:, band]) + scipy.sparse.csr_matrix(
+            (np.full(pins.size, 1.0 / (hx * hy)), (pins, pins)), shape=(band.size, band.size))
+        if whole:
+            # the singular matrix is not used again; the factorization's
+            # peak holds one matrix
+            del a
+        # SuperLU takes CSC, which for a symmetric matrix is its transpose's
+        # CSR, so block.T is the block without a copy.  No pivoting, minimum
+        # degree on A + A^T, and small panels and supernodes: SuperLU's
+        # default workspace raised glibc's mmap threshold once freed, and the
+        # process kept ~9% more resident memory.
+        lu = scipy.sparse.linalg.splu(block.T, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+                                      panel_size=4, relax=1)
+        if whole:
+            return _centered(lu.solve(rhs), mask, comp)
+        cols = rows.T
+
+        def precondition(r):
+            y = lu.solve(r[band])
+            z = full_frame(r - cols @ y)
+            z[band] += y
+            z[band] += lu.solve(r[band] - rows @ z)
+            return z
+
     m = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition, dtype=np.float64)
     sol, info = scipy.sparse.linalg.cg(
         a, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX_ITER, M=m
@@ -310,9 +304,7 @@ def _integrate_edges(ex, ey, mask, hx, hy):
         u = _poisson_dct(ex, ey, hx, hy)
         u -= np.mean(u[mask])
         return u
-    if np.count_nonzero(mask) <= DIRECT_MAX_UNKNOWNS:
-        return _poisson_direct(ex, ey, mask, hx, hy)
-    return _poisson_cg(ex, ey, mask, hx, hy)
+    return _poisson_masked(ex, ey, mask, hx, hy)
 
 
 def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0):
@@ -327,12 +319,16 @@ def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0):
 
 
 def exp_depth(potential, mask=None) -> DepthMap:
-    """Exponentiate an integrated log-depth potential into a depth map."""
+    """Exponentiate an integrated log-depth potential into a depth map.  The
+    depth is written as float32, so a masked log-depth must lie between the
+    logarithms of float32's smallest normal and largest values."""
     u = np.asarray(potential, dtype=np.float64)
     if mask is None:
         mask = np.ones(u.shape, dtype=bool)
+    lo, hi = np.log([np.finfo(np.float32).tiny, np.finfo(np.float32).max], dtype=np.float64)
     for bad, what in ((~np.isfinite(u), "non-finite log-depth"),
-                      (np.abs(u) > 700.0, "log-depth overflow (|value| > 700)")):
+                      ((u < lo) | (u > hi),
+                       f"log-depth outside float32's range [{lo:.2f}, {hi:.2f}]")):
         bad &= mask
         if np.any(bad):
             r, c = np.argwhere(bad)[0]

@@ -357,23 +357,30 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
 def test_reconstruct_exits_2_on_a_non_finite_potential(rendered_sphere, tmp_path, monkeypatch,
                                                        capsys):
     """A NaN in the integrated potential is a numerical failure (exit 2)
-    that names the pixel, not an invalid depth map (exit 1)."""
+    that names the pixel, not an invalid depth map (exit 1).  So is a
+    log-depth that float32's depth.pfm cannot hold, which would overflow to
+    inf there (100) or flush the depth to zero (-110), not an error of the
+    writer (exit 1) or a zero depth written."""
     import psbp.pipeline
 
     integrate = psbp.pipeline.poisson_integrate
+    for value, what in ((np.nan, "non-finite log-depth"),
+                        (100.0, "log-depth outside float32's range"),
+                        (-110.0, "log-depth outside float32's range")):
 
-    def nan_potential(grad, hx, hy):
-        u = integrate(grad, hx, hy)
-        u[tuple(np.argwhere(grad.mask)[0])] = np.nan
-        return u
+        def bad_potential(grad, hx, hy):
+            u = integrate(grad, hx, hy)
+            u[tuple(np.argwhere(grad.mask)[0])] = value
+            return u
 
-    monkeypatch.setattr(psbp.pipeline, "poisson_integrate", nan_potential)
-    recon = tmp_path / "recon"
-    cfgp = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
-    capsys.readouterr()
-    assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 2
-    assert "numerical failure: non-finite log-depth at pixel" in capsys.readouterr().err
-    assert not (recon / "depth.pfm").exists()
+        monkeypatch.setattr(psbp.pipeline, "poisson_integrate", bad_potential)
+        recon = tmp_path / f"recon{value}"
+        cfgp = reconstruct_payload(rendered_sphere, recon, method="lambert-pps")
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", _write_cfg(tmp_path, cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: {what}" in err and " at pixel (col=" in err
+        assert not (recon / "depth.pfm").exists()
 
 
 @pytest.fixture(scope="module")

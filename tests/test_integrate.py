@@ -11,15 +11,13 @@ import scipy.sparse.linalg
 import psbp.integrate
 from psbp.core import DepthMap, GradientField, NumericalError
 from psbp.integrate import (
-    _band_preconditioner,
+    _centered,
     _components,
-    _dct_preconditioner,
     _divergence,
     _integrate_edges,
     _masked_system,
-    _poisson_cg,
-    _poisson_direct,
     _poisson_dct,
+    _poisson_masked,
     align_depth,
     exp_depth,
     poisson_integrate,
@@ -61,16 +59,35 @@ def count_cg_iterations(monkeypatch):
 
 def count_factorizations(monkeypatch):
     """Route scipy's sparse LU through a recorder; returns one entry per
-    factorization, its number of unknowns."""
+    factorization, (its number of unknowns, its fill L.nnz + U.nnz)."""
     splu = scipy.sparse.linalg.splu
-    unknowns = []
+    factors = []
 
     def counting_splu(a, *args, **kwargs):
-        unknowns.append(a.shape[0])
-        return splu(a, *args, **kwargs)
+        lu = splu(a, *args, **kwargs)
+        factors.append((a.shape[0], lu.L.nnz + lu.U.nnz))
+        return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-    return unknowns
+    return factors
+
+
+def unknowns(factors):
+    return [n for n, _ in factors]
+
+
+def capture_preconditioner(monkeypatch):
+    """Route scipy's CG through a recorder; returns the list that gets the
+    preconditioner of each call."""
+    cg = scipy.sparse.linalg.cg
+    preconditioners = []
+
+    def capturing_cg(a, b, *args, **kwargs):
+        preconditioners.append(kwargs["M"])
+        return cg(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", capturing_cg)
+    return preconditioners
 
 
 def band(mask):
@@ -134,14 +151,16 @@ def test_projection_property_masked_domain():
 
 
 def test_dct_and_cg_agree_on_full_rectangle(monkeypatch):
-    """A full mask has no band, so CG runs with the full-frame
-    preconditioner alone and factorizes nothing."""
+    """A full mask has no band, so with the limit lowered to the band's size
+    CG runs with the full-frame preconditioner alone and factorizes
+    nothing."""
     rng = np.random.default_rng(9)
     u = rng.standard_normal((32, 48))
     ex, ey = edge_gradient(u)
+    monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", 0)
     factorizations = count_factorizations(monkeypatch)
     v1 = _poisson_dct(ex, ey, 1.0, 1.0)
-    v2 = _poisson_cg(ex, ey, np.ones((32, 48), dtype=bool), 1.0, 1.0)
+    v2 = _poisson_masked(ex, ey, np.ones((32, 48), dtype=bool), 1.0, 1.0)
     assert np.abs(v1 - v2).max() < 1e-9
     assert factorizations == []
 
@@ -151,11 +170,12 @@ def test_dct_and_cg_agree_on_full_rectangle(monkeypatch):
 ])
 def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_scale,
                                                                 spacing_scale):
-    """On a mask with several 4-connected components both masked solvers
-    recover the field minus its mean on each component and leave an isolated
-    pixel at 0, at field magnitudes and pixel spacings far outside the
-    single-precision preconditioner's range; the preconditioned CG converges
-    in a few dozen iterations."""
+    """On a mask with several 4-connected components both routes, the whole
+    mask factorized and, with the limit lowered to the band's size, CG with
+    the band solved exactly, recover the field minus its mean on each
+    component and leave an isolated pixel at 0, at field magnitudes and
+    pixel spacings far outside the single-precision preconditioner's range;
+    the preconditioned CG converges in a few dozen iterations."""
     n = 128
     mask = disc_mask(n)
     mask[50:62, 40:75] = False  # rectangular hole
@@ -168,8 +188,9 @@ def test_masked_solve_is_exact_per_component_in_few_iterations(monkeypatch, u_sc
     labels, count = scipy.ndimage.label(mask)
     assert count == 3
     iterations = count_cg_iterations(monkeypatch)
-    for solve in (_poisson_direct, _poisson_cg):
-        v = solve(ex, ey, mask, hx, hy)
+    for limit in (psbp.integrate.DIRECT_MAX_UNKNOWNS, np.count_nonzero(band(mask))):
+        monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", limit)
+        v = _poisson_masked(ex, ey, mask, hx, hy)
         for k in range(1, count + 1):
             comp = labels == k
             assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8 * u_scale
@@ -182,10 +203,12 @@ def test_fragmented_mask_with_isolated_pixels_is_exact_per_component(monkeypatch
     """A disc with 35% of its pixels removed at random splits into 196
     4-connected components, 121 of them isolated pixels: the mask on which
     a preconditioner without per-iteration mean removal puts the most weight
-    in the null space.  Both masked solvers recover the field minus its mean
-    on every component, CG in one call.  The gates come from a preconditioner
-    that removed the component means in every iteration: 246 iterations,
-    worst gap 1.0e-7."""
+    in the null space.  The whole mask's factorization (fill bounded at 1.25x
+    the 50,548 LU entries measured) and, with the limit below the mask's
+    size, CG with that preconditioner alone both recover the field minus its
+    mean on every component, CG in one call.  The gates come from a
+    preconditioner that removed the component means in every iteration: 246
+    iterations, worst gap 1.0e-7."""
     n = 128
     rng = np.random.default_rng(21)
     mask = holed_disc(rng, n, 60.0, 0.35)
@@ -198,37 +221,47 @@ def test_fragmented_mask_with_isolated_pixels_is_exact_per_component(monkeypatch
     assert count == 196 and np.count_nonzero(size == 1) == 121
     mean = np.bincount(comp, weights=u[mask]) / size
     iterations = count_cg_iterations(monkeypatch)
-    for solve in (_poisson_direct, _poisson_cg):
-        v = solve(ex, ey, mask, 0.5, 0.25)
+    factorizations = count_factorizations(monkeypatch)
+    for limit in (comp.size, comp.size - 1):
+        monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", limit)
+        v = _poisson_masked(ex, ey, mask, 0.5, 0.25)
         assert np.abs(v[mask] - (u[mask] - mean[comp])).max() < 1.5e-7
         assert np.all(v[mask][size[comp] == 1] == 0.0)
         assert np.all(v[~mask] == 0.0)
+    assert len(factorizations) == 1 and factorizations[0][0] == comp.size == 7358
+    assert factorizations[0][1] <= 1.25 * 50548
     assert len(iterations) == 1 and iterations[0] <= 260
 
 
-def test_direct_and_cg_agree_on_a_holed_disc():
-    """On a smooth potential, as a surface's log-depth is; on white noise
-    CG's stopping tolerance alone leaves gaps of ~1e-8, which the
-    per-component tests above gate against the true field."""
+def test_direct_and_cg_agree_on_a_holed_disc(monkeypatch):
+    """The whole mask's factorization and, with the limit below the mask's
+    size, CG agree on a smooth potential, as a surface's log-depth is; on
+    white noise CG's stopping tolerance alone leaves gaps of ~1e-8, which
+    the per-component tests above gate against the true field."""
     rng = np.random.default_rng(23)
     mask = holed_disc(rng, 64, 30.0, 0.2)
     cols, rows = np.meshgrid(np.arange(64.0), np.arange(64.0))
     u = np.sin((cols - 31.5) * 0.05) * np.cos((rows - 31.5) * 0.05)
     ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
-    v1 = _poisson_direct(ex, ey, mask, 0.5, 0.25)
-    v2 = _poisson_cg(ex, ey, mask, 0.5, 0.25)
+    iterations = count_cg_iterations(monkeypatch)
+    v1 = _poisson_masked(ex, ey, mask, 0.5, 0.25)
+    monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", np.count_nonzero(mask) - 1)
+    v2 = _poisson_masked(ex, ey, mask, 0.5, 0.25)
+    assert len(iterations) == 1
     assert np.abs(v1 - v2).max() < 1e-9
 
 
-def test_mask_of_isolated_pixels_integrates_to_zeros():
+def test_mask_of_isolated_pixels_integrates_to_zeros(monkeypatch):
     """No edge joins two pixels of a checkerboard mask: every pixel is a
-    component of its own, at 0, whichever masked solver runs."""
+    component of its own, at 0, whether the whole mask is factorized or,
+    with the limit below the mask's size, CG runs."""
     rng = np.random.default_rng(24)
     rows, cols = np.mgrid[0:32, 0:32]
     mask = (rows + cols) % 2 == 0
     ex, ey = rng.standard_normal((32, 31)), rng.standard_normal((31, 32))
-    for solve in (_integrate_edges, _poisson_cg):
-        assert np.all(solve(ex, ey, mask, 0.5, 0.25) == 0.0)
+    for limit in (512, 511):
+        monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", limit)
+        assert np.all(_integrate_edges(ex, ey, mask, 0.5, 0.25) == 0.0)
 
 
 @pytest.mark.parametrize("removed, cg_calls, factorized", [(64, 0, [2**15]), (1, 1, [24])],
@@ -249,7 +282,7 @@ def test_masks_up_to_the_direct_limit_skip_cg(monkeypatch, removed, cg_calls, fa
     factorizations = count_factorizations(monkeypatch)
     v = _integrate_edges(ex, ey, mask, 1.0, 1.0)
     assert len(iterations) == cg_calls
-    assert factorizations == factorized
+    assert unknowns(factorizations) == factorized
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
 
 
@@ -257,8 +290,10 @@ def test_holed_disc_above_the_direct_limit_converges_in_few_iterations(monkeypat
     """CG with the band solved exactly inside its preconditioner integrates a
     ragged, holed disc of more than 2^15 pixels in at most 25 iterations,
     where the full-frame preconditioner alone (BAND_WIDTH 0) needs more than
-    four times as many, and agrees with the factorization of the whole mask.
-    The band is the only factorization CG makes, within the direct limit."""
+    four times as many, and agrees with a direct solve of the reference
+    assembly, pinned, of the whole mask.  The band is the only factorization
+    CG makes, within the direct limit, and its fill is bounded at 1.25x the
+    270,484 LU entries measured."""
     mask = ragged_holed_disc()
     n = np.count_nonzero(mask)
     assert n > psbp.integrate.DIRECT_MAX_UNKNOWNS and scipy.ndimage.label(mask)[1] > 50
@@ -269,10 +304,14 @@ def test_holed_disc_above_the_direct_limit_converges_in_few_iterations(monkeypat
     iterations = count_cg_iterations(monkeypatch)
     factorizations = count_factorizations(monkeypatch)
     v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
-    assert factorizations == [np.count_nonzero(band(mask))]
-    assert factorizations[0] <= psbp.integrate.DIRECT_MAX_UNKNOWNS
+    assert unknowns(factorizations) == [np.count_nonzero(band(mask))] == [20445]
+    assert factorizations[0][0] <= psbp.integrate.DIRECT_MAX_UNKNOWNS
+    assert factorizations[0][1] <= 1.25 * 270484
     assert len(iterations) == 1 and iterations[0] <= 25
-    assert np.abs(v - _poisson_direct(ex, ey, mask, 0.5, 0.25)).max() < 1e-9
+    comp = _components(mask)
+    a, rhs = quadruple_system(ex, ey, mask, 0.5, 0.25, comp, pin=True)
+    ref = _centered(scipy.sparse.linalg.spsolve(a, rhs), mask, comp)
+    assert np.abs(v - ref).max() < 1e-9
 
     monkeypatch.setattr(psbp.integrate, "BAND_WIDTH", 0)
     _integrate_edges(ex, ey, mask, 0.5, 0.25)
@@ -282,8 +321,9 @@ def test_holed_disc_above_the_direct_limit_converges_in_few_iterations(monkeypat
 def test_islands_inside_the_band_are_pinned_and_exact_per_component(monkeypatch):
     """Components that lie wholly in the band (a 4 x 4 and a 3 x 3 island, a
     2 x 10 strip and an isolated pixel) would make the band's block singular;
-    with one node of each pinned, CG recovers the field minus its mean on
-    every component, beside a disc that reaches out of the band."""
+    with one node of each pinned, CG, with the limit lowered to the band's
+    size, recovers the field minus its mean on every component, beside a
+    disc that reaches out of the band."""
     n = 128
     mask = disc_mask(n)
     mask[50:62, 40:75] = False
@@ -299,9 +339,12 @@ def test_islands_inside_the_band_are_pinned_and_exact_per_component(monkeypatch)
     u = np.random.default_rng(27).standard_normal((n, n))
     ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
 
+    monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", np.count_nonzero(near))
+    iterations = count_cg_iterations(monkeypatch)
     factorizations = count_factorizations(monkeypatch)
-    v = _poisson_cg(ex, ey, mask, 0.5, 0.25)
-    assert factorizations == [np.count_nonzero(near)]
+    v = _poisson_masked(ex, ey, mask, 0.5, 0.25)
+    assert unknowns(factorizations) == [np.count_nonzero(near)]
+    assert len(iterations) == 1
     for k in range(1, count + 1):
         comp = labels == k
         assert np.abs(v[comp] - (u[comp] - u[comp].mean())).max() < 1e-8
@@ -321,11 +364,6 @@ def test_band_over_the_limit_is_not_factorized(monkeypatch):
     u = rng.standard_normal(mask.shape)
     ex, ey = edge_gradient(u, hx=0.5, hy=0.25)
 
-    comp = _components(mask)
-    a, _ = _masked_system(ex, ey, mask, 0.5, 0.25, comp, pin=False)
-    precondition = _dct_preconditioner(mask, 0.5, 0.25)
-    assert _band_preconditioner(a, mask, comp, 0.5, 0.25, precondition) is precondition
-
     iterations = count_cg_iterations(monkeypatch)
     factorizations = count_factorizations(monkeypatch)
     v = _integrate_edges(ex, ey, mask, 0.5, 0.25)
@@ -334,9 +372,10 @@ def test_band_over_the_limit_is_not_factorized(monkeypatch):
 
 
 def quadruple_system(ex, ey, mask, hx, hy, comp, pin):
-    """The reference assembly of _masked_system: four COO entries per edge,
-    (p, p), (q, q), (p, q) and (q, p), and one per pin, summed as
-    duplicates into CSR."""
+    """The reference assembly of _masked_system, and with pin of the whole
+    mask's pinned block: four COO entries per edge, (p, p), (q, q), (p, q)
+    and (q, p), and one per pin, the first node of each component, summed
+    as duplicates into CSR."""
     h, w = mask.shape
     n = comp.size
     idx = -np.ones((h, w), dtype=np.int64)
@@ -367,18 +406,34 @@ def quadruple_system(ex, ey, mask, hx, hy, comp, pin):
 @pytest.mark.parametrize("pin", [False, True])
 @pytest.mark.parametrize("hx, hy, ulps", [(0.5, 0.5, 0), (0.0046875, 0.0046875, 0),
                                           (0.3, 0.7, 1), (1e-3, 3e-3, 1)])
-def test_masked_system_matches_the_quadruple_assembly(pin, hx, hy, ulps):
-    """The one-pass assembly has the reference's structure with no stored
-    zero, though the ragged disc has isolated pixels, and its right-hand
-    side.  Its entries keep their bits at equal spacings; at unequal ones the
-    diagonal's summation order may differ, by at most one ulp."""
+def test_masked_system_matches_the_quadruple_assembly(monkeypatch, pin, hx, hy, ulps):
+    """The one-pass assembly, and with pin the block factorized when the
+    whole mask is within the limit, have the reference's structure with no
+    stored zero, though the ragged disc has isolated pixels; the assembly
+    has the reference's right-hand side.  Entries keep their bits at equal
+    spacings; at unequal ones the diagonal's summation order may differ, by
+    at most one ulp."""
     mask = ragged_holed_disc()
     comp = _components(mask)
     assert np.any(np.bincount(comp) == 1)
     rng = np.random.default_rng(27)
     ex = rng.standard_normal((256, 255))
     ey = rng.standard_normal((255, 256))
-    a, rhs = _masked_system(ex, ey, mask, hx, hy, comp, pin)
+    a, rhs = _masked_system(ex, ey, mask, hx, hy)
+    if pin:
+        # splu takes the block's transpose, a CSC view of its CSR arrays
+        splu = scipy.sparse.linalg.splu
+        blocks = []
+
+        def capturing_splu(m, *args, **kwargs):
+            blocks.append(m.T)
+            return splu(m, *args, **kwargs)
+
+        monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", comp.size)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing_splu)
+        _poisson_masked(ex, ey, mask, hx, hy)
+        assert len(blocks) == 1
+        a = blocks[0]
     ref, ref_rhs = quadruple_system(ex, ey, mask, hx, hy, comp, pin)
     assert np.array_equal(a.indptr, ref.indptr)
     assert np.array_equal(a.indices, ref.indices)
@@ -395,26 +450,29 @@ def test_masked_system_peaks_below_the_quadruple_assembly():
     comp = _components(mask)
     ex, ey = np.zeros((256, 255)), np.zeros((255, 256))
     peaks = []
-    for assemble in (_masked_system, quadruple_system):
+    for assemble in (_masked_system,
+                     lambda *args: quadruple_system(*args, comp=comp, pin=False)):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assemble(ex, ey, mask, 0.5, 0.5, comp, pin=True)
+            assemble(ex, ey, mask, 0.5, 0.5)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 0.75 * peaks[1]
 
 
-def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():
+def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask(monkeypatch):
     """The full-frame preconditioner is the cosine-transform solve restricted
     to the mask, S^T L^+ S.  S v is zero off a partial mask, so it is never
     a non-zero constant, the one null vector of L^+: the restricted solve is
     symmetric positive definite on the masked unknowns, and CG needs no mean
-    removal inside it.  So is the two-level one built around it, with the
-    band solved exactly, whether the band is the whole mask (16 x 16) or
-    leaves an interior (28 x 28, with an island in the band).  Either maps a
-    zero residual to zero."""
+    removal inside it.  CG runs with it alone when the limit is below the
+    band's size, whether the band is the whole mask (16 x 16) or leaves an
+    interior (28 x 28, with an island in the band).  So is the two-level one
+    built around it, with the band solved exactly, when the limit is the
+    band's size and below the mask's.  Either maps a zero residual to
+    zero."""
     rng = np.random.default_rng(22)
     small = holed_disc(rng, 16, 7.5, 0.2)
     small[0, 0] = True  # an isolated corner pixel
@@ -424,23 +482,24 @@ def test_preconditioner_is_symmetric_positive_definite_on_a_partial_mask():
     large[0, 0] = True
     assert band(small)[small].all()
     assert band(large)[large].any() and not band(large)[large].all()
-    for mask in (small, large):
+    preconditioners = capture_preconditioner(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
+    for mask, two_level in ((small, False), (large, False), (large, True)):
         n = np.count_nonzero(mask)
         assert n <= 600 and scipy.ndimage.label(mask)[1] >= 3
         h, w = mask.shape
-        comp = _components(mask)
-        a, _ = _masked_system(np.zeros((h, w - 1)), np.zeros((h - 1, w)), mask, 0.5, 0.25, comp,
-                              pin=False)
-        full_frame = _dct_preconditioner(mask, 0.5, 0.25)
-        two_level = _band_preconditioner(a, mask, comp, 0.5, 0.25, full_frame)
-        assert two_level is not full_frame
-        for precondition in (full_frame, two_level):
-            p = np.stack([precondition(e) for e in np.eye(n)], axis=1)
-            top = np.abs(p).max()
-            assert np.abs(p - p.T).max() < 8 * np.finfo(np.float32).eps * top
-            assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() > 1e-3 * top
-            zeros = precondition(np.zeros(n))
-            assert zeros.shape == (n,) and np.all(zeros == 0.0)
+        size = np.count_nonzero(band(mask))
+        monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", size - 1 + two_level)
+        _poisson_masked(np.zeros((h, w - 1)), np.zeros((h - 1, w)), mask, 0.5, 0.25)
+        assert unknowns(factorizations) == ([size] if two_level else [])
+        factorizations.clear()
+        precondition = preconditioners.pop().matvec
+        p = np.stack([precondition(e) for e in np.eye(n)], axis=1)
+        top = np.abs(p).max()
+        assert np.abs(p - p.T).max() < 8 * np.finfo(np.float32).eps * top
+        assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() > 1e-3 * top
+        zeros = precondition(np.zeros(n))
+        assert zeros.shape == (n,) and np.all(zeros == 0.0)
 
 
 def test_smooth_analytic_gradients_default_sampling():
@@ -491,9 +550,10 @@ def test_masked_solve_that_cannot_converge_raises_at_the_iteration_cap(monkeypat
         return cg(a, b, *args, callback=count, **kwargs)
 
     monkeypatch.setattr(psbp.integrate, "CG_RTOL", 0.0)
+    monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", np.count_nonzero(band(mask)))
     monkeypatch.setattr(scipy.sparse.linalg, "cg", counting_cg)
     with pytest.raises(NumericalError, match="did not converge"):
-        _poisson_cg(ex, ey, mask, 1.0, 1.0)
+        _poisson_masked(ex, ey, mask, 1.0, 1.0)
     assert iterations[0] == psbp.integrate.CG_MAX_ITER
 
 
@@ -504,11 +564,18 @@ def test_exp_depth_basic_and_overflow():
     mask = np.array([[True, False], [True, True]])
     d2 = exp_depth(u, mask=mask)
     assert d2.z[0, 1] == 0.0
-    with pytest.raises(NumericalError) as exc:
-        exp_depth(np.array([[0.0, 800.0]]))
-    assert "col=1" in str(exc.value) and "row=0" in str(exc.value)
-    # masked overflow is ignored
-    exp_depth(np.array([[0.0, 800.0]]), mask=np.array([[True, False]]))
+    # depth.pfm is float32: a log-depth of 100 would overflow to inf there,
+    # and one of -110 would flush a masked depth to zero
+    for value in (800.0, 100.0, -110.0):
+        with pytest.raises(NumericalError, match=r"outside float32's range .* \(col=1, row=0\)"):
+            exp_depth(np.array([[0.0, value]]))
+        # masked overflow is ignored
+        exp_depth(np.array([[0.0, value]]), mask=np.array([[True, False]]))
+    # the bounds, ln of float32's smallest normal and largest values, keep a
+    # finite, non-zero float32 depth
+    f32 = np.finfo(np.float32)
+    z = exp_depth(np.log([[float(f32.tiny), float(f32.max)]])).z.astype(np.float32)
+    assert np.all(np.isfinite(z)) and np.all(z > 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

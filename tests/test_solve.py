@@ -416,6 +416,32 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         assert np.array_equal(cost, model.cost(grads.T, idx))
 
 
+def test_normal_equations_keep_the_sign_of_an_exact_zero():
+    # With the intensities set to the model's own shading at the states,
+    # every residual is +0 exactly and J^T f, J = -dR, is a sum of signed
+    # zeros: -0 where all three lights' products are -0.  It must keep the
+    # sign of the ordered sum (J_0 f_0 + J_1 f_1) + J_2 f_2, which
+    # np.array_equal does not see; a sum started from zero, or a negated
+    # finished sum, flips it.
+    _, lights, intr, _, mat = specular_plane_scene()
+    f = intr.focal_length
+    rng = np.random.default_rng(1)
+    k = 1000
+    x, y = rng.uniform(-0.15, 0.15, size=(2, k))
+    states = rng.uniform(-1.0, 1.0, size=(2, k))
+    idx = np.arange(k)
+    shaded = [tuple(a.copy() for a in s) for s in
+              _ShadingModel(x, y, np.zeros((3, k)), lights, mat, f).shading(states, idx, True)]
+    intensities = np.stack([s[0] for s in shaded])
+    cost, grad, _ = _ShadingModel(x, y, intensities, lights, mat, f).normal_equations(states, idx)
+    res = intensities - intensities
+    ref = [(-shaded[0][a] * res[0] + -shaded[1][a] * res[1]) + -shaded[2][a] * res[2]
+           for a in (1, 2)]
+    assert np.all(cost == 0.0) and np.all(grad == 0.0)
+    assert np.array_equal(np.signbit(grad), np.signbit(ref))
+    assert 100 < np.count_nonzero(np.signbit(grad)) < grad.size - 100
+
+
 def acceptance_sphere():
     """The 128x128 acceptance sphere: (images, lights, material, intr, render mask)."""
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
