@@ -6,14 +6,16 @@ x = h_x * (col - delta_x), y = h_y * (row - delta_y); the viewing ray of a
 pixel is t * (x, y, f).  A camera in raw pixel units is the special case
 h_x = h_y = 1, delta_x = delta_y = 0 with f in pixels.  Surface normals
 follow the frontal convention in which a fronto-parallel plane has normal
-(0, 0, 1) and lights have positive third component.
+(0, 0, 1) and lights have positive third component.  Halfway vectors are
+laid out components first, (3, ...), so that the shading reads each
+component as one contiguous array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CameraIntrinsics, GradientField, LightSource, NormalField
+from .core import CameraIntrinsics, GradientField, NormalField
 
 
 def pixel_grid(width, height, intr: CameraIntrinsics):
@@ -24,22 +26,30 @@ def pixel_grid(width, height, intr: CameraIntrinsics):
     return np.meshgrid(xs, ys)
 
 
-def halfway_vector_grid(X, Y, focal_length, light: LightSource):
-    """Unit halfway vectors between the light and the per-pixel view vector
-    (x, y, f)/||(x, y, f)|| over coordinate grids; shape (h, w, 3)."""
-    p = np.sqrt(X * X + Y * Y + focal_length * focal_length)
-    h = np.stack(
-        [
-            light.unit[0] + X / p,
-            light.unit[1] + Y / p,
-            light.unit[2] + focal_length / p,
-        ],
-        axis=-1,
-    )
-    norm = np.linalg.norm(h, axis=-1)
-    if np.any(norm < 1e-12):
-        raise ValueError("degenerate halfway vector: light opposes the view direction")
-    return h / norm[..., None]
+def halfway_vectors(x, y, focal_length, lights):
+    """Unit halfway vectors between each light and the view vector
+    (x, y, f)/||(x, y, f)|| at image points x, y (arrays or scalars).
+
+    Yields one array per light, components first, (3, ...), formed when it
+    is asked for; the view vector is computed once.  Each halfway is
+    normalized by sqrt((h0^2 + h1^2) + h2^2), the order in which
+    np.linalg.norm adds a vector's three squares, so it keeps that norm's
+    bits.  A light opposing the view direction raises ValueError.
+    """
+    p = np.sqrt(x * x + y * y + focal_length * focal_length)
+    view = np.stack(np.broadcast_arrays(x, y, focal_length))
+    view /= p
+    column = (3,) + (1,) * np.ndim(p)
+    for light in lights:
+        h = light.unit.reshape(column) + view
+        norm = h[0] * h[0]
+        norm += h[1] * h[1]
+        norm += h[2] * h[2]
+        norm = np.sqrt(norm)
+        if np.any(norm < 1e-12):
+            raise ValueError("degenerate halfway vector: light opposes the view direction")
+        h /= norm
+        yield h
 
 
 def normals_to_perspective_gradient(normals: NormalField,

@@ -3,16 +3,19 @@
 The Blinn-Phong model is computed in one function, perspective_shading, for
 a sequence of lights at log-depth gradients with normal direction
 m = (f*gx, f*gy, x*gx + y*gy + 1), sharing the per-pixel geometry across the
-lights, and with its derivatives on request.  It serves the perspective
-renderer (one light per call), both Blinn-Phong solvers (bp-pps and bp-ppn,
-all three lights per call) and the reprojection check, and the orthographic
-renderer too: at the principal point x = y = 0 with f = 1 the perspective
-shading of the slope (n1/n3, n2/n3) is the orthographic shading of the
-normal n, so the orthographic renderer requires n3 > 0.  Lambertian
-rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp all dot
-products at zero; intensities are
-k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately exceed
-1 for light intensities above 1.
+lights, and with its derivatives on request.  Each caller shades one pixel
+set with all its lights in one call: both Blinn-Phong solvers (bp-pps and
+bp-ppn) their masked pixels, and render_scene and the reprojection check,
+through shade_pixels, only the pixels of their mask, which they scatter into
+zero frames or score.  A mask that covers the whole frame is indexed with
+..., which gathers nothing.  The one-light perspective renderers shade the
+whole frame.  The orthographic renderer is served too: at the principal
+point x = y = 0 with f = 1 the perspective shading of the slope
+(n1/n3, n2/n3) is the orthographic shading of the normal n, so the
+orthographic renderer requires n3 > 0.  Lambertian rendering is Blinn-Phong
+rendering with k_s = 0.  Renders clamp all dot products at zero;
+intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
+legitimately exceed 1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .core import (
     Material,
     NormalField,
 )
-from .geometry import halfway_vector_grid, pixel_grid
+from .geometry import halfway_vectors, pixel_grid
 
 MODEL_LAMBERTIAN = "lambertian"
 MODEL_BLINN_PHONG = "blinn-phong"
@@ -64,26 +67,26 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length,
     m = (f*gx, f*gy, x*gx + y*gy + 1), and the shading of light L is
     k_d*l_d*m.L/(|m| |L|) + k_s*l_s*max(m.h/|m|, 0)^n about the per-pixel
     halfway vector h of the light and the view ray (x, y, f) (skipped when
-    k_s == 0; halfway may pass precomputed ones, an iterable of one (..., 3)
-    array per light).  The per-pixel geometry, w = x*gx + y*gy + 1, |m| and
+    k_s == 0; halfway may pass precomputed ones, an iterable of one array
+    per light, components first, (3, ...), as geometry.halfway_vectors
+    gives them).  The per-pixel geometry, w = x*gx + y*gy + 1, |m| and
     d|m|/dgx, d|m|/dgy, is computed once per call and shared by every light.
     clamp clamps the diffuse cosine at 0 as a renderer must; left unclamped
     the shading is smooth in the gradient, as a least-squares residual needs.
 
     Yields one entry per light, in order: with derivatives,
     (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
-    alone.  Each light is shaded when its entry is asked for, so a caller
-    that is done with one light's arrays before it asks for the next holds
-    one light's arrays at a time.
+    alone.  Each light is shaded when its entry is asked for, and its
+    halfway vectors are formed then, so a caller that is done with one
+    light's arrays before it asks for the next holds one light's arrays at a
+    time.
     """
     f = focal_length
     specular = material.k_s != 0.0
-    # Halfway vectors first, while few full-size arrays are alive: this keeps
-    # a render's peak memory, and with it its page faults, down.
     if not specular:
         halfway = [None] * len(lights)
     elif halfway is None:
-        halfway = [halfway_vector_grid(x, y, f, li) for li in lights]
+        halfway = halfway_vectors(x, y, f, lights)
     w = x * gx + y * gy + 1.0
     norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
     # dm/dgx = (f, 0, x) and dm/dgy = (0, f, y)
@@ -97,7 +100,7 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length,
         # memory back to the system and faulted it in again on every LM step.
         cosine = f * direction[0] * gx + f * direction[1] * gy + direction[2] * w
         if specular:
-            u = half[..., 0] * f * gx + half[..., 1] * f * gy + half[..., 2] * w
+            u = half[0] * f * gx + half[1] * f * gy + half[2] * w
         cosine /= norm * light.norm
         kd = material.k_d * light.diffuse_intensity
         shading = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
@@ -121,7 +124,7 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length,
                 d = np.where(cosine > 0.0, d, 0.0)
             d *= kd
             if specular:
-                slope = half[..., c] * f + half[..., 2] * coord - u * d_norm
+                slope = half[c] * f + half[2] * coord - u * d_norm
                 slope *= lobe
                 slope /= norm
                 slope += d
@@ -145,11 +148,21 @@ def render_blinn_phong_perspective(
 ) -> Image:
     """Perspective Blinn-Phong: per-pixel view vector (x, y, f)/||.||, halfway
     vector against the light, specular lobe raised to the shininess."""
-    light.require_frontal()
-    X, Y = pixel_grid(grad.width, grad.height, intr)
-    [shading] = perspective_shading(grad.gx, grad.gy, X, Y, [light], material,
-                                    intr.focal_length)
+    [shading] = shade_pixels(grad, ..., [light], material, intr)
     return Image(shading)
+
+
+def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: CameraIntrinsics):
+    """Clamped perspective_shading of the lights at the pixels pix of a
+    gradient field, all lights in one call: the path of the perspective
+    renderers and of the reprojection check.  pix is a boolean mask, or ...
+    for the whole frame, which gathers nothing.  Yields each light's shading
+    at those pixels, in the mask's row-major order."""
+    for light in lights:
+        light.require_frontal()
+    X, Y = pixel_grid(grad.width, grad.height, intr)
+    return perspective_shading(grad.gx[pix], grad.gy[pix], X[pix], Y[pix], lights, material,
+                               intr.focal_length)
 
 
 def make_sphere_depth(
@@ -186,26 +199,24 @@ def make_sphere_depth(
 
 def _masked_difference(values, mask, step, axis):
     """Central difference where both neighbors are valid, one-sided at
-    mask boundaries, invalid where no valid neighbor exists."""
+    mask boundaries, invalid where no valid neighbor exists.  Each case is
+    formed over the whole frame, so values off the mask must be finite."""
     v = np.moveaxis(values, axis, 0)
     m = np.moveaxis(mask, axis, 0)
-    n = v.shape[0]
-    vp = np.roll(v, -1, axis=0)
-    vm = np.roll(v, 1, axis=0)
-    mp = np.roll(m, -1, axis=0)
-    mm = np.roll(m, 1, axis=0)
-    mp[-1] = False
-    mm[0] = False
-
+    # pair[i]: pixels i and i + 1 along the axis are both valid
+    pair = m[1:] & m[:-1]
+    nxt = np.zeros_like(m)
+    nxt[:-1] = pair
+    prv = np.zeros_like(m)
+    prv[1:] = pair
+    # one_sided[i] is the forward difference at i and the backward one at
+    # i + 1; central differences overwrite both where a pixel has both
+    one_sided = (v[1:] - v[:-1]) / step
     out = np.zeros_like(v)
-    central = m & mp & mm
-    fwd = m & mp & ~mm
-    bwd = m & ~mp & mm
-    out[central] = (vp[central] - vm[central]) / (2.0 * step)
-    out[fwd] = (vp[fwd] - v[fwd]) / step
-    out[bwd] = (v[bwd] - vm[bwd]) / step
-    ok = central | fwd | bwd
-    return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
+    np.copyto(out[:-1], one_sided, where=pair)
+    np.copyto(out[1:], one_sided, where=pair & ~nxt[1:])
+    np.copyto(out[1:-1], (v[2:] - v[:-2]) / (2.0 * step), where=pair[1:] & pair[:-1])
+    return np.moveaxis(out, 0, axis), np.moveaxis(nxt | prv, 0, axis)
 
 
 def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics) -> GradientField:
@@ -222,8 +233,9 @@ def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics) -> GradientFiel
 def depth_to_normals_orthographic(depth: DepthMap, intr: CameraIntrinsics) -> NormalField:
     """Normals of a depth map under orthographic viewing, frontal convention:
     unnormalized direction (z_x, z_y, 1)."""
-    zx, okx = _masked_difference(depth.z, depth.mask, intr.h_x, axis=1)
-    zy, oky = _masked_difference(depth.z, depth.mask, intr.h_y, axis=0)
+    z = np.where(depth.mask, depth.z, 0.0)
+    zx, okx = _masked_difference(z, depth.mask, intr.h_x, axis=1)
+    zy, oky = _masked_difference(z, depth.mask, intr.h_y, axis=0)
     mask = depth.mask & okx & oky
     n = np.stack([zx, zy, np.ones_like(zx)], axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
@@ -261,14 +273,20 @@ def render_scene(scene: SceneSpec):
     material = scene.material
     if scene.model == MODEL_LAMBERTIAN:
         material = replace(material, k_s=0.0)
-    if scene.projection == PROJECTION_PERSPECTIVE:
-        geom = log_depth_gradients(scene.depth, scene.intrinsics)
-        shade = lambda li: render_blinn_phong_perspective(geom, li, material, scene.intrinsics)
-    else:
+    if scene.projection == PROJECTION_ORTHOGRAPHIC:
         geom = depth_to_normals_orthographic(scene.depth, scene.intrinsics)
-        shade = lambda li: render_blinn_phong_orthographic(geom, li, material)
+        images = []
+        for li in scene.lights:
+            img = render_blinn_phong_orthographic(geom, li, material)
+            images.append(Image(np.where(geom.mask, img.data, 0.0)))
+        return images, geom, geom.mask.copy()
+    geom = log_depth_gradients(scene.depth, scene.intrinsics)
+    pix = ... if geom.mask.all() else geom.mask
     images = []
-    for li in scene.lights:
-        img = shade(li)
-        images.append(Image(np.where(geom.mask, img.data, 0.0)))
+    for shading in shade_pixels(geom, pix, scene.lights, material, scene.intrinsics):
+        if pix is not ...:
+            frame = np.zeros(geom.mask.shape)
+            frame[pix] = shading
+            shading = frame
+        images.append(Image(shading))
     return images, geom, geom.mask.copy()

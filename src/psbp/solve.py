@@ -41,7 +41,7 @@ from .core import (
     NormalField,
     input_mask,
 )
-from .geometry import halfway_vector_grid, pixel_grid
+from .geometry import halfway_vectors, pixel_grid
 from .optim import levenberg_marquardt_batch
 from .render import perspective_shading
 
@@ -167,6 +167,21 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
     )
 
 
+def _closed_form_gradient(grids, lights, X, Y, focal_length, mask):
+    """The closed form at checked grids with pixel grids X, Y: its log-depth
+    gradients gx, gy, zero off the mask ok of the pixels it solved, and ok."""
+    dirs, norms, ld = _light_arrays(lights)
+    m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
+                                                 X, Y, focal_length)
+
+    det = m1 * m4 - m2 * m3
+    ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)
+    safe = np.where(ok, det, 1.0)
+    gx = np.where(ok, (h1 * m4 - m2 * h2) / safe, 0.0)
+    gy = np.where(ok, (m1 * h2 - h1 * m3) / safe, 0.0)
+    return gx, gy, ok
+
+
 def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None):
     """Algebraic perspective Lambertian solve.
 
@@ -177,18 +192,10 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     field and the diffuse albedo recovered by back-substitution.
     """
     grids, mask = _inputs(images, lights, mask)
-    dirs, norms, ld = _light_arrays(lights)
     h, w = grids[0].shape
     X, Y = pixel_grid(w, h, intr)
     f = intr.focal_length
-    m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
-                                                 X, Y, f)
-
-    det = m1 * m4 - m2 * m3
-    ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)
-    safe = np.where(ok, det, 1.0)
-    gx = np.where(ok, (h1 * m4 - m2 * h2) / safe, 0.0)
-    gy = np.where(ok, (m1 * h2 - h1 * m3) / safe, 0.0)
+    gx, gy, ok = _closed_form_gradient(grids, lights, X, Y, f, mask)
     grad = GradientField(gx=gx, gy=gy, mask=ok)
 
     # Material() is k_d = 1, k_s = 0, so the first image over this shading is the albedo
@@ -278,15 +285,14 @@ class _ShadingModel:
         self.material = material
         self.f = float(focal_length)
         self.halfway = (None if material.k_s == 0.0 else
-                        [np.ascontiguousarray(halfway_vector_grid(x, y, self.f, li).T)
-                         for li in lights])
+                        list(halfway_vectors(x, y, self.f, lights)))
 
     def shading(self, nu, idx, derivatives):
         """perspective_shading of the three lights at the states nu (2, k)
         of the pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1).  A
         light's halfway vectors are gathered when it is shaded."""
         halfway = (None if self.halfway is None else
-                   (np.take(h, idx, axis=1).T for h in self.halfway))
+                   (np.take(h, idx, axis=1) for h in self.halfway))
         return perspective_shading(nu[0], nu[1], self.x[idx], self.y[idx], self.lights,
                                    self.material, self.f, halfway=halfway, clamp=False,
                                    derivatives=derivatives)
@@ -395,10 +401,10 @@ def blinn_phong_pps_solve(
     out.
     """
     grids, mask = _inputs(images, lights, mask)
-    init_grad, _ = lambertian_pps_closed_form(grids, lights, intr, mask=mask)
-
     h, w = grids[0].shape
     X, Y = pixel_grid(w, h, intr)
+    init_grad = GradientField(*_closed_form_gradient(grids, lights, X, Y, intr.focal_length,
+                                                     mask))
     pix, intensities = _pixels(grids, mask)
     model = _ShadingModel(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
     x, a, ok = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))

@@ -8,7 +8,7 @@ import pytest
 
 from psbp.cli import main
 from psbp.config import load_config, parse_config
-from psbp.core import ConfigError
+from psbp.core import ConfigError, GradientField, Material, input_mask, mse
 from psbp.fileio import (
     load_image,
     load_mask,
@@ -19,6 +19,12 @@ from psbp.fileio import (
     write_pfm,
 )
 from psbp.pipeline import reprojection_error
+from psbp.render import (
+    log_depth_gradients,
+    make_sphere_depth,
+    render_blinn_phong_perspective,
+    render_lambertian_perspective,
+)
 
 
 def sphere_render_payload(out):
@@ -319,9 +325,6 @@ def test_relative_out_flag_resolves_against_the_working_directory(tmp_path, monk
 
 
 def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
-    from psbp.core import input_mask
-    from psbp.render import make_sphere_depth, log_depth_gradients
-
     cfg = parse_config(sphere_render_payload(rendered_sphere), base_dir=rendered_sphere)
     depth = make_sphere_depth(64, 64, cfg.intrinsics, (0, 0, 4.0), 1.0)
     grad = log_depth_gradients(depth, cfg.intrinsics)
@@ -331,6 +334,46 @@ def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
                                 model="blinn-phong", mask=usable)
     # file quantization is the only error source left
     assert max(errors) < 1e-8
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["partial-mask", "full-mask"])
+@pytest.mark.parametrize("case", ["blinn-phong", "lambertian", "lambertian-albedo"])
+def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_sphere, case, full):
+    # reprojection_error shades only the joint mask's pixels, all lights in
+    # one call; each error must keep the bits of a full-frame one-light
+    # render scored by core.mse.  A full mask takes the path that gathers
+    # nothing.
+    cfg = parse_config(sphere_render_payload(rendered_sphere), base_dir=rendered_sphere)
+    intr = cfg.intrinsics
+    rng = np.random.default_rng(12)
+    images = [load_image(rendered_sphere / f"image_{i}.pgm") for i in (1, 2, 3)]
+    if full:
+        grad, usable = GradientField(*rng.uniform(-0.5, 0.5, size=(2, 64, 64))), None
+    else:
+        grad = log_depth_gradients(make_sphere_depth(64, 64, intr, (0, 0, 4.0), 1.0), intr)
+        grad = GradientField(grad.gx * 1.01 + 1e-3, grad.gy, grad.mask)
+        usable = input_mask(images, high=0.999)
+    joint = grad.mask if usable is None else grad.mask & usable
+    assert joint.all() == full and joint.any()
+    model = "blinn-phong" if case == "blinn-phong" else "lambertian"
+    albedo = rng.uniform(0.3, 0.9, size=(64, 64)) if case == "lambertian-albedo" else None
+    got = reprojection_error(grad, images, cfg.lights, cfg.material, intr, model=model,
+                             albedo=albedo, mask=usable)
+    want = []
+    for light, img in zip(cfg.lights, images):
+        if model == "blinn-phong":
+            pred = render_blinn_phong_perspective(grad, light, cfg.material, intr).data
+        elif albedo is not None:
+            unit = Material(k_d=1.0, k_s=0.0, shininess=1.0)
+            pred = albedo * render_lambertian_perspective(grad, light, unit, intr).data
+        else:
+            pred = render_lambertian_perspective(grad, light, cfg.material, intr).data
+        want.append(mse(pred, img, joint))
+    assert min(want) > 0.0
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    with pytest.raises(ValueError, match="mask is empty"):
+        reprojection_error(grad, images, cfg.lights, cfg.material, intr, model=model,
+                           albedo=albedo, mask=np.zeros((64, 64), dtype=bool))
 
 
 def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from psbp.core import CameraIntrinsics, LightSource, NormalField
 from psbp.geometry import (
-    halfway_vector_grid,
+    halfway_vectors,
     normals_to_perspective_gradient,
     pixel_grid,
 )
@@ -25,24 +25,51 @@ def test_pixel_grid_metric_and_raw():
         assert np.array_equal(got, want)
 
 
-def test_halfway_vector_grid_matches_scalar():
+def test_halfway_vectors_match_scalar():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.01, h_y=0.01, delta_x=2.0, delta_y=2.0)
     light = LightSource(np.array([0.0, 1.0, 2.0]))
     X, Y = pixel_grid(5, 5, intr)
-    h = halfway_vector_grid(X, Y, 1.0, light)
+    [h] = halfway_vectors(X, Y, 1.0, [light])
+    assert h.shape == (3, 5, 5)
     for i in range(5):
         for j in range(5):
             view = np.array([X[i, j], Y[i, j], 1.0])
             hs = light.unit + view / np.linalg.norm(view)
             hs /= np.linalg.norm(hs)
-            assert np.allclose(h[i, j], hs, atol=1e-14)
+            assert np.allclose(h[:, i, j], hs, atol=1e-14)
+
+
+def stacked_halfway(x, y, f, light):
+    """The halfway vectors as an interleaved (..., 3) stack normalized by
+    np.linalg.norm: the reference whose bits halfway_vectors keeps."""
+    p = np.sqrt(x * x + y * y + f * f)
+    h = np.stack([light.unit[0] + x / p, light.unit[1] + y / p, light.unit[2] + f / p],
+                 axis=-1)
+    return h / np.linalg.norm(h, axis=-1)[..., None]
+
+
+def test_halfway_vectors_keep_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 200_000))
+    f = 1.7
+    lights = [LightSource(d) for d in rng.uniform(-1.0, 1.0, size=(3, 3)) + (0.0, 0.0, 1.5)]
+    got = list(halfway_vectors(x, y, f, lights))
+    assert len(got) == 3
+    for light, h in zip(lights, got):
+        assert h.shape == (3, x.size)
+        want = np.moveaxis(stacked_halfway(x, y, f, light), -1, 0)
+        assert np.array_equal(h.view(np.int64), want.view(np.int64))
+    # scalar image points, as the orthographic renderer passes them
+    [h] = halfway_vectors(0.0, 0.0, 1.0, lights[:1])
+    want = stacked_halfway(0.0, 0.0, 1.0, lights[0])
+    assert np.array_equal(h.view(np.int64), want.view(np.int64))
 
 
 def test_halfway_vector_degenerate_light():
     # light exactly opposing the view direction has no halfway vector
-    with pytest.raises(ValueError):
-        halfway_vector_grid(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
-                            LightSource(np.array([0.0, 0.0, -1.0])))
+    with pytest.raises(ValueError, match="degenerate halfway vector"):
+        list(halfway_vectors(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
+                             [LightSource(np.array([0.0, 0.0, -1.0]))]))
 
 
 def test_normals_to_perspective_gradient_round_trip():

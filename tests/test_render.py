@@ -1,5 +1,7 @@
 """Forward renderer: analytic sphere, perspective and orthographic shading."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from psbp.core import (
 )
 from psbp.geometry import pixel_grid
 from psbp.render import (
+    MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
     PROJECTION_ORTHOGRAPHIC,
     SceneSpec,
+    _masked_difference,
     log_depth_gradients,
     make_sphere_depth,
     perspective_shading,
@@ -272,6 +276,63 @@ def test_render_scene_returns_consistent_stack():
         assert img.data.shape == (64, 64)
         assert np.all(img.data[~mask] == 0.0)
         assert img.data[mask].min() >= 0.0
+
+
+@pytest.mark.parametrize("model", [MODEL_BLINN_PHONG, MODEL_LAMBERTIAN])
+@pytest.mark.parametrize("full", [False, True], ids=["partial-mask", "full-mask"])
+def test_render_scene_matches_per_light_renders_bit_for_bit(full, model):
+    # render_scene shades only the mask's pixels, all lights in one call; its
+    # images must keep the bits of full-frame one-light renders zeroed off
+    # the mask.  A full mask takes the path that gathers nothing.
+    intr = CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5)
+    if full:
+        X, Y = pixel_grid(64, 64, intr)
+        depth = DepthMap(4.0 + 0.3 * np.sin(6.0 * X) * np.cos(5.0 * Y))
+    else:
+        depth = make_sphere_depth(64, 64, intr, SPHERE_CENTER, 1.0)
+    lights = [LightSource(np.array(d, dtype=float), 1.2, 1.1)
+              for d in [(0, 0, 1), (1, 0, 2), (0, 1, 2)]]
+    material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    images, geom, mask = render_scene(SceneSpec(depth=depth, material=material,
+                                                lights=lights, intrinsics=intr, model=model))
+    assert mask.all() == full and mask.any()
+    if model == MODEL_LAMBERTIAN:
+        material = replace(material, k_s=0.0)
+    for img, light in zip(images, lights):
+        frame = render_blinn_phong_perspective(geom, light, material, intr).data
+        want = np.where(mask, frame, 0.0)
+        assert np.array_equal(img.data.view(np.int64), want.view(np.int64))
+
+
+def masked_difference_by_roll(values, mask, step, axis):
+    """The masked difference by np.roll and boolean writes: the reference
+    whose bits _masked_difference keeps."""
+    v = np.moveaxis(values, axis, 0)
+    m = np.moveaxis(mask, axis, 0)
+    vp, vm = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+    mp, mm = np.roll(m, -1, axis=0), np.roll(m, 1, axis=0)
+    mp[-1] = False
+    mm[0] = False
+    out = np.zeros_like(v)
+    central, fwd, bwd = m & mp & mm, m & mp & ~mm, m & ~mp & mm
+    out[central] = (vp[central] - vm[central]) / (2.0 * step)
+    out[fwd] = (vp[fwd] - v[fwd]) / step
+    out[bwd] = (v[bwd] - vm[bwd]) / step
+    return np.moveaxis(out, 0, axis), np.moveaxis(central | fwd | bwd, 0, axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_masked_difference_keeps_the_bits_of_the_roll_form(axis):
+    # a 20%-dropout mask gives central, one-sided and isolated pixels, and
+    # mask pixels on every edge of the frame
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 2.0, size=(37, 29))
+    mask = rng.uniform(size=values.shape) > 0.2
+    values[~mask] = 0.0
+    got, ok = _masked_difference(values, mask, 0.03, axis)
+    want, want_ok = masked_difference_by_roll(values, mask, 0.03, axis)
+    assert np.array_equal(ok, want_ok) and not ok[mask].all() and ok.any()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_render_scene_orthographic_path():

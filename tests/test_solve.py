@@ -17,7 +17,7 @@ from psbp.core import (
     input_mask,
 )
 from psbp.fileio import load_image, save_image
-from psbp.geometry import halfway_vector_grid, pixel_grid
+from psbp.geometry import halfway_vectors, pixel_grid
 from psbp.optim import finite_difference_jacobian
 from psbp import optim, solve
 from psbp.render import (
@@ -344,7 +344,7 @@ def test_residual_jacobian_matches_finite_differences():
     _, lights, intr, _, mat = specular_plane_scene()
     X, Y = pixel_grid(16, 16, intr)
     f = intr.focal_length
-    halfway = [halfway_vector_grid(X, Y, f, li) for li in lights]
+    halfway = list(halfway_vectors(X, Y, f, lights))
     models = (_shading_model, functools.partial(_shading_model, clamp=True))
     rng = np.random.default_rng(4)
     # Random states near the surface, plus steep ones that turn the normal
@@ -358,7 +358,7 @@ def test_residual_jacobian_matches_finite_differences():
         r, c = rng.integers(0, 16, size=2)
         x, y = X[r, c], Y[r, c]
         n = np.array([f * state[0], f * state[1], x * state[0] + y * state[1] + 1.0])
-        lobe_off += any(n @ h[r, c] <= 0.0 for h in halfway)
+        lobe_off += any(n @ h[:, r, c] <= 0.0 for h in halfway)
         diffuse_off += any(n @ li.direction <= 0.0 for li in lights)
         at = np.asarray(state)
         for shininess in (mat.shininess, 1.0):
@@ -398,8 +398,8 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         xi, yi = x[idx], y[idx]
         n = np.stack([focal * grads[:, 0], focal * grads[:, 1],
                       xi * grads[:, 0] + yi * grads[:, 1] + 1.0], axis=1)
-        halfway = [halfway_vector_grid(xi, yi, focal, li) for li in lights]
-        lobe_off = np.any([np.einsum("kc,kc->k", n, h) <= 0.0 for h in halfway], axis=0)
+        halfway = halfway_vectors(xi, yi, focal, lights)
+        lobe_off = np.any([np.einsum("kc,ck->k", n, h) <= 0.0 for h in halfway], axis=0)
         assert lobe_off.sum() >= 3
 
         shaded = list(perspective_shading(grads[:, 0], grads[:, 1], xi, yi, lights, mat, focal,
