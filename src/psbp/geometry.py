@@ -18,12 +18,20 @@ import numpy as np
 from .core import CameraIntrinsics, GradientField, NormalField
 
 
+def pixel_axes(width, height, intr: CameraIntrinsics):
+    """The image coordinates of the pixel columns as one row (1, width), and
+    of the pixel rows as one column (height, 1): they broadcast to
+    pixel_grid's grids without forming them."""
+    xs = intr.h_x * (np.arange(width, dtype=np.float64) - intr.delta_x)
+    ys = intr.h_y * (np.arange(height, dtype=np.float64) - intr.delta_y)
+    return xs[None, :], ys[:, None]
+
+
 def pixel_grid(width, height, intr: CameraIntrinsics):
     """Per-pixel image coordinate grids (X, Y); adjacent pixels are h_x and
     h_y apart."""
-    xs = intr.h_x * (np.arange(width, dtype=np.float64) - intr.delta_x)
-    ys = intr.h_y * (np.arange(height, dtype=np.float64) - intr.delta_y)
-    return np.meshgrid(xs, ys)
+    xs, ys = pixel_axes(width, height, intr)
+    return np.meshgrid(xs[0], ys[:, 0])
 
 
 def halfway_vectors(x, y, focal_length, lights):

@@ -1,21 +1,30 @@
 """Forward rendering under Lambertian and Blinn-Phong reflectance.
 
-The Blinn-Phong model is computed in one function, perspective_shading, for
-a sequence of lights at log-depth gradients with normal direction
-m = (f*gx, f*gy, x*gx + y*gy + 1), sharing the per-pixel geometry across the
-lights, and with its derivatives on request.  Each caller shades one pixel
-set with all its lights in one call: both Blinn-Phong solvers (bp-pps and
-bp-ppn) their masked pixels, and render_scene and the reprojection check,
-through shade_pixels, only the pixels of their mask, which they scatter into
-zero frames or score.  A mask that covers the whole frame is indexed with
-..., which gathers nothing.  The one-light perspective renderers shade the
-whole frame.  The orthographic renderer is served too: at the principal
-point x = y = 0 with f = 1 the perspective shading of the slope
-(n1/n3, n2/n3) is the orthographic shading of the normal n, so the
-orthographic renderer requires n3 > 0.  Lambertian rendering is Blinn-Phong
-rendering with k_s = 0.  Renders clamp all dot products at zero;
-intensities are k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may
-legitimately exceed 1 for light intensities above 1.
+The Blinn-Phong model is computed in one kernel, perspective_shading, for a
+sequence of lights at log-depth gradients with normal direction
+m = (f*gx, f*gy, x*gx + y*gy + 1), with its derivatives on request.  The
+kernel is written in linear-coefficient form: every dot product m.v is
+a_v*gx + b_v*gy + v_2, with coefficients a_v = f*v_0 + x*v_2 and
+b_v = f*v_1 + y*v_2 that are also its derivatives.  It runs in two steps.
+The coefficient step, shading_coefficients, forms each light's
+coefficients: constants for the light direction, and rows for its
+per-pixel halfway vector.  The shading step, shade_from_coefficients,
+shades over them, sharing the per-pixel geometry across the lights, with
+one pow per light for the lobe and its slope.  The renderers run both steps
+per call; the Blinn-Phong solvers (bp-pps and bp-ppn) form the coefficient
+rows once per LM block and run the shading step on every LM step.  Each
+caller shades one pixel set with all its lights in one call: the solvers
+their masked pixels, and render_scene and the reprojection check, through
+shade_pixels, only the pixels of their mask, which they scatter into zero
+frames or score.  A mask that covers the whole frame is indexed with ...,
+which gathers nothing.  The one-light perspective renderers shade the whole
+frame.  The orthographic renderer is served too: at the principal point
+x = y = 0 with f = 1 the perspective shading of the slope (n1/n3, n2/n3) is
+the orthographic shading of the normal n, so the orthographic renderer
+requires n3 > 0.  Lambertian rendering is Blinn-Phong rendering with
+k_s = 0.  Renders clamp all dot products at zero; intensities are
+k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately exceed
+1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .core import (
     Material,
     NormalField,
 )
-from .geometry import halfway_vectors, pixel_grid
+from .geometry import halfway_vectors, pixel_axes, pixel_grid
 
 MODEL_LAMBERTIAN = "lambertian"
 MODEL_BLINN_PHONG = "blinn-phong"
@@ -57,83 +66,149 @@ def render_blinn_phong_orthographic(
     return Image(shading)
 
 
-def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length,
-                        halfway=None, clamp=True, derivatives=False):
+def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, clamp=True,
+                        derivatives=False):
     """Blinn-Phong shading of a sequence of lights at log-depth gradients:
-    the only place the reflectance model is computed.
+    the coefficient step (shading_coefficients) and the shading step
+    (shade_from_coefficients) of the one kernel, the only place the
+    reflectance model is computed.
 
     gx, gy, x, y are broadcastable arrays (or scalars) of log-depth gradients
     and metric image coordinates.  The normal direction is
     m = (f*gx, f*gy, x*gx + y*gy + 1), and the shading of light L is
     k_d*l_d*m.L/(|m| |L|) + k_s*l_s*max(m.h/|m|, 0)^n about the per-pixel
     halfway vector h of the light and the view ray (x, y, f) (skipped when
-    k_s == 0; halfway may pass precomputed ones, an iterable of one array
-    per light, components first, (3, ...), as geometry.halfway_vectors
-    gives them).  The per-pixel geometry, w = x*gx + y*gy + 1, |m| and
-    d|m|/dgx, d|m|/dgy, is computed once per call and shared by every light.
-    clamp clamps the diffuse cosine at 0 as a renderer must; left unclamped
-    the shading is smooth in the gradient, as a least-squares residual needs.
+    k_s == 0).  clamp clamps the diffuse term at 0 as a renderer must; left
+    unclamped the shading is smooth in the gradient, as a least-squares
+    residual needs.
 
     Yields one entry per light, in order: with derivatives,
     (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
-    alone.  Each light is shaded when its entry is asked for, and its
-    halfway vectors are formed then, so a caller that is done with one
-    light's arrays before it asks for the next holds one light's arrays at a
-    time.
+    alone.  Each light's coefficients are formed, and the light shaded, when
+    its entry is asked for, so a caller that is done with one light's arrays
+    before it asks for the next holds one light's arrays at a time.
+    """
+    return shade_from_coefficients(
+        gx, gy, x, y, shading_coefficients(x, y, lights, material, focal_length),
+        material.shininess, focal_length, clamp=clamp, derivatives=derivatives)
+
+
+def shading_coefficients(x, y, lights, material: Material, focal_length):
+    """The coefficient step of perspective_shading at the image points x, y.
+
+    Every dot product of m = (f*gx, f*gy, x*gx + y*gy + 1) with a vector v
+    is linear in the gradient, m.v = a_v*gx + b_v*gy + v_2 with
+    a_v = f*v_0 + x*v_2 and b_v = f*v_1 + y*v_2, which are also its
+    derivatives.  Yields one pair per light, formed when it is asked for:
+
+    * diffuse, (f*d_0, f*d_1, d_2) of the light direction scaled as
+      d = k_d*l_d*L/|L|.  These are constants: the diffuse term's
+      A = f*d_0 + x*d_2 and B = f*d_1 + y*d_2 are never held as rows, since
+      m.d = f*d_0*gx + f*d_1*gy + d_2*w takes the w = x*gx + y*gy + 1 that
+      every light shares.
+    * halfway, (a_h, b_h, h_2, k_s*l_s) of the light's unit halfway vector
+      (geometry.halfway_vectors), rows that broadcast like x and y, one
+      (3, ...) array; None when k_s == 0.
     """
     f = focal_length
-    specular = material.k_s != 0.0
-    if not specular:
-        halfway = [None] * len(lights)
-    elif halfway is None:
-        halfway = halfway_vectors(x, y, f, lights)
+    halfway = halfway_vectors(x, y, f, lights) if material.k_s != 0.0 else None
+    for light in lights:
+        d = light.direction * (material.k_d * light.diffuse_intensity / light.norm)
+        diffuse = (f * d[0], f * d[1], d[2])
+        if halfway is None:
+            yield diffuse, None
+            continue
+        # a_h and b_h are written over h_0 and h_1
+        h = next(halfway)
+        h[:2] *= f
+        h[0] += x * h[2]
+        h[1] += y * h[2]
+        yield diffuse, (h[0], h[1], h[2], material.k_s * light.specular_intensity)
+        # let go before the next light's rows are formed
+        del h
+
+
+def shade_from_coefficients(gx, gy, x, y, coefficients, shininess, focal_length, clamp=True,
+                            derivatives=False):
+    """The shading step of perspective_shading: each light's shading, and on
+    request its derivatives, from its shading_coefficients at the same
+    points x, y.
+
+    The per-pixel geometry, w = x*gx + y*gy + 1, 1/|m| and d|m|/dgx,
+    d|m|/dgy, is computed once per call and shared by every light.  The
+    diffuse term is R_d = (A*gx + B*gy + C)/|m|, taken as
+    (f*d_0*gx + f*d_1*gy + d_2*w)/|m|.  With u = (a_h*gx + b_h*gy + h_2)/|m|
+    the lobe takes one pow, t = max(u, 0)^(n - 1), as t*max(u, 0), and its
+    slope factor is g = k_s*l_s*n*t, which is 0 where u <= 0 (also at n = 1,
+    where t = 1).  Then dR/dgx = (A + g*a_h - (R_d + g*u)*d|m|/dgx)/|m|,
+    and dR/dgy alike with B and b_h.  The clamped diffuse term, and its part
+    of the slope, are 0 where R_d <= 0.
+    """
+    f = focal_length
     w = x * gx + y * gy + 1.0
-    norm = np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
+    inv = 1.0 / np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
     # dm/dgx = (f, 0, x) and dm/dgy = (0, f, y)
-    if derivatives:
-        d_norms = [(f * f * g + w * coord) / norm for coord, g in ((x, gx), (y, gy))]
+    d_norm = ([(f * f * g + c * w) * inv for g, c in ((gx, x), (gy, y))] if derivatives
+              else None)
+    for diffuse, specular in coefficients:
+        yield _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, clamp)
+        # a light's rows are let go before the next light's are formed
+        del specular
 
-    def shade(light, half):
-        direction = light.direction
-        # Both dot products are formed before either is normalized in place:
-        # with one more full-size array alive per light, the allocator gave
-        # memory back to the system and faulted it in again on every LM step.
-        cosine = f * direction[0] * gx + f * direction[1] * gy + direction[2] * w
-        if specular:
-            u = half[0] * f * gx + half[1] * f * gy + half[2] * w
-        cosine /= norm * light.norm
-        kd = material.k_d * light.diffuse_intensity
-        shading = kd * (np.maximum(cosine, 0.0) if clamp else cosine)
-        if specular:
-            u /= norm
-            up = np.maximum(u, 0.0)
-            ks = material.k_s * light.specular_intensity
-            shading = shading + ks * up ** material.shininess
-            if derivatives:
-                lobe = ks * np.where(u > 0.0,
-                                     material.shininess * up ** (material.shininess - 1.0), 0.0)
-        if not derivatives:
-            return shading
-        out = [shading]
-        # the diffuse term's slope, then the lobe's added to it, formed in
-        # place so that few full-size arrays are alive at once
-        for c, (coord, d_norm) in enumerate(zip((x, y), d_norms)):
-            d = (f * direction[c] + direction[2] * coord) / light.norm - cosine * d_norm
-            d /= norm
-            if clamp:
-                d = np.where(cosine > 0.0, d, 0.0)
-            d *= kd
-            if specular:
-                slope = half[c] * f + half[2] * coord - u * d_norm
-                slope *= lobe
-                slope /= norm
-                slope += d
-                d = slope
-            out.append(d)
-        return tuple(out)
 
-    for light, half in zip(lights, halfway):
-        yield shade(light, half)
+def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, clamp):
+    """One light of shade_from_coefficients: its shading, or with d_norm
+    (shading, dR/dgx, dR/dgy).  Its arrays are formed in place where they
+    can be and are let go on return, so that few full-size ones are alive
+    at once."""
+    a_d, b_d, c_d = diffuse
+    diffuse = a_d * gx
+    diffuse += b_d * gy
+    diffuse += c_d * w
+    diffuse *= inv
+    if clamp:
+        lit = diffuse > 0.0
+        diffuse = np.maximum(diffuse, 0.0)
+    if specular is None:
+        shading = diffuse
+    else:
+        a_h, b_h, h_2, scale = specular
+        u = a_h * gx
+        u += b_h * gy
+        u += h_2
+        u *= inv
+        shading = np.maximum(u, 0.0)
+        t = shading ** (shininess - 1.0)
+        shading *= t
+        shading *= scale
+        shading += diffuse
+    if d_norm is None:
+        return shading
+    if specular is None:
+        s = diffuse
+    else:
+        t *= scale * shininess
+        if shininess == 1.0:
+            t = np.where(u > 0.0, t, 0.0)
+        # s = R_d + g*u, in u's buffer
+        s = u
+        s *= t
+        s += diffuse
+        del u
+    del diffuse
+    slopes = []
+    for c, (coefficient, coord) in enumerate(((a_d, x), (b_d, y))):
+        # the diffuse term's A or B, then the lobe's g*a_h or g*b_h; one
+        # slope is formed at a time
+        slope = coefficient + c_d * coord
+        if clamp:
+            slope = np.where(lit, slope, 0.0)
+        if specular is not None:
+            slope = slope + t * specular[c]
+        slope -= s * d_norm[c]
+        slope *= inv
+        slopes.append(slope)
+    return (shading, *slopes)
 
 
 def render_lambertian_perspective(
@@ -160,8 +235,12 @@ def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: Cam
     at those pixels, in the mask's row-major order."""
     for light in lights:
         light.require_frontal()
-    X, Y = pixel_grid(grad.width, grad.height, intr)
-    return perspective_shading(grad.gx[pix], grad.gy[pix], X[pix], Y[pix], lights, material,
+    # x follows the column and y the row: the whole frame takes them as one
+    # row and one column, and a mask gathers them without forming the grids
+    x, y = pixel_axes(grad.width, grad.height, intr)
+    if pix is not ...:
+        x, y = (np.broadcast_to(c, pix.shape)[pix] for c in (x, y))
+    return perspective_shading(grad.gx[pix], grad.gy[pix], x, y, lights, material,
                                intr.focal_length)
 
 

@@ -14,21 +14,28 @@ Four per-pixel solvers are provided:
 
 plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
 solvers fit one residual model, _ShadingModel: the absolute residuals
-I_k - R_k of the three images, shaded by render.perspective_shading as the
+I_k - R_k of the three images, shaded by render's one kernel as the
 renderers shade them, handed to the LM engine as their squared norm and
-normal equations.  bp-ppn builds it at the principal point x = y = 0
+normal equations.  The kernel's coefficient step (per light, the linear
+coefficients of the dot products of the normal direction m with the light
+and its halfway vector) runs once per LM block; each LM step gathers those
+rows for its unfinished pixels and runs the shading step over them, with one
+pow per light.  bp-ppn builds the model at the principal point x = y = 0
 with f = 1, where the perspective shading of the slope (a, b) is the
-orthographic shading of the normal (a, b, 1)/||(a, b, 1)||.  Both take one
-path per pixel set: gather the mask's pixels (_pixels), fit them from the
-Lambertian start with a zero-start retry (_ShadingModel.fit_with_retry),
-each attempt in the fewest equal blocks of at most LM_BLOCK pixels so that
-its memory follows the block, not the image, and scatter the fitted states
-back into grids.  bp-pps keeps the pixels whose fit converged with a
-residual norm <= ACCEPT_TOL; bp-ppn keeps every converged pixel.
+orthographic shading of the normal (a, b, 1)/||(a, b, 1)||, and where every
+coefficient is a constant, so its steps gather only the intensities.  Both
+take one path per pixel set: gather the mask's pixels by the boolean mask,
+fit them from the Lambertian start with a zero-start retry
+(_ShadingModel.fit_with_retry), each attempt in the fewest equal blocks of
+at most LM_BLOCK pixels so that its memory follows the block, not the
+image, and scatter the fitted states back into grids by the mask.  bp-pps
+keeps the pixels whose fit converged with a residual norm <= ACCEPT_TOL;
+bp-ppn keeps every converged pixel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +48,9 @@ from .core import (
     NormalField,
     input_mask,
 )
-from .geometry import halfway_vectors, pixel_grid
+from .geometry import pixel_axes, pixel_grid
 from .optim import levenberg_marquardt_batch
-from .render import perspective_shading
+from .render import perspective_shading, shade_from_coefficients, shading_coefficients
 
 SINGULAR_DET_THRESHOLD = 1e-12
 # Largest absolute shading-residual norm at which bp-pps accepts a pixel;
@@ -106,7 +113,7 @@ def _inputs(images, lights, mask):
     if np.shape(mask) != grids[0].shape:
         raise ValueError(f"mask shape {np.shape(mask)} differs from the images' shape "
                          f"{grids[0].shape}")
-    return grids, mask
+    return grids, np.asarray(mask, dtype=bool)
 
 
 def _light_arrays(lights):
@@ -168,7 +175,8 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
 
 
 def _closed_form_gradient(grids, lights, X, Y, focal_length, mask):
-    """The closed form at checked grids with pixel grids X, Y: its log-depth
+    """The closed form at checked grids with pixel coordinates X, Y (grids,
+    or geometry.pixel_axes' row and column, which broadcast): its log-depth
     gradients gx, gy, zero off the mask ok of the pixels it solved, and ok."""
     dirs, norms, ld = _light_arrays(lights)
     m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
@@ -193,7 +201,7 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     """
     grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
-    X, Y = pixel_grid(w, h, intr)
+    X, Y = pixel_axes(w, h, intr)
     f = intr.focal_length
     gx, gy, ok = _closed_form_gradient(grids, lights, X, Y, f, mask)
     grad = GradientField(gx=gx, gy=gy, mask=ok)
@@ -265,42 +273,69 @@ class _ShadingModel:
     its start, and for each step the cost with J^T f and J^T J, J = -dR,
     from one shading pass.  The states are log-depth gradients at image
     points (x, y): bp-pps's at the pixels' points, bp-ppn's at the principal
-    point with f = 1.  Like the engine, the callbacks work component-major:
-    at states x (2, k) of the pixels idx they return one row per light or
-    component, the pixels along the last axis.  One render.perspective_shading
-    call shades all three lights, sharing the pixels' geometry, as the
-    renderers shade them but with the diffuse cosine left unclamped so the
-    residual stays smooth.  No Jacobian is held: the sums are added light by
-    light, in the order numpy's einsum adds them over row-major (k, 3)
-    residuals and (k, 3, 2) Jacobians, so they keep its bits."""
+    point with f = 1, where x = y = 0 are scalars and so is every
+    coefficient.  Like the engine, the callbacks work component-major: at
+    states x (2, k) of the pixels idx they return one row per light or
+    component, the pixels along the last axis.
+
+    The pixels' render.shading_coefficients are formed when a callback
+    first needs them, and kept.  fit runs the engine on the model of each
+    block (block), so the rows are formed once per block, and the model of
+    the whole pixel set forms none.  A callback gathers a light's rows by
+    idx when it shades that light, or uses them as they are when idx is
+    every pixel in order, and render.shade_from_coefficients shades the
+    three lights as the renderers shade them, but with the diffuse term
+    left unclamped so the residual stays smooth.  No Jacobian is held: the
+    sums are added light by light, in the order numpy's einsum adds them
+    over row-major (k, 3) residuals and (k, 3, 2) Jacobians, so they keep
+    its bits."""
 
     def __init__(self, x, y, intensities, lights, material: Material, focal_length):
         self.x = x
         self.y = y
-        # intensities (3, n) and halfway vectors components first, (3, n): a
-        # gather reads three contiguous rows and the shading reads contiguous
-        # components
+        # intensities (3, n): a gather reads three contiguous rows
         self.I = intensities
         self.lights = lights
         self.material = material
         self.f = float(focal_length)
-        self.halfway = (None if material.k_s == 0.0 else
-                        list(halfway_vectors(x, y, self.f, lights)))
+
+    @functools.cached_property
+    def coefficients(self):
+        """The pixels' render.shading_coefficients, per light."""
+        return list(shading_coefficients(self.x, self.y, self.lights, self.material, self.f))
+
+    def block(self, part):
+        """The model of the pixels part (a slice or an index array) of these."""
+        def take(a):
+            return a if np.ndim(a) == 0 else a[..., part]
+        return _ShadingModel(take(self.x), take(self.y), take(self.I), self.lights,
+                             self.material, self.f)
+
+    def _gather(self, idx):
+        """A function that takes the pixels idx of a row: the row itself when
+        idx is every pixel in order, and a scalar as it is."""
+        n = self.I.shape[1]
+        if len(idx) == n and np.array_equal(idx, np.arange(n)):
+            return lambda a: a
+        return lambda a: a if np.ndim(a) == 0 else np.take(a, idx, axis=-1)
 
     def shading(self, nu, idx, derivatives):
-        """perspective_shading of the three lights at the states nu (2, k)
-        of the pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1).  A
-        light's halfway vectors are gathered when it is shaded."""
-        halfway = (None if self.halfway is None else
-                   (np.take(h, idx, axis=1) for h in self.halfway))
-        return perspective_shading(nu[0], nu[1], self.x[idx], self.y[idx], self.lights,
-                                   self.material, self.f, halfway=halfway, clamp=False,
-                                   derivatives=derivatives)
+        """The shading of the three lights at the states nu (2, k) of the
+        pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1).  A light's
+        coefficient rows are gathered when it is shaded."""
+        take = self._gather(idx)
+        coefficients = ((diffuse,
+                         None if halfway is None else (*map(take, halfway[:3]), halfway[3]))
+                        for diffuse, halfway in self.coefficients)
+        return shade_from_coefficients(nu[0], nu[1], take(self.x), take(self.y), coefficients,
+                                       self.material.shininess, self.f, clamp=False,
+                                       derivatives=derivatives)
 
     def residuals(self, x, idx):
-        f = np.take(self.I, idx, axis=1)
-        for row, shade in zip(f, self.shading(x, idx, False)):
-            row -= shade
+        take = self._gather(idx)
+        f = np.empty((3, len(idx)))
+        for row, intensity, shade in zip(f, self.I, self.shading(x, idx, False)):
+            np.subtract(take(intensity), shade, out=row)
         return f
 
     def cost(self, x, idx):
@@ -308,22 +343,24 @@ class _ShadingModel:
 
     def normal_equations(self, x, idx):
         """(cost (k,), J^T f (2, k), J^T J packed as (H00, H01, H11) (3, k))."""
-        f = np.take(self.I, idx, axis=1)
-        grad = np.empty((2,) + f.shape[1:])
-        hess = np.empty((3,) + f.shape[1:])
-        per_light = self.shading(x, idx, True)
-        for k in range(len(f)):
-            # a light's rows are freed before the next light is shaded, which
-            # keeps the step's peak heap down: a larger peak is given back to
-            # the system and faulted in again on every step
-            shade, j0, j1 = next(per_light)
-            f[k] -= shade
-            # J = -dR is negated before the products, and each sum starts
-            # from its first product: negating a finished sum, or starting
-            # from zero, would flip the sign of an exact zero
-            np.negative(j0, out=j0)
-            np.negative(j1, out=j1)
-            for out, a, b in ((grad[0], j0, f[k]), (grad[1], j1, f[k]),
+        take = self._gather(idx)
+        grad = np.empty((2, len(idx)))
+        hess = np.empty((3, len(idx)))
+        f = []
+        for k, (intensity, (shade, j0, j1)) in enumerate(zip(self.I,
+                                                             self.shading(x, idx, True))):
+            # -f_k = -(I_k - R_k), in the shade's buffer: (-dR) f = dR (-f)
+            # bit for bit, the sign of a zero included, so J = -dR is never
+            # formed, and |f|^2 is the same from -f.  A light's rows are
+            # summed before the next light is shaded, which keeps the step's
+            # peak heap down: a larger peak is given back to the system and
+            # faulted in again on every step.
+            np.subtract(take(intensity), shade, out=shade)
+            np.negative(shade, out=shade)
+            f.append(shade)
+            # each sum starts from its first product: starting from zero
+            # would flip the sign of an exact zero
+            for out, a, b in ((grad[0], j0, shade), (grad[1], j1, shade),
                               (hess[0], j0, j0), (hess[1], j0, j1), (hess[2], j1, j1)):
                 if k == 0:
                     np.multiply(a, b, out=out)
@@ -334,32 +371,23 @@ class _ShadingModel:
 
     def fit(self, x0, sub=None):
         """LM from x0 over the pixels sub (all when None), in the fewest
-        equal blocks of at most LM_BLOCK problems, one engine call each, so
-        the engine's memory follows the block, not the image.  A pixel's fit
-        does not depend on the other problems of its call, so the blocks
-        change no bit.  Returns (x, residual norm, ok) with ok marking
-        convergence."""
+        equal blocks of at most LM_BLOCK problems, one engine call on each
+        block's own model, so the engine's memory and the coefficient rows
+        follow the block, not the image.  A pixel's fit does not depend on
+        the other problems of its call, so the blocks change no bit.
+        Returns (x, residual norm, ok) with ok marking convergence."""
         n = len(x0)
-        blocks = -(-n // LM_BLOCK)
-        if blocks <= 1:
-            return self._fit_block(x0, sub)
+        blocks = max(1, -(-n // LM_BLOCK))
         x = np.empty((n, 2))
         a = np.empty(n)
         ok = np.empty(n, dtype=bool)
         bounds = [n * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            part = np.arange(lo, hi) if sub is None else sub[lo:hi]
-            x[lo:hi], a[lo:hi], ok[lo:hi] = self._fit_block(x0[lo:hi], part)
+            block = self.block(slice(lo, hi) if sub is None else sub[lo:hi])
+            x[lo:hi], a[lo:hi], conv, fail = levenberg_marquardt_batch(
+                block.cost, block.normal_equations, x0[lo:hi])
+            ok[lo:hi] = conv & ~fail
         return x, a, ok
-
-    def _fit_block(self, x0, sub):
-        """One engine call from x0 over the pixels sub (all when None)."""
-        cost, normal_equations = self.cost, self.normal_equations
-        if sub is not None:
-            cost = lambda x, idx: self.cost(x, sub[idx])
-            normal_equations = lambda x, idx: self.normal_equations(x, sub[idx])
-        x, a, conv, fail = levenberg_marquardt_batch(cost, normal_equations, x0)
-        return x, a, conv & ~fail
 
     def fit_with_retry(self, x0):
         """fit from x0, then again from zero at the pixels with a nonzero
@@ -379,11 +407,10 @@ class _ShadingModel:
         return x, a, ok
 
 
-def _pixels(grids, mask):
-    """The mask's pixel index tuple and the pixels' intensities, one row per
+def _intensities(grids, mask):
+    """The intensities of the mask's pixels in row-major order, one row per
     image, (3, n)."""
-    pix = np.nonzero(mask)
-    return pix, np.stack([g[pix] for g in grids])
+    return np.stack([g[mask] for g in grids])
 
 
 def blinn_phong_pps_solve(
@@ -402,18 +429,18 @@ def blinn_phong_pps_solve(
     """
     grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
-    X, Y = pixel_grid(w, h, intr)
+    X, Y = pixel_axes(w, h, intr)
     init_grad = GradientField(*_closed_form_gradient(grids, lights, X, Y, intr.focal_length,
                                                      mask))
-    pix, intensities = _pixels(grids, mask)
-    model = _ShadingModel(X[pix], Y[pix], intensities, lights, material, intr.focal_length)
-    x, a, ok = model.fit_with_retry(np.stack([init_grad.gx[pix], init_grad.gy[pix]], axis=1))
+    x, y = (np.broadcast_to(c, mask.shape)[mask] for c in (X, Y))
+    model = _ShadingModel(x, y, _intensities(grids, mask), lights, material, intr.focal_length)
+    nu, a, ok = model.fit_with_retry(np.stack([init_grad.gx[mask], init_grad.gy[mask]], axis=1))
 
     # GradientField zeroes the gradients of the rejected pixels
     gx, gy = np.zeros((2, h, w))
-    gx[pix], gy[pix] = x.T
+    gx[mask], gy[mask] = nu.T
     valid = np.zeros((h, w), dtype=bool)
-    valid[pix] = ok & (a <= ACCEPT_TOL)
+    valid[mask] = ok & (a <= ACCEPT_TOL)
     return GradientField(gx=gx, gy=gy, mask=valid)
 
 
@@ -432,11 +459,8 @@ def blinn_phong_ortho_solve(
     """
     grids, mask = _inputs(images, lights, mask)
     init_normals, _ = woodham_normals(grids, lights, mask=mask)
-    pix, intensities = _pixels(grids, mask)
-    n0 = init_normals.n[pix]
-    at_principal_point = np.zeros(len(n0))
-    model = _ShadingModel(at_principal_point, at_principal_point, intensities, lights,
-                          material, 1.0)
+    n0 = init_normals.n[mask]
+    model = _ShadingModel(0.0, 0.0, _intensities(grids, mask), lights, material, 1.0)
     x, _, good = model.fit_with_retry(n0[:, :2] / np.abs(n0[:, 2:]))
 
     # slope 0 is the normal (0, 0, 1)
@@ -444,7 +468,7 @@ def blinn_phong_ortho_solve(
     m = np.column_stack([x, np.ones(len(x))])
     n = np.zeros(grids[0].shape + (3,))
     n[..., 2] = 1.0
-    n[pix] = m / np.linalg.norm(m, axis=1, keepdims=True)
+    n[mask] = m / np.linalg.norm(m, axis=1, keepdims=True)
     ok = np.zeros(grids[0].shape, dtype=bool)
-    ok[pix] = good
+    ok[mask] = good
     return NormalField(n=n, mask=ok)

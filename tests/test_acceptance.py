@@ -358,8 +358,9 @@ def test_integrator_projection_property():
 
 def test_analytic_jacobian_matches_finite_differences():
     """The normal equations J^T f and J^T J bp-pps hands the LM engine,
-    against those of the central-difference Jacobian of its residuals, over
-    every pixel of a specular plane."""
+    from the coefficient rows of an LM block as fit forms them, against
+    those of the central-difference Jacobian of its residuals, over every
+    pixel of a specular plane."""
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.02, h_y=0.02,
                             delta_x=7.5, delta_y=7.5)
     grad = GradientField(gx=np.full((16, 16), 0.4), gy=np.full((16, 16), -0.25))
@@ -368,9 +369,9 @@ def test_analytic_jacobian_matches_finite_differences():
     images = [render_blinn_phong_perspective(grad, li, material, intr)
               for li in lights]
     X, Y = pixel_grid(16, 16, intr)
-    model = _ShadingModel(X.ravel(), Y.ravel(),
+    block = _ShadingModel(X.ravel(), Y.ravel(),
                           np.stack([img.data.ravel() for img in images]),
-                          lights, material, intr.focal_length)
+                          lights, material, intr.focal_length).block(slice(None))
 
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -378,9 +379,9 @@ def test_analytic_jacobian_matches_finite_differences():
         r, c = rng.integers(0, 16, size=2)
         idx = np.array([r * 16 + c])
         state = rng.uniform(-1.0, 1.0, size=2)
-        _, grad, (h00, h01, h11) = model.normal_equations(state[:, None], idx)
-        res = model.residuals(state[:, None], idx)[:, 0]
-        fd = finite_difference_jacobian(lambda v: model.residuals(v[:, None], idx)[:, 0], state)
+        _, grad, (h00, h01, h11) = block.normal_equations(state[:, None], idx)
+        res = block.residuals(state[:, None], idx)[:, 0]
+        fd = finite_difference_jacobian(lambda v: block.residuals(v[:, None], idx)[:, 0], state)
         for analytic, reference in ((grad[:, 0], fd.T @ res),
                                     (np.array([[h00, h01], [h01, h11]])[..., 0], fd.T @ fd)):
             worst = max(worst, np.abs(analytic - reference).max()

@@ -29,6 +29,7 @@ from psbp.render import (
     render_blinn_phong_perspective,
     render_lambertian_perspective,
     render_scene,
+    shade_pixels,
 )
 from psbp.solve import (
     _closed_form_system,
@@ -442,6 +443,42 @@ def test_normal_equations_keep_the_sign_of_an_exact_zero():
     assert 100 < np.count_nonzero(np.signbit(grad)) < grad.size - 100
 
 
+def test_model_blocks_shade_as_the_renderer():
+    # One kernel for the renderer and the solver: at the same pixels and
+    # states, the shading _ShadingModel forms from a block's coefficient
+    # rows (a run of pixels, as a first attempt takes them, or scattered
+    # ones, as the retry does; used whole or gathered by idx) keeps the bits
+    # of render.shade_pixels wherever the diffuse cosine is positive, since
+    # the renderer clamps it and the model does not.  The shading that comes
+    # with the derivatives keeps them too.
+    _, lights, material, intr, mask = acceptance_sphere()
+    depth = make_sphere_depth(128, 128, intr, (0.0, 0.0, 4.0), 1.0)
+    _, grad, _ = render_scene(SceneSpec(depth=depth, material=material, lights=lights,
+                                        intrinsics=intr))
+    rng = np.random.default_rng(9)
+    states = GradientField(gx=grad.gx + rng.uniform(-0.3, 0.3, grad.gx.shape),
+                           gy=grad.gy + rng.uniform(-0.3, 0.3, grad.gy.shape), mask=grad.mask)
+    rendered = np.stack(list(shade_pixels(states, mask, lights, material, intr)))
+    X, Y = pixel_grid(128, 128, intr)
+    x, y = X[mask], Y[mask]
+    nu = np.stack([states.gx[mask], states.gy[mask]])
+    f = intr.focal_length
+    m = np.stack([f * nu[0], f * nu[1], x * nu[0] + y * nu[1] + 1.0])
+    lit = np.stack([li.unit @ m for li in lights]) > 1e-9 * np.linalg.norm(m, axis=0)
+    assert lit.mean() > 0.9 and (~lit).sum() > 100
+    n = x.size
+    model = _ShadingModel(x, y, np.zeros((3, n)), lights, material, f)
+    for part in (np.arange(1000, 4000), np.sort(rng.choice(n, 3000, replace=False))):
+        block = model.block(part)
+        for idx in (np.arange(part.size), np.sort(rng.choice(part.size, 1500, replace=False))):
+            pixels = part[idx]
+            shaded = np.stack(list(block.shading(nu[:, pixels], idx, False)))
+            fused = np.stack([s[0] for s in block.shading(nu[:, pixels], idx, True)])
+            on = lit[:, pixels]
+            assert np.array_equal(shaded[on], rendered[:, pixels][on])
+            assert np.array_equal(fused, shaded)
+
+
 def acceptance_sphere():
     """The 128x128 acceptance sphere: (images, lights, material, intr, render mask)."""
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
@@ -501,8 +538,8 @@ def test_ortho_solve_fits_with_the_zero_start_retry(monkeypatch):
     images, lights, material, intr, mask = acceptance_sphere()
     calls = count_lm_rows(monkeypatch)
     est = blinn_phong_ortho_solve(images, lights, material, mask=mask & input_mask(images))
-    assert calls == [{"problems": 9388, "cost": 9388, "normal": 62380},
-                     {"problems": 2900, "cost": 2900, "normal": 52655}]
+    assert calls == [{"problems": 9388, "cost": 9388, "normal": 62372},
+                     {"problems": 2900, "cost": 2900, "normal": 52657}]
     assert est.mask.sum() == 9352
 
 
@@ -514,17 +551,16 @@ def test_batch_composition_does_not_change_a_pixels_fit(method):
     # points and bp-ppn's at the principal point with f = 1.
     images, lights, material, intr, mask = acceptance_sphere()
     mask &= input_mask(images)
-    pix, intensities = solve._pixels([img.data for img in images], mask)
+    intensities = solve._intensities([img.data for img in images], mask)
     if method == "bp-pps":
         init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
         X, Y = pixel_grid(128, 128, intr)
-        model = _ShadingModel(X[pix], Y[pix], intensities, lights, material,
+        model = _ShadingModel(X[mask], Y[mask], intensities, lights, material,
                               intr.focal_length)
-        x0 = np.stack([init.gx[pix], init.gy[pix]], axis=1)
+        x0 = np.stack([init.gx[mask], init.gy[mask]], axis=1)
     else:
-        n0 = woodham_normals(images, lights, mask=mask)[0].n[pix]
-        zeros = np.zeros(len(n0))
-        model = _ShadingModel(zeros, zeros, intensities, lights, material, 1.0)
+        n0 = woodham_normals(images, lights, mask=mask)[0].n[mask]
+        model = _ShadingModel(0.0, 0.0, intensities, lights, material, 1.0)
         x0 = n0[:, :2] / np.abs(n0[:, 2:])
     sub = np.random.default_rng(21).permutation(len(x0))[:len(x0) // 5]
 
@@ -563,7 +599,7 @@ def test_blocks_keep_every_bit(monkeypatch):
         normal[method] = (sum(c["normal"] for c in calls[:10]),
                           sum(c["normal"] for c in calls[10:]))
     assert sum(normal["bp-pps"]) == 56869
-    assert normal["bp-ppn"] == (62380, 52655)
+    assert normal["bp-ppn"] == (62372, 52657)
 
 
 def traced_peak(call):
@@ -585,7 +621,7 @@ def test_fit_memory_follows_the_block(monkeypatch):
     # over all of them would need about 4x.
     images, lights, material, intr, mask = acceptance_sphere()
     mask &= input_mask(images)
-    pix, intensities = solve._pixels([img.data for img in images], mask)
+    intensities = solve._intensities([img.data for img in images], mask)
     init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
     X, Y = pixel_grid(128, 128, intr)
     block = 1500
@@ -594,9 +630,9 @@ def test_fit_memory_follows_the_block(monkeypatch):
     for copies in (1, 4):
         def tiled(a):
             return np.tile(a[..., 4000:4000 + block], copies)
-        model = _ShadingModel(tiled(X[pix]), tiled(Y[pix]), tiled(intensities), lights,
+        model = _ShadingModel(tiled(X[mask]), tiled(Y[mask]), tiled(intensities), lights,
                               material, intr.focal_length)
-        x0 = np.stack([tiled(init.gx[pix]), tiled(init.gy[pix])], axis=1)
+        x0 = np.stack([tiled(init.gx[mask]), tiled(init.gy[mask])], axis=1)
         peaks.append(traced_peak(lambda: model.fit(x0)))
     assert peaks[1] <= 1.5 * peaks[0]
 
