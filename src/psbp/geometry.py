@@ -20,18 +20,12 @@ from .core import CameraIntrinsics, GradientField, NormalField
 
 def pixel_axes(width, height, intr: CameraIntrinsics):
     """The image coordinates of the pixel columns as one row (1, width), and
-    of the pixel rows as one column (height, 1): they broadcast to
-    pixel_grid's grids without forming them."""
+    of the pixel rows as one column (height, 1): adjacent pixels are h_x and
+    h_y apart, and the two broadcast to the per-pixel coordinates of the
+    frame without forming its grids."""
     xs = intr.h_x * (np.arange(width, dtype=np.float64) - intr.delta_x)
     ys = intr.h_y * (np.arange(height, dtype=np.float64) - intr.delta_y)
     return xs[None, :], ys[:, None]
-
-
-def pixel_grid(width, height, intr: CameraIntrinsics):
-    """Per-pixel image coordinate grids (X, Y); adjacent pixels are h_x and
-    h_y apart."""
-    xs, ys = pixel_axes(width, height, intr)
-    return np.meshgrid(xs[0], ys[:, 0])
 
 
 def halfway_vectors(x, y, focal_length, lights):
@@ -70,7 +64,7 @@ def normals_to_perspective_gradient(normals: NormalField,
     gradients.  Pixels with |d| < 1e-8 (normal nearly orthogonal to the
     viewing ray) are masked out.
     """
-    X, Y = pixel_grid(normals.width, normals.height, intr)
+    X, Y = pixel_axes(normals.width, normals.height, intr)
     n1 = normals.n[..., 0]
     n2 = normals.n[..., 1]
     n3 = normals.n[..., 2]

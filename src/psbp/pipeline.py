@@ -73,9 +73,10 @@ from .solve import (
     woodham_normals,
 )
 
-# perfbench/tracing.py times the render entry points it finds on this module
-# by name, the one-light renderers among them, although the pipeline shades
-# through render_scene and shade_pixels; they stay bound here for it.
+# The pipeline shades through render_scene and shade_pixels alone.  The two
+# one-light renderers stay bound here only because perfbench/tracing.py
+# looks them up on this module by name, until its tracer drops them
+# (ROADMAP item 1).
 render_blinn_phong_perspective = render.render_blinn_phong_perspective
 render_lambertian_perspective = render.render_lambertian_perspective
 

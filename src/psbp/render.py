@@ -14,17 +14,17 @@ one pow per light for the lobe and its slope.  The renderers run both steps
 per call; the Blinn-Phong solvers (bp-pps and bp-ppn) form the coefficient
 rows once per LM block and run the shading step on every LM step.  Each
 caller shades one pixel set with all its lights in one call: the solvers
-their masked pixels, and render_scene and the reprojection check, through
-shade_pixels, only the pixels of their mask, which they scatter into zero
+their masked pixels, and render_scene and the reprojection check
+(shade_pixels) only the pixels of their mask, which they scatter into zero
 frames or score.  A mask that covers the whole frame is indexed with ...,
-which gathers nothing.  The one-light perspective renderers shade the whole
-frame.  The orthographic renderer is served too: at the principal point
-x = y = 0 with f = 1 the perspective shading of the slope (n1/n3, n2/n3) is
-the orthographic shading of the normal n, so the orthographic renderer
-requires n3 > 0.  Lambertian rendering is Blinn-Phong rendering with
-k_s = 0.  Renders clamp all dot products at zero; intensities are
-k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately exceed
-1 for light intensities above 1.
+which gathers nothing.  render_scene shades both projections in that one
+call: the perspective one at the log-depth gradients and the pixels' image
+points, the orthographic one at the slope (n1/n3, n2/n3) of each normal at
+the principal point x = y = 0 with f = 1, where the view is (0, 0, 1) and
+the perspective shading is the orthographic shading of n.  Lambertian
+rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp all dot
+products at zero; intensities are k_d * l_d * <diffuse> + k_s * l_s *
+<specular>^n and may legitimately exceed 1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -42,28 +42,13 @@ from .core import (
     Material,
     NormalField,
 )
-from .geometry import halfway_vectors, pixel_axes, pixel_grid
+from .geometry import halfway_vectors, pixel_axes
 
 MODEL_LAMBERTIAN = "lambertian"
 MODEL_BLINN_PHONG = "blinn-phong"
 
 PROJECTION_PERSPECTIVE = "perspective"
 PROJECTION_ORTHOGRAPHIC = "orthographic"
-
-
-def render_blinn_phong_orthographic(
-    normals: NormalField, light: LightSource, material: Material
-) -> Image:
-    """Orthographic Blinn-Phong: perspective_shading of the slope
-    (n1/n3, n2/n3) at the principal point x = y = 0 with f = 1, whose view
-    is (0, 0, 1).  Every n3 must be positive, or the slope would flip n."""
-    light.require_frontal()
-    n = normals.n
-    if np.any(n[..., 2] <= 0.0):
-        raise ValueError("orthographic rendering requires n3 > 0 at every normal")
-    [shading] = perspective_shading(n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0,
-                                    [light], material, 1.0)
-    return Image(shading)
 
 
 def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, clamp=True,
@@ -221,27 +206,35 @@ def render_lambertian_perspective(
 def render_blinn_phong_perspective(
     grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
 ) -> Image:
-    """Perspective Blinn-Phong: per-pixel view vector (x, y, f)/||.||, halfway
-    vector against the light, specular lobe raised to the shininess."""
+    """Perspective Blinn-Phong of one light over the whole frame.  Nothing in
+    the package shades through it, or through render_lambertian_perspective;
+    both are kept for perfbench's tracer, which looks them up on
+    psbp.pipeline (ROADMAP item 1)."""
     [shading] = shade_pixels(grad, ..., [light], material, intr)
     return Image(shading)
 
 
 def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: CameraIntrinsics):
     """Clamped perspective_shading of the lights at the pixels pix of a
-    gradient field, all lights in one call: the path of the perspective
-    renderers and of the reprojection check.  pix is a boolean mask, or ...
-    for the whole frame, which gathers nothing.  Yields each light's shading
-    at those pixels, in the mask's row-major order."""
+    gradient field, all lights in one call: the path of the reprojection
+    check.  pix is a boolean mask, or ... for the whole frame, which gathers
+    nothing.  Yields each light's shading at those pixels, in the mask's
+    row-major order."""
+    return _shade_at(grad.gx, grad.gy, *pixel_axes(grad.width, grad.height, intr), pix, lights,
+                     material, intr.focal_length)
+
+
+def _shade_at(gx, gy, x, y, pix, lights, material: Material, focal_length):
+    """shade_pixels of frames gx, gy of log-depth gradients at image points
+    x, y: scalars, or pixel_axes' row and column, which broadcast to the
+    frame."""
     for light in lights:
         light.require_frontal()
-    # x follows the column and y the row: the whole frame takes them as one
-    # row and one column, and a mask gathers them without forming the grids
-    x, y = pixel_axes(grad.width, grad.height, intr)
+    # x follows the column and y the row: a mask gathers them without
+    # forming the grids
     if pix is not ...:
-        x, y = (np.broadcast_to(c, pix.shape)[pix] for c in (x, y))
-    return perspective_shading(grad.gx[pix], grad.gy[pix], x, y, lights, material,
-                               intr.focal_length)
+        x, y = (np.broadcast_to(c, pix.shape)[pix] if np.ndim(c) else c for c in (x, y))
+    return perspective_shading(gx[pix], gy[pix], x, y, lights, material, focal_length)
 
 
 def make_sphere_depth(
@@ -257,7 +250,7 @@ def make_sphere_depth(
     center = np.asarray(center, dtype=np.float64).reshape(3)
     if radius <= 0:
         raise ValueError("sphere radius must be positive")
-    X, Y = pixel_grid(width, height, intr)
+    X, Y = pixel_axes(width, height, intr)
     f = intr.focal_length
     if projection == PROJECTION_PERSPECTIVE:
         dd = X * X + Y * Y + f * f
@@ -347,22 +340,26 @@ def render_scene(scene: SceneSpec):
 
     Returns (images, geometry, mask) where geometry is the gradient field
     (perspective) or normal field (orthographic) the images were shaded
-    from; pixels outside the scene mask render as 0.
+    from.  Both projections are shaded in one call at the mask's pixels,
+    which are scattered into zero frames; the orthographic one at the slope
+    (n1/n3, n2/n3) of each normal at the principal point with f = 1, which
+    never flips n, since depth_to_normals_orthographic's n3 are positive.
     """
     material = scene.material
     if scene.model == MODEL_LAMBERTIAN:
         material = replace(material, k_s=0.0)
+    intr = scene.intrinsics
     if scene.projection == PROJECTION_ORTHOGRAPHIC:
-        geom = depth_to_normals_orthographic(scene.depth, scene.intrinsics)
-        images = []
-        for li in scene.lights:
-            img = render_blinn_phong_orthographic(geom, li, material)
-            images.append(Image(np.where(geom.mask, img.data, 0.0)))
-        return images, geom, geom.mask.copy()
-    geom = log_depth_gradients(scene.depth, scene.intrinsics)
+        geom = depth_to_normals_orthographic(scene.depth, intr)
+        n = geom.n
+        gx, gy, x, y, f = n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0, 1.0
+    else:
+        geom = log_depth_gradients(scene.depth, intr)
+        gx, gy, f = geom.gx, geom.gy, intr.focal_length
+        x, y = pixel_axes(geom.width, geom.height, intr)
     pix = ... if geom.mask.all() else geom.mask
     images = []
-    for shading in shade_pixels(geom, pix, scene.lights, material, scene.intrinsics):
+    for shading in _shade_at(gx, gy, x, y, pix, scene.lights, material, f):
         if pix is not ...:
             frame = np.zeros(geom.mask.shape)
             frame[pix] = shading

@@ -48,7 +48,7 @@ from .core import (
     NormalField,
     input_mask,
 )
-from .geometry import pixel_axes, pixel_grid
+from .geometry import pixel_axes
 from .optim import levenberg_marquardt_batch
 from .render import perspective_shading, shade_from_coefficients, shading_coefficients
 
@@ -226,10 +226,10 @@ def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> Cond
     intensities I_k = l_d,k.
     """
     dirs, norms, _ = _light_arrays(lights)
-    X, Y = pixel_grid(width, height, intr)
+    X, Y = pixel_axes(width, height, intr)
     (a1, b1, g1), (a2, b2, g2), (a3, b3, g3) = dirs
 
-    ones = np.ones_like(X)
+    ones = np.ones((height, width))
     exprs = np.stack(
         [
             (b1 * a3 - a1 * b3) * ones,

@@ -27,18 +27,16 @@ from psbp.core import (
     input_mask,
 )
 from psbp.fileio import read_json, write_json, write_pfm
-from psbp.geometry import pixel_grid
+from psbp.geometry import pixel_axes
 from psbp.integrate import _integrate_edges
 from psbp.optim import finite_difference_jacobian
 from psbp.render import (
     MODEL_LAMBERTIAN,
     PROJECTION_ORTHOGRAPHIC,
     SceneSpec,
-    depth_to_normals_orthographic,
     make_sphere_depth,
-    render_blinn_phong_orthographic,
-    render_blinn_phong_perspective,
     render_scene,
+    shade_pixels,
 )
 from psbp.solve import (
     _ShadingModel,
@@ -210,10 +208,8 @@ def test_orthographic_normal_recovery_is_exact():
                             delta_x=63.5, delta_y=63.5)
     depth = make_sphere_depth(128, 128, intr, (0.0, 0.0, 4.0), 1.0,
                               projection=PROJECTION_ORTHOGRAPHIC)
-    normals = depth_to_normals_orthographic(depth, intr)
-    material = Material(k_d=0.7)
-    images = [render_blinn_phong_orthographic(normals, li, material)
-              for li in rig()]
+    images, normals, _ = render_scene(SceneSpec(depth, Material(k_d=0.7), rig(), intr,
+                                                projection=PROJECTION_ORTHOGRAPHIC))
     lit = input_mask(images) & normals.mask  # drop shadow-clamped pixels
 
     started = time.perf_counter()
@@ -366,11 +362,10 @@ def test_analytic_jacobian_matches_finite_differences():
     grad = GradientField(gx=np.full((16, 16), 0.4), gy=np.full((16, 16), -0.25))
     material = Material(k_d=0.5, k_s=0.5, shininess=30.0)
     lights = rig(1.2, 1.2)
-    images = [render_blinn_phong_perspective(grad, li, material, intr)
-              for li in lights]
-    X, Y = pixel_grid(16, 16, intr)
+    images = list(shade_pixels(grad, ..., lights, material, intr))
+    X, Y = np.broadcast_arrays(*pixel_axes(16, 16, intr))
     block = _ShadingModel(X.ravel(), Y.ravel(),
-                          np.stack([img.data.ravel() for img in images]),
+                          np.stack([img.ravel() for img in images]),
                           lights, material, intr.focal_length).block(slice(None))
 
     rng = np.random.default_rng(3)

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,7 @@ from psbp.fileio import (
     write_pfm,
 )
 from psbp.pipeline import reprojection_error
-from psbp.render import (
-    log_depth_gradients,
-    make_sphere_depth,
-    render_blinn_phong_perspective,
-    render_lambertian_perspective,
-)
+from psbp.render import log_depth_gradients, make_sphere_depth, shade_pixels
 
 
 def sphere_render_payload(out):
@@ -359,15 +355,17 @@ def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_spher
     albedo = rng.uniform(0.3, 0.9, size=(64, 64)) if case == "lambertian-albedo" else None
     got = reprojection_error(grad, images, cfg.lights, cfg.material, intr, model=model,
                              albedo=albedo, mask=usable)
+    if model == "blinn-phong":
+        material = cfg.material
+    elif albedo is not None:
+        material = Material(k_d=1.0, k_s=0.0, shininess=1.0)
+    else:
+        material = replace(cfg.material, k_s=0.0)
     want = []
     for light, img in zip(cfg.lights, images):
-        if model == "blinn-phong":
-            pred = render_blinn_phong_perspective(grad, light, cfg.material, intr).data
-        elif albedo is not None:
-            unit = Material(k_d=1.0, k_s=0.0, shininess=1.0)
-            pred = albedo * render_lambertian_perspective(grad, light, unit, intr).data
-        else:
-            pred = render_lambertian_perspective(grad, light, cfg.material, intr).data
+        [pred] = shade_pixels(grad, ..., [light], material, intr)
+        if albedo is not None:
+            pred = albedo * pred
         want.append(mse(pred, img, joint))
     assert min(want) > 0.0
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))

@@ -8,18 +8,19 @@ from psbp.core import CameraIntrinsics, LightSource, NormalField
 from psbp.geometry import (
     halfway_vectors,
     normals_to_perspective_gradient,
-    pixel_grid,
+    pixel_axes,
 )
 
 
-def test_pixel_grid_metric_and_raw():
+def test_pixel_axes_metric_and_raw():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.5, h_y=0.25, delta_x=1.0, delta_y=2.0)
-    X, Y = pixel_grid(3, 4, intr)
-    assert X.shape == (4, 3)
-    assert np.allclose(X[0], [-0.5, 0.0, 0.5])
-    assert np.allclose(Y[:, 0], [-0.5, -0.25, 0.0, 0.25])
-    # a raw-pixel camera: pitch 1 and principal point 0 give the pixel indices
-    raw = pixel_grid(3, 4, CameraIntrinsics(1.0, 1.0, 1.0, 0.0, 0.0))
+    x, y = pixel_axes(3, 4, intr)
+    assert x.shape == (1, 3) and y.shape == (4, 1)
+    assert np.allclose(x[0], [-0.5, 0.0, 0.5])
+    assert np.allclose(y[:, 0], [-0.5, -0.25, 0.0, 0.25])
+    # a raw-pixel camera: pitch 1 and principal point 0 give the pixel
+    # indices, and the axes broadcast to the meshgrid of the frame
+    raw = np.broadcast_arrays(*pixel_axes(3, 4, CameraIntrinsics(1.0, 1.0, 1.0, 0.0, 0.0)))
     expected = np.meshgrid(np.arange(3, dtype=float), np.arange(4, dtype=float))
     for got, want in zip(raw, expected):
         assert np.array_equal(got, want)
@@ -28,7 +29,7 @@ def test_pixel_grid_metric_and_raw():
 def test_halfway_vectors_match_scalar():
     intr = CameraIntrinsics(focal_length=1.0, h_x=0.01, h_y=0.01, delta_x=2.0, delta_y=2.0)
     light = LightSource(np.array([0.0, 1.0, 2.0]))
-    X, Y = pixel_grid(5, 5, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(5, 5, intr))
     [h] = halfway_vectors(X, Y, 1.0, [light])
     assert h.shape == (3, 5, 5)
     for i in range(5):
@@ -59,7 +60,7 @@ def test_halfway_vectors_keep_the_bits_of_np_linalg_norm():
         assert h.shape == (3, x.size)
         want = np.moveaxis(stacked_halfway(x, y, f, light), -1, 0)
         assert np.array_equal(h.view(np.int64), want.view(np.int64))
-    # scalar image points, as the orthographic renderer passes them
+    # scalar image points, as render_scene passes them for an orthographic scene
     [h] = halfway_vectors(0.0, 0.0, 1.0, lights[:1])
     want = stacked_halfway(0.0, 0.0, 1.0, lights[0])
     assert np.array_equal(h.view(np.int64), want.view(np.int64))
@@ -79,7 +80,7 @@ def test_normals_to_perspective_gradient_round_trip():
     rng = np.random.default_rng(11)
     gx = rng.uniform(-1.5, 1.5, size=(12, 16))
     gy = rng.uniform(-1.5, 1.5, size=(12, 16))
-    X, Y = pixel_grid(16, 12, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(16, 12, intr))
     n = np.stack([intr.focal_length * gx, intr.focal_length * gy, X * gx + Y * gy + 1.0],
                  axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
@@ -96,7 +97,8 @@ def test_normals_to_perspective_gradient_masks_grazing_normals():
     intr = CameraIntrinsics(focal_length=1.0)
     n = np.zeros((1, 2, 3))
     n[0, 0] = (0.0, 0.0, 1.0)
-    X, _ = pixel_grid(2, 1, intr)  # x = 1 => d = f*n3 - x*n1 vanishes for n=(1,0,eps)/||.||
+    # x = 1 => d = f*n3 - x*n1 vanishes for n=(1,0,eps)/||.||
+    X, _ = np.broadcast_arrays(*pixel_axes(2, 1, intr))
     v = np.array([1.0, 0.0, 1.0 / X[0, 1] * 1.0])  # choose n1/n3 = f/x exactly
     n[0, 1] = v / np.linalg.norm(v)
     grad = normals_to_perspective_gradient(NormalField(n), intr)

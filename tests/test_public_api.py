@@ -36,6 +36,28 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+# The top-level surface: the names of README's library example, the other
+# methods' solvers and the *-ppn methods' conversion, the types they
+# return, and the errors.
+PUBLIC_NAMES = {
+    "CameraIntrinsics", "LightSource", "Material", "SceneSpec", "make_sphere_depth",
+    "render_scene", "blinn_phong_pps_solve", "poisson_integrate", "exp_depth", "align_depth",
+    "input_mask",
+    "lambertian_pps_closed_form", "woodham_normals", "blinn_phong_ortho_solve",
+    "normals_to_perspective_gradient",
+    "GradientField", "DepthMap", "Image", "NormalField", "AlbedoMap",
+    "ConfigError", "NumericalError",
+}
+
+
+def test_exported_names_are_the_documented_library():
+    assert set(psbp.__all__) == PUBLIC_NAMES
+    section = readme_section("Library use")
+    undocumented = sorted(name for name in PUBLIC_NAMES
+                          if not re.search(rf"\b{name}\b", section))
+    assert undocumented == []
+
+
 # Top-level public names that stay without a caller in src/, with the reason.
 UNREFERENCED_ALLOWED = {
     "finite_difference_jacobian": "the tests' reference for every analytic Jacobian",

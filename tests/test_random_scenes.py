@@ -5,15 +5,23 @@ bumps, seen by a random camera under a random non-coplanar three-light rig
 and a random material, and rendered in float by render_scene.  The truth
 fits every pixel with residual exactly 0, so an accepted pixel whose
 gradient is off the truth is a fit in a wrong minimum that passed the
-residual test.
+residual test.  The same scenes re-rendered at k_s = 0 check the three
+Lambertian paths against the truth and against each other.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from psbp.core import CameraIntrinsics, DepthMap, LightSource, Material, input_mask
-from psbp.geometry import pixel_grid
+from psbp.geometry import normals_to_perspective_gradient, pixel_axes
 from psbp.render import SceneSpec, render_scene
-from psbp.solve import blinn_phong_pps_solve
+from psbp.solve import (
+    blinn_phong_ortho_solve,
+    blinn_phong_pps_solve,
+    lambertian_pps_closed_form,
+    woodham_normals,
+)
 
 SEEDS = range(8)
 SIZE = 64
@@ -31,12 +39,12 @@ def random_rig(rng):
 
 
 def random_scene(seed):
-    """A seeded exact scene: (SceneSpec, its images, their gradient field)."""
+    """A seeded exact scene, rendered: see render."""
     rng = np.random.default_rng(seed)
     pitch = rng.uniform(0.004, 0.012)
     intr = CameraIntrinsics(focal_length=1.0, h_x=pitch, h_y=pitch * rng.uniform(0.8, 1.25),
                             delta_x=rng.uniform(24.0, 40.0), delta_y=rng.uniform(24.0, 40.0))
-    X, Y = pixel_grid(SIZE, SIZE, intr)
+    X, Y = pixel_axes(SIZE, SIZE, intr)
     z = rng.uniform(3.0, 5.0) + rng.uniform(-0.5, 0.5) * X + rng.uniform(-0.5, 0.5) * Y
     span = SIZE * pitch
     for _ in range(rng.integers(1, 5)):
@@ -49,8 +57,20 @@ def random_scene(seed):
                         shininess=rng.uniform(5.0, 200.0))
     scene = SceneSpec(depth=DepthMap(z=z, mask=np.ones_like(z, dtype=bool)),
                       material=material, lights=random_rig(rng), intrinsics=intr)
+    return render(scene)
+
+
+def render(scene):
+    """(scene, its images, their gradient field, the mask of their usable
+    pixels)."""
     images, grad, mask = render_scene(scene)
     return scene, images, grad, mask & input_mask(images)
+
+
+def diffuse_scene(seed):
+    """random_scene(seed) re-rendered at k_s = 0."""
+    scene = random_scene(seed)[0]
+    return render(replace(scene, material=replace(scene.material, k_s=0.0)))
 
 
 # bp-pps's accepted pixels with gradient error > 1e-6 over the eight scenes,
@@ -76,3 +96,32 @@ def test_bp_pps_wrong_accepted_pixels_do_not_grow():
     print(f"{wrong} wrong of {accepted} accepted, {candidates} candidates")
     assert accepted > 0.95 * candidates
     assert wrong <= WRONG_ACCEPTED_BOUND
+
+
+def test_lambertian_solvers_are_exact_on_diffuse_scenes():
+    # The perspective closed form recovers the truth, and Woodham's
+    # orthographic normals, converted at each pixel, give its gradients:
+    # the Lambertian shading of a pixel depends on its normal alone.
+    worst_truth = worst_pair = 0.0
+    for seed in SEEDS:
+        scene, images, grad, mask = diffuse_scene(seed)
+        closed, _ = lambertian_pps_closed_form(images, scene.lights, scene.intrinsics, mask=mask)
+        normals, _ = woodham_normals(images, scene.lights, mask=mask)
+        converted = normals_to_perspective_gradient(normals, scene.intrinsics)
+        assert closed.mask.all() and converted.mask.all()
+        worst_truth = max(worst_truth, np.abs(closed.gx - grad.gx).max(),
+                          np.abs(closed.gy - grad.gy).max())
+        worst_pair = max(worst_pair, np.abs(converted.gx - closed.gx).max(),
+                         np.abs(converted.gy - closed.gy).max())
+    print(f"closed form vs truth {worst_truth:.2e}, converted Woodham vs closed form "
+          f"{worst_pair:.2e}")
+    assert worst_truth <= 1e-12
+    assert worst_pair <= 1e-12
+
+
+def test_bp_ortho_solve_is_finite_on_specular_scenes():
+    # the suite turns any warning of the fit into a failure
+    for seed in SEEDS:
+        scene, images, _, mask = random_scene(seed)
+        normals = blinn_phong_ortho_solve(images, scene.lights, scene.material, mask=mask)
+        assert np.isfinite(normals.n).all() and normals.mask.any()

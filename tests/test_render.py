@@ -13,20 +13,19 @@ from psbp.core import (
     Material,
     NormalField,
 )
-from psbp.geometry import pixel_grid
+from psbp.geometry import pixel_axes
 from psbp.render import (
     MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
     PROJECTION_ORTHOGRAPHIC,
+    PROJECTION_PERSPECTIVE,
     SceneSpec,
     _masked_difference,
     log_depth_gradients,
     make_sphere_depth,
     perspective_shading,
-    render_blinn_phong_orthographic,
-    render_blinn_phong_perspective,
-    render_lambertian_perspective,
     render_scene,
+    shade_pixels,
 )
 
 INTR = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
@@ -59,7 +58,7 @@ def ray_march_sphere_depth(x, y, f, center, radius):
 
 def test_sphere_depth_matches_ray_march():
     depth = make_sphere_depth(128, 128, INTR, SPHERE_CENTER, 1.0)
-    X, Y = pixel_grid(128, 128, INTR)
+    X, Y = np.broadcast_arrays(*pixel_axes(128, 128, INTR))
     rng = np.random.default_rng(8)
     rows, cols = np.nonzero(depth.mask)
     pick = rng.choice(rows.size, size=25, replace=False)
@@ -89,7 +88,7 @@ def test_sphere_depth_mask_and_branch():
 def test_log_depth_gradients_match_analytic_sphere():
     depth = make_sphere_depth(128, 128, INTR, SPHERE_CENTER, 1.0)
     grad = log_depth_gradients(depth, INTR)
-    X, Y = pixel_grid(128, 128, INTR)
+    X, Y = np.broadcast_arrays(*pixel_axes(128, 128, INTR))
     # analytic gradient by implicit differentiation of q z^2 - 8 z + 15 = 0
     q = X**2 + Y**2 + 1.0
     z = depth.z
@@ -108,20 +107,26 @@ def test_flat_wall_lambertian_intensity():
     grad = GradientField(gx=np.zeros((8, 8)), gy=np.zeros((8, 8)))
     light = LightSource(np.array([1.0, 0.0, 2.0]), diffuse_intensity=1.2)
     mat = Material(k_d=0.5)
-    img = render_lambertian_perspective(grad, light, mat, INTR)
+    [img] = shade_pixels(grad, ..., [light], mat, INTR)
     expected = 0.5 * 1.2 * 2.0 / np.sqrt(5.0)
-    assert np.allclose(img.data, expected, atol=1e-14)
+    assert np.allclose(img, expected, atol=1e-14)
 
 
 def test_perspective_blinn_phong_reduces_to_lambertian_when_ks_zero():
-    depth = make_sphere_depth(64, 64, CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5),
-                              SPHERE_CENTER, 1.0)
+    # the Lambertian model drops k_s, so it renders Blinn-Phong at k_s = 0,
+    # in either projection
     intr = CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5)
-    grad = log_depth_gradients(depth, intr)
-    light = LightSource(np.array([1.0, 0.0, 2.0]), 1.2, 1.2)
-    a = render_lambertian_perspective(grad, light, Material(k_d=0.5), intr)
-    b = render_blinn_phong_perspective(grad, light, Material(k_d=0.5, k_s=0.0), intr)
-    assert np.array_equal(a.data, b.data)
+    depth = make_sphere_depth(64, 64, intr, SPHERE_CENTER, 1.0)
+    lights = [LightSource(np.array(d, dtype=float), 1.2, 1.2)
+              for d in [(0, 0, 1), (1, 0, 2), (0, 1, 2)]]
+    for projection in (PROJECTION_PERSPECTIVE, PROJECTION_ORTHOGRAPHIC):
+        a, _, _ = render_scene(SceneSpec(depth, Material(k_d=0.5, k_s=0.5, shininess=30.0),
+                                         lights, intr, projection=projection,
+                                         model=MODEL_LAMBERTIAN))
+        b, _, _ = render_scene(SceneSpec(depth, Material(k_d=0.5, k_s=0.0), lights, intr,
+                                         projection=projection))
+        for one, two in zip(a, b):
+            assert np.array_equal(one.data, two.data)
 
 
 def test_specular_term_value_at_known_pixel():
@@ -132,7 +137,7 @@ def test_specular_term_value_at_known_pixel():
     light = LightSource(np.array([0.5, 0.5, 1.5]), diffuse_intensity=0.9,
                         specular_intensity=1.1)
     mat = Material(k_d=0.3, k_s=0.6, shininess=25.0)
-    img = render_blinn_phong_perspective(grad, light, mat, intr)
+    [img] = shade_pixels(grad, ..., [light], mat, intr)
 
     x, y, f = 0.1, 0.0, 2.0  # pixel (col=2, row=1)
     w = x * gx + y * gy + 1.0
@@ -143,19 +148,19 @@ def test_specular_term_value_at_known_pixel():
     h /= np.linalg.norm(h)
     expected = (mat.k_d * light.diffuse_intensity * max(np.dot(light.unit, n_hat), 0.0)
                 + mat.k_s * light.specular_intensity * max(np.dot(h, n_hat), 0.0) ** 25.0)
-    assert img.data[1, 2] == pytest.approx(expected, abs=1e-14)
+    assert img[1, 2] == pytest.approx(expected, abs=1e-14)
 
 
 def test_higher_shininess_dims_off_peak_specular():
     depth = make_sphere_depth(128, 128, INTR, SPHERE_CENTER, 1.0)
     grad = log_depth_gradients(depth, INTR)
     light = LightSource(np.array([1.0, 0.0, 2.0]), 1.0, 1.0)
-    lo = render_blinn_phong_perspective(grad, light, Material(k_d=0.0, k_s=0.5, shininess=50.0), INTR)
-    hi = render_blinn_phong_perspective(grad, light, Material(k_d=0.0, k_s=0.5, shininess=200.0), INTR)
-    lit = grad.mask & (lo.data > 1e-6) & (lo.data < 0.5 * lo.data.max())
+    [lo] = shade_pixels(grad, ..., [light], Material(k_d=0.0, k_s=0.5, shininess=50.0), INTR)
+    [hi] = shade_pixels(grad, ..., [light], Material(k_d=0.0, k_s=0.5, shininess=200.0), INTR)
+    lit = grad.mask & (lo > 1e-6) & (lo < 0.5 * lo.max())
     assert lit.any()
-    assert np.all(hi.data[lit] <= lo.data[lit])
-    assert np.all(hi.data[grad.mask] <= lo.data[grad.mask] + 1e-12)
+    assert np.all(hi[lit] <= lo[lit])
+    assert np.all(hi[grad.mask] <= lo[grad.mask] + 1e-12)
 
 
 def test_lambertian_render_linear_in_diffuse_intensity():
@@ -163,29 +168,30 @@ def test_lambertian_render_linear_in_diffuse_intensity():
                               SPHERE_CENTER, 1.0)
     intr = CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5)
     grad = log_depth_gradients(depth, intr)
-    one = render_lambertian_perspective(
-        grad, LightSource(np.array([0.0, 1.0, 2.0]), diffuse_intensity=1.0),
-        Material(k_d=0.5), intr)
-    two = render_lambertian_perspective(
-        grad, LightSource(np.array([0.0, 1.0, 2.0]), diffuse_intensity=2.0),
-        Material(k_d=0.5), intr)
-    assert np.allclose(two.data, 2.0 * one.data, atol=1e-14)
+    lights = [LightSource(np.array([0.0, 1.0, 2.0]), diffuse_intensity=d) for d in (1.0, 2.0)]
+    one, two = shade_pixels(grad, ..., lights, Material(k_d=0.5), intr)
+    assert np.allclose(two, 2.0 * one, atol=1e-14)
 
 
 def test_renders_require_frontal_light():
     grad = GradientField(gx=np.zeros((2, 2)), gy=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        render_lambertian_perspective(grad, LightSource(np.array([1.0, 0.0, 0.0])),
-                                      Material(k_d=0.5), INTR)
+    lights = [LightSource(np.array(d)) for d in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0),
+                                                 (1.0, 0.0, 0.0))]
+    with pytest.raises(ValueError, match="positive third component"):
+        shade_pixels(grad, ..., lights, Material(k_d=0.5), INTR)
+    for projection in (PROJECTION_PERSPECTIVE, PROJECTION_ORTHOGRAPHIC):
+        with pytest.raises(ValueError, match="positive third component"):
+            render_scene(SceneSpec(DepthMap(np.full((2, 2), 3.0)), Material(k_d=0.5), lights,
+                                   INTR, projection=projection))
 
 
 def test_orthographic_lambertian_flat_normals():
-    n = np.zeros((4, 4, 3))
-    n[..., 2] = 1.0
-    normals = NormalField(n)
     light = LightSource(np.array([0.0, 0.0, 2.0]), diffuse_intensity=1.2)
-    img = render_blinn_phong_orthographic(normals, light, Material(k_d=0.5))
-    assert np.allclose(img.data, 0.6)
+    images, normals, _ = render_scene(SceneSpec(DepthMap(np.full((4, 4), 3.0)), Material(k_d=0.5),
+                                                [light] * 3, INTR,
+                                                projection=PROJECTION_ORTHOGRAPHIC))
+    assert np.array_equal(normals.n[..., 2], np.ones((4, 4)))
+    assert np.allclose(images[0].data, 0.6)
 
 
 def test_orthographic_blinn_phong_peak_at_mirror_normal():
@@ -193,13 +199,13 @@ def test_orthographic_blinn_phong_peak_at_mirror_normal():
     light = LightSource(np.array([1.0, 0.0, 1.0]), 1.0, 1.0)
     h = light.unit + np.array([0.0, 0.0, 1.0])
     h /= np.linalg.norm(h)
-    n = np.zeros((1, 2, 3))
-    n[0, 0] = h
-    n[0, 1] = (0.0, 0.0, 1.0)
-    img = render_blinn_phong_orthographic(NormalField(n), light,
-                                          Material(k_d=0.0, k_s=1.0, shininess=80.0))
-    assert img.data[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert img.data[0, 1] < img.data[0, 0]
+    # render_scene's orthographic shading: the slope (n1/n3, n2/n3) of the
+    # normals h and (0, 0, 1) at the principal point with f = 1
+    slopes = np.array([[h[0] / h[2], 0.0], [h[1] / h[2], 0.0]])
+    [img] = perspective_shading(*slopes, 0.0, 0.0, [light],
+                                Material(k_d=0.0, k_s=1.0, shininess=80.0), 1.0)
+    assert img[0] == pytest.approx(1.0, abs=1e-12)
+    assert img[1] < img[0]
 
 
 @pytest.mark.parametrize("f", [1.0, 2.5])
@@ -248,18 +254,6 @@ def test_lights_shaded_together_match_lights_shaded_alone(clamp):
                 assert np.array_equal(np.asarray(shaded), np.asarray(alone))
 
 
-def test_orthographic_render_rejects_a_back_facing_normal():
-    # The renderer shades the slope (n1/n3, n2/n3), which would flip a
-    # normal with n3 < 0, so such a normal is refused, not shaded.
-    n = np.zeros((1, 2, 3))
-    n[0, 0] = (0.0, 0.0, 1.0)
-    n[0, 1] = (0.6, 0.0, -0.8)
-    light = LightSource(np.array([0.0, 0.0, 1.0]), 1.0, 1.0)
-    with pytest.raises(ValueError, match="n3 > 0"):
-        render_blinn_phong_orthographic(NormalField(n), light,
-                                        Material(k_d=0.5, k_s=0.5, shininess=10.0))
-
-
 def test_render_scene_returns_consistent_stack():
     depth = make_sphere_depth(64, 64, CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5),
                               SPHERE_CENTER, 1.0)
@@ -279,27 +273,44 @@ def test_render_scene_returns_consistent_stack():
 
 
 @pytest.mark.parametrize("model", [MODEL_BLINN_PHONG, MODEL_LAMBERTIAN])
-@pytest.mark.parametrize("full", [False, True], ids=["partial-mask", "full-mask"])
-def test_render_scene_matches_per_light_renders_bit_for_bit(full, model):
+@pytest.mark.parametrize("projection, full", [
+    (PROJECTION_PERSPECTIVE, False), (PROJECTION_PERSPECTIVE, True),
+    (PROJECTION_ORTHOGRAPHIC, False), (PROJECTION_ORTHOGRAPHIC, True),
+], ids=["partial-mask", "full-mask", "orthographic-partial-mask", "orthographic-full-mask"])
+def test_render_scene_matches_per_light_renders_bit_for_bit(projection, full, model):
     # render_scene shades only the mask's pixels, all lights in one call; its
-    # images must keep the bits of full-frame one-light renders zeroed off
-    # the mask.  A full mask takes the path that gathers nothing.
+    # images must keep the bits of the kernel run one light at a time over
+    # the whole frame, zeroed off the mask: at the log-depth gradients and
+    # the pixels' image points (perspective), or at the normals' slopes
+    # (n1/n3, n2/n3) at the principal point with f = 1 (orthographic).  A
+    # full mask takes the path that gathers nothing.
     intr = CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5)
     if full:
-        X, Y = pixel_grid(64, 64, intr)
+        X, Y = pixel_axes(64, 64, intr)
         depth = DepthMap(4.0 + 0.3 * np.sin(6.0 * X) * np.cos(5.0 * Y))
     else:
-        depth = make_sphere_depth(64, 64, intr, SPHERE_CENTER, 1.0)
+        # the orthographic sphere of radius 1 would cover the frame
+        radius = 1.0 if projection == PROJECTION_PERSPECTIVE else 0.25
+        depth = make_sphere_depth(64, 64, intr, SPHERE_CENTER, radius, projection=projection)
     lights = [LightSource(np.array(d, dtype=float), 1.2, 1.1)
               for d in [(0, 0, 1), (1, 0, 2), (0, 1, 2)]]
     material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
-    images, geom, mask = render_scene(SceneSpec(depth=depth, material=material,
-                                                lights=lights, intrinsics=intr, model=model))
+    images, geom, mask = render_scene(SceneSpec(depth=depth, material=material, lights=lights,
+                                                intrinsics=intr, projection=projection,
+                                                model=model))
     assert mask.all() == full and mask.any()
     if model == MODEL_LAMBERTIAN:
         material = replace(material, k_s=0.0)
+    if projection == PROJECTION_PERSPECTIVE:
+        assert isinstance(geom, GradientField)
+        gx, gy, f = geom.gx, geom.gy, intr.focal_length
+        x, y = pixel_axes(64, 64, intr)
+    else:
+        assert isinstance(geom, NormalField)
+        n = geom.n
+        gx, gy, x, y, f = n[..., 0] / n[..., 2], n[..., 1] / n[..., 2], 0.0, 0.0, 1.0
     for img, light in zip(images, lights):
-        frame = render_blinn_phong_perspective(geom, light, material, intr).data
+        [frame] = perspective_shading(gx, gy, x, y, [light], material, f)
         want = np.where(mask, frame, 0.0)
         assert np.array_equal(img.data.view(np.int64), want.view(np.int64))
 
@@ -333,22 +344,6 @@ def test_masked_difference_keeps_the_bits_of_the_roll_form(axis):
     want, want_ok = masked_difference_by_roll(values, mask, 0.03, axis)
     assert np.array_equal(ok, want_ok) and not ok[mask].all() and ok.any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_render_scene_orthographic_path():
-    z = np.full((16, 16), 3.0)
-    z += np.linspace(0, 0.1, 16)[None, :]
-    depth = DepthMap(z)
-    intr = CameraIntrinsics(focal_length=1.0)
-    lights = [LightSource(np.array(d, dtype=float))
-              for d in [(0, 0, 1), (0.3, 0, 1), (0, 0.3, 1)]]
-    scene = SceneSpec(depth=depth, material=Material(k_d=0.8), lights=lights,
-                      intrinsics=intr, projection=PROJECTION_ORTHOGRAPHIC,
-                      model=MODEL_LAMBERTIAN)
-    images, geom, mask = render_scene(scene)
-    assert isinstance(geom, NormalField)
-    ref = render_blinn_phong_orthographic(geom, lights[1], Material(k_d=0.8))
-    assert np.allclose(images[1].data[mask], ref.data[mask])
 
 
 def test_scene_spec_validation():

@@ -17,17 +17,14 @@ from psbp.core import (
     input_mask,
 )
 from psbp.fileio import load_image, save_image
-from psbp.geometry import halfway_vectors, pixel_grid
+from psbp.geometry import halfway_vectors, pixel_axes
 from psbp.optim import finite_difference_jacobian
 from psbp import optim, solve
 from psbp.render import (
+    PROJECTION_ORTHOGRAPHIC,
     SceneSpec,
-    depth_to_normals_orthographic,
     make_sphere_depth,
     perspective_shading,
-    render_blinn_phong_orthographic,
-    render_blinn_phong_perspective,
-    render_lambertian_perspective,
     render_scene,
     shade_pixels,
 )
@@ -64,6 +61,14 @@ def bump_depth(size=32, spacing=0.05):
     return DepthMap(3.0 - 0.8 * np.exp(-(x**2 + y**2) / 0.8))
 
 
+def render_orthographic(depth, lights, material):
+    """render_scene's orthographic images of a depth map seen by INTR, and
+    the normal field they were shaded from."""
+    images, normals, _ = render_scene(SceneSpec(depth, material, lights, INTR,
+                                                projection=PROJECTION_ORTHOGRAPHIC))
+    return images, normals
+
+
 # ---------------------------------------------------------------- woodham
 
 def test_woodham_flat_surface_known_albedo():
@@ -80,11 +85,7 @@ def test_woodham_flat_surface_known_albedo():
 
 
 def test_woodham_recovers_rendered_normals():
-    depth = bump_depth()
-    intr = CameraIntrinsics(focal_length=1.0, h_x=0.05, h_y=0.05, delta_x=15.5, delta_y=15.5)
-    normals = depth_to_normals_orthographic(depth, intr)
-    mat = Material(k_d=0.7)
-    images = [render_blinn_phong_orthographic(normals, li, mat) for li in FRONTAL_RIG]
+    images, normals = render_orthographic(bump_depth(), FRONTAL_RIG, Material(k_d=0.7))
     est, albedo = woodham_normals(images, FRONTAL_RIG)
     joint = est.mask & normals.mask
     assert joint.sum() > 0.9 * normals.mask.sum()
@@ -157,10 +158,7 @@ def test_woodham_respects_intensity_scaling():
         LightSource(np.array([0.5, 0.0, 1.0]), diffuse_intensity=0.5),
         LightSource(np.array([0.0, 0.5, 1.0]), diffuse_intensity=1.0),
     ]
-    depth = bump_depth()
-    normals = depth_to_normals_orthographic(depth, INTR)
-    mat = Material(k_d=0.6)
-    images = [render_blinn_phong_orthographic(normals, li, mat) for li in rig]
+    images, normals = render_orthographic(bump_depth(), rig, Material(k_d=0.6))
     est, _ = woodham_normals(images, rig)
     joint = est.mask & normals.mask
     assert chord_angle(est.n[joint], normals.n[joint]).max() < 1e-9
@@ -186,7 +184,7 @@ def smooth_log_depth_scene(size=32, seed=0, k_d=0.6):
         LightSource(np.array([1.0, 0.0, 2.0]), 1.2),
         LightSource(np.array([0.0, 1.0, 2.0]), 1.2),
     ]
-    images = [render_lambertian_perspective(grad, li, mat, intr) for li in lights]
+    images = [Image(shading) for shading in shade_pixels(grad, ..., lights, mat, intr)]
     assert min(img.data.min() for img in images) > 1e-3  # nothing in shadow
     return images, lights, intr, grad, mat
 
@@ -204,7 +202,7 @@ def test_closed_form_recovers_generating_gradients():
 def test_closed_form_system_single_pixel_by_hand():
     images, lights, intr, grad, _ = smooth_log_depth_scene(seed=2)
     r, c = 10, 20
-    X, Y = pixel_grid(32, 32, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(32, 32, intr))
     x, y = X[r, c], Y[r, c]
     f = intr.focal_length
     dirs, norms, ld = _light_arrays(lights)
@@ -302,7 +300,7 @@ def test_indicator_diagonal_flag_geometry():
         LightSource(np.array([0.0, -1.0, 1.0])),
     ]
     report = sensitivity_indicator(rig, 8, 8, INTR)
-    X, Y = pixel_grid(8, 8, INTR)
+    X, Y = np.broadcast_arrays(*pixel_axes(8, 8, INTR))
     assert np.array_equal(report.flags[3], np.abs(Y - X) < 1e-12 / INTR.h_x)
 
 
@@ -325,7 +323,7 @@ def specular_plane_scene(size=16, gx=0.4, gy=-0.25, seed=None):
         LightSource(np.array([1.0, 0.0, 2.0]), 1.2, 1.2),
         LightSource(np.array([0.0, 1.0, 2.0]), 1.2, 1.2),
     ]
-    images = [render_blinn_phong_perspective(grad, li, mat, intr) for li in lights]
+    images = [Image(shading) for shading in shade_pixels(grad, ..., lights, mat, intr)]
     return images, lights, intr, grad, mat
 
 
@@ -343,7 +341,7 @@ def _shading_model(x, y, lights, mat, intr, clamp=False):
 
 def test_residual_jacobian_matches_finite_differences():
     _, lights, intr, _, mat = specular_plane_scene()
-    X, Y = pixel_grid(16, 16, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(16, 16, intr))
     f = intr.focal_length
     halfway = list(halfway_vectors(X, Y, f, lights))
     models = (_shading_model, functools.partial(_shading_model, clamp=True))
@@ -385,7 +383,7 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
     # models are checked: bp-pps's at the pixels' image points, and bp-ppn's
     # at the principal point x = y = 0 with f = 1.
     images, lights, intr, _, mat = specular_plane_scene()
-    X, Y = pixel_grid(16, 16, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(16, 16, intr))
     f = intr.focal_length
     intensities = np.stack([img.data.ravel() for img in images])
     rng = np.random.default_rng(6)
@@ -459,7 +457,7 @@ def test_model_blocks_shade_as_the_renderer():
     states = GradientField(gx=grad.gx + rng.uniform(-0.3, 0.3, grad.gx.shape),
                            gy=grad.gy + rng.uniform(-0.3, 0.3, grad.gy.shape), mask=grad.mask)
     rendered = np.stack(list(shade_pixels(states, mask, lights, material, intr)))
-    X, Y = pixel_grid(128, 128, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(128, 128, intr))
     x, y = X[mask], Y[mask]
     nu = np.stack([states.gx[mask], states.gy[mask]])
     f = intr.focal_length
@@ -554,7 +552,7 @@ def test_batch_composition_does_not_change_a_pixels_fit(method):
     intensities = solve._intensities([img.data for img in images], mask)
     if method == "bp-pps":
         init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
-        X, Y = pixel_grid(128, 128, intr)
+        X, Y = np.broadcast_arrays(*pixel_axes(128, 128, intr))
         model = _ShadingModel(X[mask], Y[mask], intensities, lights, material,
                               intr.focal_length)
         x0 = np.stack([init.gx[mask], init.gy[mask]], axis=1)
@@ -623,7 +621,7 @@ def test_fit_memory_follows_the_block(monkeypatch):
     mask &= input_mask(images)
     intensities = solve._intensities([img.data for img in images], mask)
     init, _ = lambertian_pps_closed_form(images, lights, intr, mask=mask)
-    X, Y = pixel_grid(128, 128, intr)
+    X, Y = np.broadcast_arrays(*pixel_axes(128, 128, intr))
     block = 1500
     monkeypatch.setattr(solve, "LM_BLOCK", block)
     peaks = []
@@ -771,10 +769,8 @@ def test_ortho_solve_flat_scene():
 
 
 def test_ortho_solve_matches_woodham_when_ks_zero():
-    depth = bump_depth()
-    normals = depth_to_normals_orthographic(depth, INTR)
     mat = Material(k_d=0.7, k_s=0.0, shininess=10.0)
-    images = [render_blinn_phong_orthographic(normals, li, mat) for li in FRONTAL_RIG]
+    images, _ = render_orthographic(bump_depth(), FRONTAL_RIG, mat)
     bp = blinn_phong_ortho_solve(images, FRONTAL_RIG, mat)
     wn, _ = woodham_normals(images, FRONTAL_RIG)
     joint = bp.mask & wn.mask
@@ -783,10 +779,8 @@ def test_ortho_solve_matches_woodham_when_ks_zero():
 
 
 def test_ortho_solve_recovers_specular_bump():
-    depth = bump_depth()
-    normals = depth_to_normals_orthographic(depth, INTR)
     mat = Material(k_d=0.5, k_s=0.3, shininess=25.0)
-    images = [render_blinn_phong_orthographic(normals, li, mat) for li in FRONTAL_RIG]
+    images, normals = render_orthographic(bump_depth(), FRONTAL_RIG, mat)
     est = blinn_phong_ortho_solve(images, FRONTAL_RIG, mat)
     joint = est.mask & normals.mask
     assert joint.sum() > 0.9 * normals.mask.sum()
