@@ -1,4 +1,4 @@
-"""Shared grid types, validation and error metrics.
+"""Shared grid types, validation and the input mask.
 
 All image-like data is stored row-major as (height, width) float64 arrays.
 Pixel (col, row) maps to array element [row, col]; boolean masks mark valid
@@ -191,9 +191,8 @@ class DepthMap:
         valid = self.z[self.mask]
         if not _all_finite(valid):
             raise ValueError("depth must be finite on unmasked pixels")
-        # Unit-range normalization legitimately produces zeros, so only
-        # negative depths are rejected here; log-domain consumers check
-        # strict positivity themselves.
+        # Only negative depths are rejected here; log-domain consumers
+        # check strict positivity themselves.
         if valid.size and np.min(valid) < 0:
             raise ValueError("depth must be non-negative on unmasked pixels")
 
@@ -237,34 +236,6 @@ class NormalField:
     @property
     def height(self):
         return self.n.shape[0]
-
-
-def mse(a, b, mask=None):
-    """Mean squared error between two grids over an optional mask."""
-    a = _as_grid(a, "first grid")
-    b = _as_grid(b, "second grid")
-    if a.shape != b.shape:
-        raise ValueError(f"grid shapes {a.shape} and {b.shape} do not match")
-    if mask is None:
-        mask = _default_mask(a)
-    mask = _check_mask(mask, a.shape, "mse")
-    if not mask.any():
-        raise ValueError("mse mask is empty")
-    d = a[mask] - b[mask]
-    return float(np.mean(d * d))
-
-
-def normalize_unit_range(depth: DepthMap) -> DepthMap:
-    """Affinely map unmasked depths onto [0, 1]."""
-    valid = depth.z[depth.mask]
-    if not valid.size:
-        raise ValueError("cannot normalize an empty depth map")
-    lo = float(np.min(valid))
-    hi = float(np.max(valid))
-    if hi - lo == 0.0:
-        raise ValueError("cannot normalize a depth map with zero range")
-    z = np.where(depth.mask, (depth.z - lo) / (hi - lo), 0.0)
-    return DepthMap(z=z, mask=depth.mask.copy())
 
 
 def input_mask(images, low=1e-4, high=None):

@@ -96,7 +96,9 @@ def write_pgm(path, data, maxval=65535):
 def load_image(path):
     """Read a PGM into floats scaled to [0, 1] by its maxval."""
     data, maxval = read_pgm(path)
-    return data.astype(np.float64) / float(maxval)
+    values = data.astype(np.float64)
+    values /= float(maxval)
+    return values
 
 
 def save_image(path, values, maxval=65535):
@@ -128,7 +130,9 @@ def read_pfm(path):
         dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
         shape = (height, width, channels) if channels == 3 else (height, width)
         data = _read_samples(fh, path, shape, dtype)
-    return np.ascontiguousarray(data[::-1]).astype(np.float32)
+    # one pass flips the rows, byte-swaps a big-endian file and leaves a
+    # writable copy of the read-only buffer
+    return np.array(data[::-1], dtype=np.float32)
 
 
 def write_pfm(path, values):

@@ -64,7 +64,7 @@ import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import DepthMap, GradientField, NumericalError, mse, normalize_unit_range
+from .core import DepthMap, GradientField, NumericalError
 
 # conjugate gradients, which integrate masks of more than DIRECT_MAX_UNKNOWNS
 # pixels, stop at this residual norm relative to the right-hand side, or fail
@@ -340,10 +340,13 @@ def exp_depth(potential, mask=None) -> DepthMap:
 def align_depth(estimate: DepthMap, reference: DepthMap):
     """Fit the free global scale of an estimated depth map to a reference.
 
-    Solves for the offset c minimizing sum (ln z_est + c - ln z_ref)^2 over
-    the joint mask and returns (aligned estimate, mse_raw, mse_normalized);
-    mse_normalized compares the two maps after independent unit-range
-    normalization, making it insensitive to global scale and offset.
+    Every score is taken over the joint mask's pixels alone.  The offset c
+    minimizing sum (ln z_est + c - ln z_ref)^2 is the mean log ratio, and
+    mse_raw is the mean squared difference of z_est * exp(c) and z_ref.
+    mse_normalized compares the two after each is min-max normalized over
+    the joint pixels, making it insensitive to global scale and offset.
+    Returns (aligned, mse_raw, mse_normalized), where aligned holds
+    z_est * exp(c) on the joint mask and zero off it.
     """
     if estimate.z.shape != reference.z.shape:
         raise ValueError("depth map shapes do not match")
@@ -354,11 +357,24 @@ def align_depth(estimate: DepthMap, reference: DepthMap):
     zr = reference.z[joint]
     if np.any(ze <= 0) or np.any(zr <= 0):
         raise ValueError("depth alignment requires strictly positive depths")
-    c = float(np.mean(np.log(zr) - np.log(ze)))
-    scale = np.exp(c)
-    aligned = DepthMap(z=np.where(joint, estimate.z * scale, 0.0), mask=joint)
-    raw = mse(aligned.z, reference.z, joint)
-    na = normalize_unit_range(aligned)
-    nr = normalize_unit_range(DepthMap(z=np.where(joint, reference.z, 0.0), mask=joint))
-    normalized = mse(na.z, nr.z, joint)
-    return aligned, raw, normalized
+    log_ratio = np.log(zr)
+    log_ratio -= np.log(ze)
+    za = ze * np.exp(float(np.mean(log_ratio)))
+    # gone before the aligned frame is formed, which keeps the peak at the logs'
+    del log_ratio, ze
+    z = np.zeros(joint.shape)
+    z[joint] = za
+    aligned = DepthMap(z=z, mask=joint)
+    d = za - zr
+    d *= d
+    raw = float(np.mean(d))
+    # each vector onto its own unit range, in place
+    for v in (za, zr):
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if hi - lo == 0.0:
+            raise ValueError("cannot normalize a depth map with zero range")
+        v -= lo
+        v /= hi - lo
+    za -= zr
+    za *= za
+    return aligned, raw, float(np.mean(za))

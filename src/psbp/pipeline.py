@@ -10,6 +10,10 @@ Artifact layout (all inside the configured output directory):
     evaluate:     evaluation.json timings.json
     conditioning: indicator_01.pgm .. indicator_11.pgm conditioning.json
 
+evaluate scores only the joint pixels: depth on the pixels valid in both
+the estimate's and the reference's masks, and reprojection on the
+estimate's pixels that are usable in every input image.
+
 Timings live in their own file so that report/evaluation artifacts are
 byte-identical across reruns of the same config on the same inputs.
 """
@@ -228,8 +232,8 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     The gradient is shaded back through the chosen reflectance model, as the
     renderer shades it, at the joint mask's pixels only and with all lights
     in one pass; the Lambertian model accepts a per-pixel albedo grid in
-    place of the material's constant diffuse coefficient.  Each MSE is
-    core.mse's: the mean of the squared differences in mask order.
+    place of the material's constant diffuse coefficient.  Each MSE is the
+    mean of the squared differences in mask order.
     """
     grids = [np.asarray(getattr(img, "data", img), dtype=np.float64) for img in images]
     joint = grad.mask if mask is None else (grad.mask & mask)
@@ -263,10 +267,12 @@ def run_evaluate(cfg: PipelineConfig):
     cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("load"):
         est = cfg.estimate_dir
-        est_z = np.asarray(_read("estimate_dir", est / "depth.pfm", read_pfm), dtype=np.float64)
+        # the PFMs stay float32: DepthMap and GradientField convert them
+        # before any arithmetic, and the albedo is cast as it multiplies
+        est_z = _read("estimate_dir", est / "depth.pfm", read_pfm)
         shape = est_z.shape
         est_mask = _read("estimate_dir", est / "mask.pgm", load_mask, shape)
-        gx, gy = (np.asarray(_read("estimate_dir", est / name, read_pfm, shape), dtype=np.float64)
+        gx, gy = (_read("estimate_dir", est / name, read_pfm, shape)
                   for name in ("grad_x.pfm", "grad_y.pfm"))
         report = est / "report.json"
         recon = _read("estimate_dir", report, read_json) if report.exists() else {}
@@ -274,8 +280,7 @@ def run_evaluate(cfg: PipelineConfig):
             raise ConfigError(f"config field 'estimate_dir': {report} holds no JSON object")
         method = cfg.method or recon.get("method", "unknown")
 
-        gt_z = np.asarray(_read("ground_truth", cfg.ground_truth, read_pfm, shape),
-                          dtype=np.float64)
+        gt_z = _read("ground_truth", cfg.ground_truth, read_pfm, shape)
         if cfg.ground_truth_mask is not None:
             gt_mask = _read("ground_truth_mask", cfg.ground_truth_mask, load_mask, shape)
         else:
@@ -285,16 +290,16 @@ def run_evaluate(cfg: PipelineConfig):
         grids = _load_input_images(cfg.images, shape)
 
     with timer.stage("align"):
-        estimate = DepthMap(z=np.where(est_mask, est_z, 0.0), mask=est_mask)
-        reference = DepthMap(z=np.where(gt_mask, gt_z, 0.0), mask=gt_mask)
-        _, mse_raw, mse_normalized = align_depth(estimate, reference)
+        _, mse_raw, mse_normalized = align_depth(DepthMap(z=est_z, mask=est_mask),
+                                                 DepthMap(z=gt_z, mask=gt_mask))
+        del est_z, gt_z
 
     with timer.stage("reproject"):
         grad = GradientField(gx=gx, gy=gy, mask=est_mask)
+        del gx, gy
         albedo = None
         if cfg.reprojection_model == MODEL_LAMBERTIAN and (est / "albedo.pfm").exists():
-            albedo = np.asarray(_read("estimate_dir", est / "albedo.pfm", read_pfm, shape),
-                                dtype=np.float64)
+            albedo = _read("estimate_dir", est / "albedo.pfm", read_pfm, shape)
         needs_material = cfg.reprojection_model == MODEL_BLINN_PHONG or albedo is None
         if needs_material and cfg.material is None:
             raise ConfigError(

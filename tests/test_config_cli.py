@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from psbp.cli import main
 from psbp.config import load_config, parse_config
-from psbp.core import ConfigError, GradientField, Material, input_mask, mse
+from psbp.core import ConfigError, GradientField, Material, input_mask
 from psbp.fileio import (
     load_image,
     load_mask,
@@ -337,8 +338,8 @@ def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
 def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_sphere, case, full):
     # reprojection_error shades only the joint mask's pixels, all lights in
     # one call; each error must keep the bits of a full-frame one-light
-    # render scored by core.mse.  A full mask takes the path that gathers
-    # nothing.
+    # render scored by the mean of the squared differences in mask order.
+    # A full mask takes the path that gathers nothing.
     cfg = parse_config(sphere_render_payload(rendered_sphere), base_dir=rendered_sphere)
     intr = cfg.intrinsics
     rng = np.random.default_rng(12)
@@ -366,7 +367,8 @@ def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_spher
         [pred] = shade_pixels(grad, ..., [light], material, intr)
         if albedo is not None:
             pred = albedo * pred
-        want.append(mse(pred, img, joint))
+        d = pred[joint] - img[joint]
+        want.append(float(np.mean(d * d)))
     assert min(want) > 0.0
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
     with pytest.raises(ValueError, match="mask is empty"):
@@ -393,6 +395,54 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
                  _write_cfg(tmp_path, evaluate_payload(rendered_sphere, recon, ev))]) == 2
     assert "mse_raw" in capsys.readouterr().err
     assert not (ev / "evaluation.json").exists()
+
+
+def test_evaluate_peak_memory_in_frames(tmp_path):
+    # evaluate of a full-frame 256x192 Lambertian relief, reprojected with
+    # the albedo.pfm that lambert-pps writes, holds at most 14 float64
+    # frames of numpy buffers at its peak (12.4 measured; 18.9 when the
+    # alignment formed whole-frame copies and every PFM was widened on
+    # reading).  numpy reports its buffers to tracemalloc, so the count is
+    # exact.  An untraced run first gives the bytes that the traced one must
+    # repeat.
+    width, height = 256, 192
+    pitch = 0.6 / width
+    rows, cols = np.mgrid[0:height, 0:width]
+    x = (cols - (width - 1) / 2.0) * pitch
+    y = (rows - (height - 1) / 2.0) * pitch
+    z = (3.5 - 0.35 * np.exp(-((x - 0.08) ** 2 + (y + 0.05) ** 2) / 0.030)
+         - 0.18 * np.exp(-(x**2 + y**2) / 0.12))
+    write_pfm(tmp_path / "relief.pfm", z.astype(np.float32))
+    render = tmp_path / "render"
+    images = [str(render / f"image_{i}.pgm") for i in (1, 2, 3)]
+    base = {"lights": sphere_render_payload(render)["lights"],
+            "intrinsics": {"focal_length": 1.0, "pixel_pitch": pitch,
+                           "principal_point": [(width - 1) / 2.0, (height - 1) / 2.0]}}
+    evaluate = dict(base, mode="evaluate", images=images, estimate_dir=str(tmp_path / "recon"),
+                    ground_truth=str(render / "depth_gt.pfm"))
+    for payload in (
+        dict(base, mode="render", out=str(render), material={"diffuse": 0.7},
+             scene={"type": "depth-map", "path": str(tmp_path / "relief.pfm"),
+                    "model": "lambertian"}),
+        dict(base, mode="reconstruct", out=str(tmp_path / "recon"), method="lambert-pps",
+             images=images),
+        dict(evaluate, out=str(tmp_path / "untraced")),
+    ):
+        assert main([payload["mode"], "--config", _write_cfg(tmp_path, payload)]) == 0
+    config = _write_cfg(tmp_path, dict(evaluate, out=str(tmp_path / "traced")))
+    tracemalloc.start()
+    try:
+        base_bytes = tracemalloc.get_traced_memory()[0]
+        assert main(["evaluate", "--config", config]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base_bytes
+    finally:
+        tracemalloc.stop()
+    result = (tmp_path / "traced" / "evaluation.json").read_bytes()
+    assert result == (tmp_path / "untraced" / "evaluation.json").read_bytes()
+    assert json.loads(result)["pixels"]["joint"] == width * height
+    frames = peak / (width * height * 8)
+    print(f"evaluate peak: {frames:.2f} float64 frames")
+    assert frames <= 14.0
 
 
 def test_reconstruct_exits_2_on_a_non_finite_potential(rendered_sphere, tmp_path, monkeypatch,

@@ -12,8 +12,6 @@ from psbp.core import (
     Material,
     NormalField,
     input_mask,
-    mse,
-    normalize_unit_range,
 )
 
 
@@ -147,35 +145,6 @@ def test_normal_field_validation():
     flat[1, 1] = (1.0, 0.0, 0.0)  # unit but orthogonal to the view
     with pytest.raises(ValueError):
         NormalField(flat)
-
-
-def test_mse_values_and_mask():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0, 0.0], [3.0, 1.0]])
-    assert mse(a, b) == pytest.approx((4.0 + 9.0) / 4.0)
-    m = np.array([[True, False], [True, False]])
-    assert mse(a, b, m) == 0.0
-    with pytest.raises(ValueError):
-        mse(a, b, np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        mse(a, np.zeros((3, 3)))
-
-
-def test_normalize_unit_range():
-    d = DepthMap(np.array([[2.0, 4.0], [6.0, 8.0]]))
-    nd = normalize_unit_range(d)
-    assert nd.z.min() == 0.0 and nd.z.max() == 1.0
-    assert np.allclose(nd.z, (d.z - 2.0) / 6.0)
-    with pytest.raises(ValueError):
-        normalize_unit_range(DepthMap(np.full((2, 2), 5.0)))
-
-
-def test_normalize_unit_range_ignores_masked_pixels():
-    z = np.array([[1.0, 100.0], [2.0, 3.0]])
-    mask = np.array([[True, False], [True, True]])
-    nd = normalize_unit_range(DepthMap(z, mask=mask))
-    assert nd.z[0, 1] == 0.0
-    assert nd.z[1, 1] == 1.0
 
 
 def test_input_mask_thresholds():

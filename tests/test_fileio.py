@@ -125,6 +125,29 @@ def test_pfm_big_endian_scale_is_honoured(tmp_path):
     assert back.tolist() == [[5.0, -1.0]]
 
 
+@pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "five-rows"])
+@pytest.mark.parametrize("order, scale", [("<", b"-1.0"), (">", b"1.0")],
+                         ids=["little-endian", "big-endian"])
+def test_read_pfm_returns_a_native_writable_copy(tmp_path, rows, order, scale):
+    data = np.random.default_rng(rows).standard_normal((rows, 7)).astype(np.float32)
+    p = tmp_path / "grid.pfm"
+    p.write_bytes(b"Pf\n7 %d\n%s\n" % (rows, scale) + data[::-1].astype(order + "f4").tobytes())
+    back = read_pfm(p)
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert np.array_equal(back, data)
+
+
+@pytest.mark.parametrize("maxval", [200, 255, 1000, 65535])
+def test_load_image_divides_by_maxval_exactly(tmp_path, maxval):
+    data = np.random.default_rng(maxval).integers(0, maxval + 1, size=(6, 9))
+    p = tmp_path / "img.pgm"
+    write_pgm(p, data, maxval=maxval)
+    got = load_image(p)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), (data / maxval).view(np.int64))
+
+
 def test_pfm_errors(tmp_path):
     with pytest.raises(ValueError):
         write_pfm(tmp_path / "bad.pfm", np.array([[np.inf]]))

@@ -10,6 +10,7 @@ import scipy.sparse.linalg
 
 import psbp.integrate
 from psbp.core import DepthMap, GradientField, NumericalError
+from psbp.fileio import read_pfm, write_pfm
 from psbp.integrate import (
     _centered,
     _components,
@@ -626,9 +627,85 @@ def test_align_depth_respects_joint_mask():
 
 def test_align_depth_errors():
     z = np.full((4, 4), 2.0)
-    with pytest.raises(ValueError):
+    ramp = 2.0 + np.arange(16.0).reshape(4, 4)
+    with pytest.raises(ValueError, match="depth map shapes do not match"):
         align_depth(DepthMap(z), DepthMap(np.full((5, 5), 2.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="aligned depth maps share no valid pixels"):
         align_depth(DepthMap(z, mask=np.zeros((4, 4), dtype=bool)), DepthMap(z))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth alignment requires strictly positive depths"):
         align_depth(DepthMap(np.zeros((4, 4))), DepthMap(z))
+    with pytest.raises(ValueError, match="depth alignment requires strictly positive depths"):
+        align_depth(DepthMap(z), DepthMap(np.zeros((4, 4))))
+    for est, ref in ((z, ramp), (ramp, z)):
+        with pytest.raises(ValueError, match="cannot normalize a depth map with zero range"):
+            align_depth(DepthMap(est), DepthMap(ref))
+    # the range is the joint pixels': a pixel of the estimate off the
+    # reference's mask does not widen it
+    ref_mask = np.ones((4, 4), dtype=bool)
+    ref_mask[0, 0] = False
+    with pytest.raises(ValueError, match="zero range"):
+        align_depth(DepthMap(np.where(ref_mask, 2.0, 9.0)), DepthMap(ramp, mask=ref_mask))
+
+
+def test_align_depth_scores_by_hand():
+    # ln 2 - ln 4 and ln 4 - ln 2 cancel, so the offset is 0 and the scale 1;
+    # the third column lies off the estimate's mask and changes nothing
+    est = np.array([[4.0, 2.0, 100.0], [6.0, 8.0, 0.0]])
+    ref = np.array([[2.0, 4.0, 1.0], [6.0, 8.0, 50.0]])
+    est_mask = np.array([[True, True, False], [True, True, False]])
+    aligned, raw, normalized = align_depth(DepthMap(est, mask=est_mask), DepthMap(ref))
+    assert np.array_equal(aligned.z, np.where(est_mask, est, 0.0))
+    assert np.array_equal(aligned.mask, est_mask)
+    # differences (2, -2, 0, 0), then (1/3, -1/3, 0, 0) on the unit ranges
+    assert raw == pytest.approx(8.0 / 4.0, rel=1e-15)
+    assert normalized == pytest.approx((2.0 / 9.0) / 4.0, rel=1e-15)
+
+
+def frame_scores(estimate, reference):
+    """align_depth's scores by the whole-frame formula: the aligned
+    estimate and both unit-range maps formed as frames that are zero off
+    the joint mask, each squared difference taken at the joint pixels."""
+    joint = estimate.mask & reference.mask
+    c = float(np.mean(np.log(reference.z[joint]) - np.log(estimate.z[joint])))
+    aligned = np.where(joint, estimate.z * np.exp(c), 0.0)
+
+    def unit_range(z):
+        lo, hi = float(np.min(z[joint])), float(np.max(z[joint]))
+        return np.where(joint, (z - lo) / (hi - lo), 0.0)
+
+    def mean_square(a, b):
+        d = a[joint] - b[joint]
+        return float(np.mean(d * d))
+
+    reference_z = np.where(joint, reference.z, 0.0)
+    return aligned, (mean_square(aligned, reference_z),
+                     mean_square(unit_range(aligned), unit_range(reference_z)))
+
+
+@pytest.mark.parametrize("case", ["partial-joint", "float32-pfm", "constant-offset"])
+def test_align_depth_scores_keep_the_frame_formula_bits(tmp_path, case):
+    rng = np.random.default_rng(21)
+    shape = (48, 40)
+    ref_z = np.exp(rng.uniform(0.8, 1.6, size=shape))
+    est_z = ref_z * np.exp(rng.normal(0.3, 0.02, size=shape))
+    est_mask = ref_mask = np.ones(shape, dtype=bool)
+    if case == "partial-joint":
+        est_mask = rng.random(shape) < 0.8
+        ref_mask = rng.random(shape) < 0.7
+        est_z = np.where(est_mask, est_z, 0.0)
+    elif case == "float32-pfm":
+        # as evaluate reads them: float32 files that DepthMap widens
+        for name, z in (("est", est_z), ("ref", ref_z)):
+            write_pfm(tmp_path / f"{name}.pfm", z)
+        est_z, ref_z = (read_pfm(tmp_path / f"{name}.pfm") for name in ("est", "ref"))
+    else:
+        est_z = 3.7 * ref_z
+    estimate = DepthMap(est_z, mask=est_mask)
+    reference = DepthMap(ref_z, mask=ref_mask)
+    aligned, raw, normalized = align_depth(estimate, reference)
+    want_aligned, want = frame_scores(estimate, reference)
+    joint = est_mask & ref_mask
+    assert joint.any() and joint.all() == (case != "partial-joint")
+    assert np.array_equal(aligned.z, want_aligned)
+    assert np.array_equal(np.array([raw, normalized]).view(np.int64),
+                          np.array(want).view(np.int64))
