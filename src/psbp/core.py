@@ -25,8 +25,12 @@ def _all_finite(values):
     return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
 
 
-def _as_grid(data, name):
-    arr = np.asarray(data, dtype=np.float64)
+def _as_grid(data, name, keep_float=False):
+    """data as a 2-d float64 array; with keep_float, a floating array of
+    another precision is returned as it is."""
+    arr = np.asarray(data)
+    if not (keep_float and arr.dtype.kind == "f"):
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d grid, got shape {arr.shape}")
     return arr
@@ -155,17 +159,20 @@ class GradientField:
     mask: np.ndarray = None
 
     def __post_init__(self):
-        self.gx = _as_grid(self.gx, "gx")
-        self.gy = _as_grid(self.gy, "gy")
-        if self.gx.shape != self.gy.shape:
+        # floats are widened as they are copied into the zeroed frames below
+        gx = _as_grid(self.gx, "gx", keep_float=True)
+        gy = _as_grid(self.gy, "gy", keep_float=True)
+        if gx.shape != gy.shape:
             raise ValueError("gx and gy must have identical shapes")
         if self.mask is None:
-            self.mask = _default_mask(self.gx)
-        self.mask = _check_mask(self.mask, self.gx.shape, "gradient")
-        self.gx = np.where(self.mask, self.gx, 0.0)
-        self.gy = np.where(self.mask, self.gy, 0.0)
-        if not _all_finite(self.gx[self.mask]) or not _all_finite(self.gy[self.mask]):
-            raise ValueError("gradients must be finite on unmasked pixels")
+            self.mask = _default_mask(gx)
+        self.mask = _check_mask(self.mask, gx.shape, "gradient")
+        self.gx, self.gy = (np.zeros(gx.shape) for _ in range(2))
+        for frame, g in ((self.gx, gx), (self.gy, gy)):
+            np.copyto(frame, g, where=self.mask)
+            # zero off the mask, so the frame is finite where its pixels are
+            if not _all_finite(frame):
+                raise ValueError("gradients must be finite on unmasked pixels")
 
     @property
     def width(self):

@@ -46,18 +46,29 @@ def _read_positive_int(stream, path, field):
 
 
 def _read_samples(stream, path, shape, dtype):
-    """The pixel data of the given shape, read only after checking that the
-    file holds that many bytes, so a header cannot ask for a huge read."""
+    """The pixel data of the given shape, read straight into a new writable
+    array only after checking that the file holds that many bytes, so a
+    header cannot ask for a huge read."""
     size = math.prod(shape) * dtype.itemsize
     left = os.fstat(stream.fileno()).st_size - stream.tell()
-    if left < size:
-        raise ValueError(f"{path}: truncated pixel data: the header declares "
-                         f"{size} bytes, but {left} remain")
-    return np.frombuffer(stream.read(size), dtype=dtype).reshape(shape)
+    if left >= size:
+        data = np.empty(shape, dtype=dtype)
+        if stream.readinto(data) == size:
+            return data
+    raise ValueError(f"{path}: truncated pixel data: the header declares "
+                     f"{size} bytes, but {left} remain")
 
 
 def read_pgm(path):
     """Read a binary PGM; returns (data, maxval) with data as uint8/uint16."""
+    data, maxval = _read_pgm(path)
+    # 16-bit samples are big-endian in the file
+    return (data.astype(np.uint16) if maxval > 255 else data), maxval
+
+
+def _read_pgm(path):
+    """read_pgm's (data, maxval), with 16-bit samples left big-endian, as
+    read."""
     with open(path, "rb") as fh:
         magic = _read_token(fh, path)
         if magic != b"P5":
@@ -72,9 +83,7 @@ def read_pgm(path):
     # a full-range maxval cannot be exceeded, so 8- and 16-bit files skip the scan
     if maxval < np.iinfo(dtype).max and data.max() > maxval:
         raise ValueError(f"{path}: sample {data.max()} exceeds maxval {maxval}")
-    if maxval > 255:
-        return data.astype(np.uint16), maxval
-    return data.astype(np.uint8), maxval
+    return data, maxval
 
 
 def write_pgm(path, data, maxval=65535):
@@ -95,7 +104,8 @@ def write_pgm(path, data, maxval=65535):
 
 def load_image(path):
     """Read a PGM into floats scaled to [0, 1] by its maxval."""
-    data, maxval = read_pgm(path)
+    # widened straight from the samples as read, big-endian or not
+    data, maxval = _read_pgm(path)
     values = data.astype(np.float64)
     values /= float(maxval)
     return values

@@ -255,9 +255,6 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
             pred *= scale
         pred -= grid[pix]
         errors.append(float(np.mean(pred * pred)))
-        # freed before the next light is shaded, which keeps the peak at a
-        # one-light render's
-        del pred
     return errors
 
 

@@ -17,18 +17,24 @@ caller shades one pixel set with all its lights in one call: the solvers
 their masked pixels, and render_scene and the reprojection check
 (shade_pixels) only the pixels of their mask, which they scatter into zero
 frames or score.  A mask that covers the whole frame is indexed with ...,
-which gathers nothing.  render_scene shades both projections in that one
-call: the perspective one at the log-depth gradients and the pixels' image
-points, the orthographic one at the slope (n1/n3, n2/n3) of each normal at
-the principal point x = y = 0 with f = 1, where the view is (0, 0, 1) and
-the perspective shading is the orthographic shading of n.  Lambertian
-rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp all dot
-products at zero; intensities are k_d * l_d * <diffuse> + k_s * l_s *
-<specular>^n and may legitimately exceed 1 for light intensities above 1.
+which gathers nothing.  These two shade in pixel_blocks of at most
+PIXEL_BLOCK pixels, rows of the frame for a full mask and runs of the
+mask's pixels otherwise, writing each block into one preallocated array per
+light, so that a block's temporaries stay in cache; every pixel is shaded
+alone, so the blocks move no bit.  render_scene shades both projections in
+that one call: the perspective one at the log-depth gradients and the
+pixels' image points, the orthographic one at the slope (n1/n3, n2/n3) of
+each normal at the principal point x = y = 0 with f = 1, where the view is
+(0, 0, 1) and the perspective shading is the orthographic shading of n.
+Lambertian rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp
+all dot products at zero; intensities are k_d * l_d * <diffuse> +
+k_s * l_s * <specular>^n and may legitimately exceed 1 for light
+intensities above 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +55,28 @@ MODEL_BLINN_PHONG = "blinn-phong"
 
 PROJECTION_PERSPECTIVE = "perspective"
 PROJECTION_ORTHOGRAPHIC = "orthographic"
+
+# The whole-frame per-pixel stages (the renderer, the reprojection check and
+# the perspective closed form) run in pixel_blocks of at most this many
+# pixels, so that a block's temporaries, 128 KiB each in float64, stay in a
+# core's 2 MiB L2 cache instead of streaming whole frames through memory.
+# Against whole frames, the 1024x768 relief's closed form with its albedo
+# saved 17.7 / 25.6 / 30.5 / 23.7 / 17.7 / 0.6 ms per call at blocks of
+# 2^12 / 2^13 / 2^14 / 2^15 / 2^16 / 2^18 pixels (medians of 11 pairs); a
+# second sweep, on a shared 2-core Xeon where a call took about 120 ms,
+# read 40 / 56 / 53 / 52 / 48 / 26 ms.
+PIXEL_BLOCK = 2**14
+
+
+def pixel_blocks(shape):
+    """Slices along the leading axis of an array of this shape, in order,
+    each spanning whole leading-axis entries (frame rows, or single pixels
+    of a vector) and at most PIXEL_BLOCK pixels, but at least one entry.
+    Each pixel is computed alone in these stages, so the blocks move no
+    bit."""
+    step = max(1, PIXEL_BLOCK // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        yield slice(start, start + step)
 
 
 def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, clamp=True,
@@ -218,8 +246,9 @@ def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: Cam
     """Clamped perspective_shading of the lights at the pixels pix of a
     gradient field, all lights in one call: the path of the reprojection
     check.  pix is a boolean mask, or ... for the whole frame, which gathers
-    nothing.  Yields each light's shading at those pixels, in the mask's
-    row-major order."""
+    nothing.  Returns one row per light, (len(lights),) + the shape of the
+    pixels: each light's shading at those pixels, in the mask's row-major
+    order."""
     return _shade_at(grad.gx, grad.gy, *pixel_axes(grad.width, grad.height, intr), pix, lights,
                      material, intr.focal_length)
 
@@ -227,14 +256,24 @@ def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: Cam
 def _shade_at(gx, gy, x, y, pix, lights, material: Material, focal_length):
     """shade_pixels of frames gx, gy of log-depth gradients at image points
     x, y: scalars, or pixel_axes' row and column, which broadcast to the
-    frame."""
+    frame.  The pixels are shaded in pixel_blocks: rows of the frame, or
+    runs of the mask's pixels, each written into its slice of one array per
+    light, so that a block's arrays stay in cache."""
     for light in lights:
         light.require_frontal()
     # x follows the column and y the row: a mask gathers them without
     # forming the grids
     if pix is not ...:
         x, y = (np.broadcast_to(c, pix.shape)[pix] if np.ndim(c) else c for c in (x, y))
-    return perspective_shading(gx[pix], gy[pix], x, y, lights, material, focal_length)
+        gx, gy = gx[pix], gy[pix]
+    shadings = np.empty((len(lights),) + gx.shape)
+    for rows in pixel_blocks(gx.shape):
+        # pixel_axes' row spans every row of the frame, and scalars every pixel
+        at = [c[rows] if np.shape(c)[:1] == gx.shape[:1] else c for c in (gx, gy, x, y)]
+        for shading, block in zip(shadings, perspective_shading(*at, lights, material,
+                                                                focal_length)):
+            shading[rows] = block
+    return shadings
 
 
 def make_sphere_depth(
@@ -358,11 +397,9 @@ def render_scene(scene: SceneSpec):
         gx, gy, f = geom.gx, geom.gy, intr.focal_length
         x, y = pixel_axes(geom.width, geom.height, intr)
     pix = ... if geom.mask.all() else geom.mask
-    images = []
-    for shading in _shade_at(gx, gy, x, y, pix, scene.lights, material, f):
-        if pix is not ...:
-            frame = np.zeros(geom.mask.shape)
-            frame[pix] = shading
-            shading = frame
-        images.append(Image(shading))
-    return images, geom, geom.mask.copy()
+    shadings = _shade_at(gx, gy, x, y, pix, scene.lights, material, f)
+    if pix is not ...:
+        frames = np.zeros((len(shadings),) + geom.mask.shape)
+        frames[:, pix] = shadings
+        shadings = frames
+    return [Image(shading) for shading in shadings], geom, geom.mask.copy()

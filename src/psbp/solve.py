@@ -12,7 +12,11 @@ Four per-pixel solvers are provided:
                               gradient on the absolute shading residuals of
                               the perspective Blinn-Phong model
 
-plus conditioning diagnostics for three-light rigs.  Both Blinn-Phong
+plus conditioning diagnostics for three-light rigs.  The perspective
+closed form, which is lambert-pps and bp-pps's start, solves its frames in
+render.pixel_blocks of rows, and lambert-pps shades its albedo inside the
+same block, so that a block's temporaries stay in cache; each pixel is
+solved alone, so the blocks move no bit.  Both Blinn-Phong
 solvers fit one residual model, _ShadingModel: the absolute residuals
 I_k - R_k of the three images, shaded by render's one kernel as the
 renderers shade them, handed to the LM engine as their squared norm and
@@ -50,7 +54,12 @@ from .core import (
 )
 from .geometry import pixel_axes
 from .optim import levenberg_marquardt_batch
-from .render import perspective_shading, shade_from_coefficients, shading_coefficients
+from .render import (
+    perspective_shading,
+    pixel_blocks,
+    shade_from_coefficients,
+    shading_coefficients,
+)
 
 SINGULAR_DET_THRESHOLD = 1e-12
 # Largest absolute shading-residual norm at which bp-pps accepts a pixel;
@@ -174,10 +183,39 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
     )
 
 
-def _closed_form_gradient(grids, lights, X, Y, focal_length, mask):
-    """The closed form at checked grids with pixel coordinates X, Y (grids,
-    or geometry.pixel_axes' row and column, which broadcast): its log-depth
-    gradients gx, gy, zero off the mask ok of the pixels it solved, and ok."""
+def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False):
+    """The closed form at checked grids with pixel coordinates X, Y
+    (geometry.pixel_axes' row and column): its log-depth gradients gx, gy,
+    zero off the mask ok of the pixels it solved, and ok.  With albedo, also
+    lambertian_pps_closed_form's diffuse albedo, zero off its mask, and that
+    mask.  The frames are solved in pixel_blocks of rows, each written into
+    its rows of the preallocated outputs, so that a block's arrays stay in
+    cache; the albedo is shaded inside the same block."""
+    f = focal_length
+    gx, gy = np.zeros((2,) + mask.shape)
+    ok = np.zeros(mask.shape, dtype=bool)
+    if albedo:
+        values = np.zeros(mask.shape)
+        ok_alb = np.zeros(mask.shape, dtype=bool)
+    for rows in pixel_blocks(mask.shape):
+        y = Y[rows]
+        gx[rows], gy[rows], ok[rows] = _closed_form_rows([g[rows] for g in grids], lights, X, y,
+                                                         f, mask[rows])
+        if albedo:
+            # Material() is k_d = 1, k_s = 0, so the first image over this
+            # shading is the albedo
+            [shading] = perspective_shading(gx[rows], gy[rows], X, y, lights[:1], Material(), f,
+                                            clamp=False)
+            lit = ok[rows] & (np.abs(shading) > 1e-12)
+            values[rows] = np.where(lit, grids[0][rows] / np.where(lit, shading, 1.0), 0.0)
+            ok_alb[rows] = lit
+    return (gx, gy, ok, values, ok_alb) if albedo else (gx, gy, ok)
+
+
+def _closed_form_rows(grids, lights, X, Y, focal_length, mask):
+    """One block of _closed_form_gradient: its gx, gy and ok at the rows
+    of the grids given, with their mask and coordinates X, Y; its
+    temporaries are let go on return."""
     dirs, norms, ld = _light_arrays(lights)
     m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
                                                  X, Y, focal_length)
@@ -202,15 +240,9 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
     X, Y = pixel_axes(w, h, intr)
-    f = intr.focal_length
-    gx, gy, ok = _closed_form_gradient(grids, lights, X, Y, f, mask)
-    grad = GradientField(gx=gx, gy=gy, mask=ok)
-
-    # Material() is k_d = 1, k_s = 0, so the first image over this shading is the albedo
-    [shading] = perspective_shading(gx, gy, X, Y, lights[:1], Material(), f, clamp=False)
-    ok_alb = ok & (np.abs(shading) > 1e-12)
-    albedo = np.where(ok_alb, grids[0] / np.where(ok_alb, shading, 1.0), 0.0)
-    return grad, AlbedoMap(values=albedo, mask=ok_alb)
+    gx, gy, ok, albedo, ok_alb = _closed_form_gradient(grids, lights, X, Y, intr.focal_length,
+                                                       mask, albedo=True)
+    return GradientField(gx=gx, gy=gy, mask=ok), AlbedoMap(values=albedo, mask=ok_alb)
 
 
 def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> ConditioningReport:

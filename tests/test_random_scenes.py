@@ -6,14 +6,20 @@ and a random material, and rendered in float by render_scene.  The truth
 fits every pixel with residual exactly 0, so an accepted pixel whose
 gradient is off the truth is a fit in a wrong minimum that passed the
 residual test.  The same scenes re-rendered at k_s = 0 check the three
-Lambertian paths against the truth and against each other.
+Lambertian paths against the truth and against each other, and three of
+the scenes go through the CLI to check that its artifacts are
+deterministic.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from psbp import render as render_module
+from psbp.cli import main
 from psbp.core import CameraIntrinsics, DepthMap, LightSource, Material, input_mask
+from psbp.fileio import load_image, load_mask, read_pfm, save_image, write_json, write_pfm
 from psbp.geometry import normals_to_perspective_gradient, pixel_axes
 from psbp.render import SceneSpec, render_scene
 from psbp.solve import (
@@ -125,3 +131,79 @@ def test_bp_ortho_solve_is_finite_on_specular_scenes():
         scene, images, _, mask = random_scene(seed)
         normals = blinn_phong_ortho_solve(images, scene.lights, scene.material, mask=mask)
         assert np.isfinite(normals.n).all() and normals.mask.any()
+
+
+def run_cli_loop(scene, depth_path, root):
+    """The CLI on a scene's depth map, in root: render it (16-bit images),
+    requantize the images to 8 bits, and from each bit depth reconstruct
+    with lambert-pps, lambert-ppn and bp-pps and evaluate, the Lambertian
+    methods under the Lambertian model with their albedo and bp-pps under
+    Blinn-Phong.  Every config holds paths relative to root."""
+    intr, material = scene.intrinsics, scene.material
+    common = {
+        "intrinsics": {"focal_length": intr.focal_length, "pixel_pitch": [intr.h_x, intr.h_y],
+                       "principal_point": [intr.delta_x, intr.delta_y]},
+        "lights": [{"direction": light.direction.tolist(),
+                    "diffuse_intensity": light.diffuse_intensity,
+                    "specular_intensity": light.specular_intensity} for light in scene.lights],
+        "material": {"diffuse": material.k_d, "specular": material.k_s,
+                     "shininess": material.shininess},
+    }
+    runs = [dict(common, mode="render", out="render",
+                 scene={"type": "depth-map", "path": str(depth_path)})]
+    for bits in (8, 16):
+        images = [f"{'render8' if bits == 8 else 'render'}/image_{i}.pgm" for i in (1, 2, 3)]
+        for method, model in (("lambert-pps", "lambertian"), ("lambert-ppn", "lambertian"),
+                              ("bp-pps", "blinn-phong")):
+            recon = f"recon{bits}_{method}"
+            runs += [dict(common, mode="reconstruct", out=recon, method=method, images=images),
+                     dict(common, mode="evaluate", out=f"eval{bits}_{method}", images=images,
+                          estimate_dir=recon, ground_truth="render/depth_gt.pfm",
+                          reprojection_model=model)]
+    root.mkdir()
+    for i, payload in enumerate(runs):
+        config = root / f"config_{i}.json"
+        write_json(config, payload)
+        assert main([payload["mode"], "--config", str(config)]) == 0
+        if payload["mode"] == "render":
+            (root / "render8").mkdir()
+            for name in ("image_1.pgm", "image_2.pgm", "image_3.pgm"):
+                save_image(root / "render8" / name, load_image(root / "render" / name),
+                           maxval=255)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_artifacts_are_deterministic(seed, tmp_path, monkeypatch):
+    # A rerun writes every artifact byte for byte, and so does a run whose
+    # pixel blocks are 37 pixels, which divide neither the 64-pixel rows nor
+    # any mask count here; only timings.json may differ.  lambert-ppn and
+    # lambert-pps solve the same per-pixel Lambertian system, so they keep
+    # the same pixels and write the same gradients and depth.
+    scene = random_scene(seed)[0]
+    write_pfm(tmp_path / "depth.pfm", scene.depth.z)
+    run_cli_loop(scene, tmp_path / "depth.pfm", tmp_path / "first")
+    run_cli_loop(scene, tmp_path / "depth.pfm", tmp_path / "rerun")
+    monkeypatch.setattr(render_module, "PIXEL_BLOCK", 37)
+    run_cli_loop(scene, tmp_path / "depth.pfm", tmp_path / "blocks_of_37")
+    first = artifacts(tmp_path / "first")
+    # 13 configs, 6 render files, 3 8-bit images, and per bit depth 6
+    # lambert-pps files, 7 lambert-ppn files, 5 bp-pps files and 3
+    # evaluation.json
+    assert len(first) == 64
+    assert artifacts(tmp_path / "rerun") == first
+    assert artifacts(tmp_path / "blocks_of_37") == first
+    for bits in (8, 16):
+        ppn, pps = (tmp_path / "first" / f"recon{bits}_lambert-{m}" for m in ("ppn", "pps"))
+        mask = load_mask(pps / "mask.pgm")
+        assert mask.sum() > 0.9 * mask.size
+        assert np.array_equal(load_mask(ppn / "mask.pgm"), mask)
+        for name in ("grad_x.pfm", "grad_y.pfm", "depth.pfm"):
+            a, b = read_pfm(ppn / name)[mask], read_pfm(pps / name)[mask]
+            assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), (bits, name)
+
+
+def artifacts(root):
+    """Every file under root but timings.json, by relative path, with its
+    bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != "timings.json"}

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from psbp import render
 from psbp.core import (
     CameraIntrinsics,
     DepthMap,
@@ -272,11 +273,17 @@ def test_render_scene_returns_consistent_stack():
         assert img.data[mask].min() >= 0.0
 
 
-@pytest.mark.parametrize("model", [MODEL_BLINN_PHONG, MODEL_LAMBERTIAN])
-@pytest.mark.parametrize("projection, full", [
-    (PROJECTION_PERSPECTIVE, False), (PROJECTION_PERSPECTIVE, True),
-    (PROJECTION_ORTHOGRAPHIC, False), (PROJECTION_ORTHOGRAPHIC, True),
-], ids=["partial-mask", "full-mask", "orthographic-partial-mask", "orthographic-full-mask"])
+def render_cases(test):
+    """Both projections, with a partial and a full mask, under both models."""
+    test = pytest.mark.parametrize("projection, full", [
+        (PROJECTION_PERSPECTIVE, False), (PROJECTION_PERSPECTIVE, True),
+        (PROJECTION_ORTHOGRAPHIC, False), (PROJECTION_ORTHOGRAPHIC, True),
+    ], ids=["partial-mask", "full-mask", "orthographic-partial-mask",
+            "orthographic-full-mask"])(test)
+    return pytest.mark.parametrize("model", [MODEL_BLINN_PHONG, MODEL_LAMBERTIAN])(test)
+
+
+@render_cases
 def test_render_scene_matches_per_light_renders_bit_for_bit(projection, full, model):
     # render_scene shades only the mask's pixels, all lights in one call; its
     # images must keep the bits of the kernel run one light at a time over
@@ -313,6 +320,40 @@ def test_render_scene_matches_per_light_renders_bit_for_bit(projection, full, mo
         [frame] = perspective_shading(gx, gy, x, y, [light], material, f)
         want = np.where(mask, frame, 0.0)
         assert np.array_equal(img.data.view(np.int64), want.view(np.int64))
+
+
+@render_cases
+def test_render_scene_blocks_keep_every_bit(projection, full, model, monkeypatch):
+    # The scenes above fit one default pixel block.  Blocks of 37 pixels,
+    # which divide no width or mask count here, split a full frame into
+    # single rows and a mask's pixels into runs with a ragged last one, and
+    # keep the same bits.
+    monkeypatch.setattr(render, "PIXEL_BLOCK", 37)
+    test_render_scene_matches_per_light_renders_bit_for_bit(projection, full, model)
+
+
+@pytest.mark.parametrize("block", [None, 37], ids=["default-blocks", "blocks-of-37"])
+@pytest.mark.parametrize("full", [False, True], ids=["partial-mask", "full-mask"])
+def test_shade_pixels_matches_one_unblocked_call_bit_for_bit(full, block, monkeypatch):
+    # The reprojection check's path: every light at the mask's pixels, in
+    # pixel_blocks, keeps the bits of one perspective_shading call over all
+    # the gathered pixels at once.
+    if block is not None:
+        monkeypatch.setattr(render, "PIXEL_BLOCK", block)
+    intr = CameraIntrinsics(1.0, 0.009375, 0.008, 30.5, 33.0)
+    depth = make_sphere_depth(61, 67, intr, SPHERE_CENTER, 1.0)
+    grad = log_depth_gradients(depth, intr)
+    pix = ... if full else grad.mask
+    lights = [LightSource(np.array(d, dtype=float), 1.2, 1.1)
+              for d in [(0, 0, 1), (1, 0, 2), (0, 1, 2)]]
+    material = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    x, y = np.broadcast_arrays(*pixel_axes(61, 67, intr))
+    want = list(perspective_shading(grad.gx[pix], grad.gy[pix], x[pix], y[pix], lights,
+                                    material, intr.focal_length))
+    got = shade_pixels(grad, pix, lights, material, intr)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def masked_difference_by_roll(values, mask, step, axis):
