@@ -5,6 +5,7 @@ distant lights, with a built-in forward renderer for closed-loop testing.
 """
 
 from .core import (
+    AlbedoMap,
     CameraIntrinsics,
     ConfigError,
     DepthMap,
@@ -20,7 +21,6 @@ from .geometry import normals_to_perspective_gradient
 from .integrate import align_depth, exp_depth, poisson_integrate
 from .render import SceneSpec, make_sphere_depth, render_scene
 from .solve import (
-    AlbedoMap,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
     lambertian_pps_closed_form,

@@ -3,6 +3,14 @@
 All image-like data is stored row-major as (height, width) float64 arrays.
 Pixel (col, row) maps to array element [row, col]; boolean masks mark valid
 pixels with True.  Objects are treated as immutable once constructed.
+
+The masked types, GradientField, DepthMap, NormalField and AlbedoMap, own
+the rule for their pixels off the mask: each stores a new float64 frame that
+holds its input on the mask and a fixed fill off it, 0, or (0, 0, 1) for
+normals, whatever the input held there.  The frame and the mask are copies,
+never aliases of the caller's arrays, and the input is not changed.  Each
+type validates its frame as a whole, which the fill keeps valid, so no
+pixels are gathered to check them.
 """
 
 from __future__ import annotations
@@ -25,26 +33,37 @@ def _all_finite(values):
     return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
 
 
-def _as_grid(data, name, keep_float=False):
-    """data as a 2-d float64 array; with keep_float, a floating array of
-    another precision is returned as it is."""
-    arr = np.asarray(data)
-    if not (keep_float and arr.dtype.kind == "f"):
-        arr = np.asarray(arr, dtype=np.float64)
+def _as_grid(data, name):
+    """data as a 2-d float64 array."""
+    arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d grid, got shape {arr.shape}")
     return arr
 
 
-def _default_mask(arr):
-    return np.ones(arr.shape[:2], dtype=bool)
-
-
-def _check_mask(mask, shape, name):
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != shape:
-        raise ValueError(f"{name} mask shape {mask.shape} does not match grid {shape}")
-    return mask
+def _masked_frame(data, mask, fill, name):
+    """The frame and mask of a masked type: a new float64 array holding
+    data on the mask and fill off it, and the mask as a new boolean grid
+    (all True when None).  data is a grid, or a grid of vectors as long as
+    fill.  The frame is checked finite by its min and max, which carry any
+    NaN or inf, so no pixels are gathered; the fill is finite, and
+    initial=0 lets an empty frame pass."""
+    data = np.asarray(data)
+    fill = np.asarray(fill, dtype=np.float64)
+    shape = data.shape[:2]
+    if data.ndim != 2 + fill.ndim or data.shape[2:] != fill.shape:
+        dims = "h, w" + "".join(f", {k}" for k in fill.shape)
+        raise ValueError(f"{name} must have shape ({dims}), got {data.shape}")
+    off = np.zeros(shape, dtype=bool) if mask is None else np.logical_not(mask)
+    if off.shape != shape:
+        raise ValueError(f"{name} mask shape {off.shape} does not match grid {shape}")
+    # astype widens without a cast buffer, and the mask's copy is made
+    # from its complement in place, so the peak is the frame and one mask
+    frame = data.astype(np.float64)
+    np.copyto(frame, fill, where=off.reshape(shape + (1,) * fill.ndim))
+    if not _all_finite((frame.min(initial=0.0), frame.max(initial=0.0))):
+        raise ValueError(f"{name} must be finite on unmasked pixels")
+    return frame, np.logical_not(off, out=off)
 
 
 @dataclass
@@ -151,7 +170,7 @@ class CameraIntrinsics:
 @dataclass
 class GradientField:
     """Per-pixel gradient (gx, gy) of the log depth ln z with a validity
-    mask.  Masked entries are stored as zero.
+    mask.  Off the mask both are 0.
     """
 
     gx: np.ndarray
@@ -159,90 +178,53 @@ class GradientField:
     mask: np.ndarray = None
 
     def __post_init__(self):
-        # floats are widened as they are copied into the zeroed frames below
-        gx = _as_grid(self.gx, "gx", keep_float=True)
-        gy = _as_grid(self.gy, "gy", keep_float=True)
-        if gx.shape != gy.shape:
+        if np.shape(self.gx) != np.shape(self.gy):
             raise ValueError("gx and gy must have identical shapes")
-        if self.mask is None:
-            self.mask = _default_mask(gx)
-        self.mask = _check_mask(self.mask, gx.shape, "gradient")
-        self.gx, self.gy = (np.zeros(gx.shape) for _ in range(2))
-        for frame, g in ((self.gx, gx), (self.gy, gy)):
-            np.copyto(frame, g, where=self.mask)
-            # zero off the mask, so the frame is finite where its pixels are
-            if not _all_finite(frame):
-                raise ValueError("gradients must be finite on unmasked pixels")
-
-    @property
-    def width(self):
-        return self.gx.shape[1]
-
-    @property
-    def height(self):
-        return self.gx.shape[0]
+        self.gx, mask = _masked_frame(self.gx, self.mask, 0.0, "gradients")
+        self.gy, self.mask = _masked_frame(self.gy, mask, 0.0, "gradients")
 
 
 @dataclass
 class DepthMap:
-    """Scene depth per pixel (distance along the optical axis)."""
+    """Scene depth per pixel (distance along the optical axis), non-negative
+    on the mask and 0 off it."""
 
     z: np.ndarray
     mask: np.ndarray = None
 
     def __post_init__(self):
-        self.z = _as_grid(self.z, "depth")
-        if self.mask is None:
-            self.mask = _default_mask(self.z)
-        self.mask = _check_mask(self.mask, self.z.shape, "depth")
-        valid = self.z[self.mask]
-        if not _all_finite(valid):
-            raise ValueError("depth must be finite on unmasked pixels")
+        self.z, self.mask = _masked_frame(self.z, self.mask, 0.0, "depth")
         # Only negative depths are rejected here; log-domain consumers
         # check strict positivity themselves.
-        if valid.size and np.min(valid) < 0:
+        if self.z.min(initial=0.0) < 0:
             raise ValueError("depth must be non-negative on unmasked pixels")
-
-    @property
-    def width(self):
-        return self.z.shape[1]
-
-    @property
-    def height(self):
-        return self.z.shape[0]
 
 
 @dataclass
 class NormalField:
-    """Unit surface normals per pixel, (height, width, 3)."""
+    """Unit surface normals per pixel, (height, width, 3), with nonzero
+    third component on the mask and (0, 0, 1) off it."""
 
     n: np.ndarray
     mask: np.ndarray = None
 
     def __post_init__(self):
-        self.n = np.asarray(self.n, dtype=np.float64)
-        if self.n.ndim != 3 or self.n.shape[2] != 3:
-            raise ValueError(f"normals must have shape (h, w, 3), got {self.n.shape}")
-        if self.mask is None:
-            self.mask = _default_mask(self.n)
-        self.mask = _check_mask(self.mask, self.n.shape[:2], "normal")
-        valid = self.n[self.mask]
-        if valid.size:
-            if not _all_finite(valid):
-                raise ValueError("normals must be finite on unmasked pixels")
-            norms = np.linalg.norm(valid, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("normals must be unit length on unmasked pixels")
-            if np.any(valid[:, 2] == 0.0):
-                raise ValueError("normals must have nonzero third component")
+        self.n, self.mask = _masked_frame(self.n, self.mask, (0.0, 0.0, 1.0), "normals")
+        if np.any(np.abs(np.linalg.norm(self.n, axis=2) - 1.0) > 1e-6):
+            raise ValueError("normals must be unit length on unmasked pixels")
+        if np.any(self.n[..., 2] == 0.0):
+            raise ValueError("normals must have nonzero third component")
 
-    @property
-    def width(self):
-        return self.n.shape[1]
 
-    @property
-    def height(self):
-        return self.n.shape[0]
+@dataclass
+class AlbedoMap:
+    """Per-pixel diffuse albedo estimate, 0 off the mask."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    def __post_init__(self):
+        self.values, self.mask = _masked_frame(self.values, self.mask, 0.0, "albedo")
 
 
 def input_mask(images, low=1e-4, high=None):

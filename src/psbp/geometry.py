@@ -64,13 +64,12 @@ def normals_to_perspective_gradient(normals: NormalField,
     gradients.  Pixels with |d| < 1e-8 (normal nearly orthogonal to the
     viewing ray) are masked out.
     """
-    X, Y = pixel_axes(normals.width, normals.height, intr)
+    h, w = normals.mask.shape
+    X, Y = pixel_axes(w, h, intr)
     n1 = normals.n[..., 0]
     n2 = normals.n[..., 1]
     n3 = normals.n[..., 2]
     d = intr.focal_length * n3 - X * n1 - Y * n2
     ok = normals.mask & (np.abs(d) >= 1e-8)
     safe = np.where(ok, d, 1.0)
-    p = np.where(ok, n1 / safe, 0.0)
-    q = np.where(ok, n2 / safe, 0.0)
-    return GradientField(gx=p, gy=q, mask=ok)
+    return GradientField(gx=n1 / safe, gy=n2 / safe, mask=ok)

@@ -333,8 +333,7 @@ def exp_depth(potential, mask=None) -> DepthMap:
         if np.any(bad):
             r, c = np.argwhere(bad)[0]
             raise NumericalError(f"{what} at pixel (col={c}, row={r}): {u[r, c]:g}")
-    z = np.where(mask, np.exp(np.where(mask, u, 0.0)), 0.0)
-    return DepthMap(z=z, mask=mask.copy())
+    return DepthMap(z=np.exp(np.where(mask, u, 0.0)), mask=mask)
 
 
 def align_depth(estimate: DepthMap, reference: DepthMap):

@@ -121,6 +121,21 @@ def _read(field, path, reader, shape=None):
     return data
 
 
+def _read_depth(field, path, shape=None, mask=None):
+    """The DepthMap of the PFM at path, which config field `field` names,
+    with shape when given.  Its mask is read from the file that `mask`, a
+    (field, path) pair, names; by default from the PFM's sibling mask.pgm
+    when there is one, and otherwise it is z > 0.  Both files are read
+    through _read."""
+    z = _read(field, path, read_pfm, shape)
+    if mask is None:
+        sibling = path.parent / "mask.pgm"
+        if not sibling.exists():
+            return DepthMap(z=z, mask=z > 0)
+        mask = (field, sibling)
+    return DepthMap(z=z, mask=_read(*mask, load_mask, z.shape))
+
+
 def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
     scene = cfg.scene
     if scene.type == SCENE_SPHERE:
@@ -128,10 +143,7 @@ def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
             scene.size[0], scene.size[1], cfg.intrinsics, scene.center, scene.radius,
             projection=scene.projection,
         )
-    z = np.asarray(_read("scene.path", scene.path, read_pfm), dtype=np.float64)
-    mask_path = scene.path.parent / "mask.pgm"
-    mask = _read("scene.path", mask_path, load_mask, z.shape) if mask_path.exists() else z > 0
-    return DepthMap(z=np.where(mask, z, 0.0), mask=mask)
+    return _read_depth("scene.path", scene.path)
 
 
 def run_render(cfg: PipelineConfig):
@@ -157,7 +169,7 @@ def run_render(cfg: PipelineConfig):
             "scene": cfg.scene.type,
             "model": cfg.scene.model,
             "projection": cfg.scene.projection,
-            "size": [int(depth.width), int(depth.height)],
+            "size": list(depth.mask.shape[::-1]),
             "pixels_in_mask": int(mask.sum()),
             "images": list(IMAGE_NAMES),
         }
@@ -216,7 +228,7 @@ def run_reconstruct(cfg: PipelineConfig):
         payload = {
             "mode": MODE_RECONSTRUCT,
             "method": cfg.method,
-            "size": [int(grad.width), int(grad.height)],
+            "size": list(grad.mask.shape[::-1]),
             "input_pixels": int(mask.sum()),
             "solved_pixels": int(grad.mask.sum()),
         }
@@ -264,11 +276,11 @@ def run_evaluate(cfg: PipelineConfig):
     cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("load"):
         est = cfg.estimate_dir
-        # the PFMs stay float32: DepthMap and GradientField convert them
-        # before any arithmetic, and the albedo is cast as it multiplies
-        est_z = _read("estimate_dir", est / "depth.pfm", read_pfm)
-        shape = est_z.shape
-        est_mask = _read("estimate_dir", est / "mask.pgm", load_mask, shape)
+        # the PFMs stay float32 until DepthMap and GradientField widen them
+        # into their frames; the albedo is cast as it multiplies
+        estimate = _read_depth("estimate_dir", est / "depth.pfm",
+                               mask=("estimate_dir", est / "mask.pgm"))
+        shape = estimate.mask.shape
         gx, gy = (_read("estimate_dir", est / name, read_pfm, shape)
                   for name in ("grad_x.pfm", "grad_y.pfm"))
         report = est / "report.json"
@@ -277,23 +289,21 @@ def run_evaluate(cfg: PipelineConfig):
             raise ConfigError(f"config field 'estimate_dir': {report} holds no JSON object")
         method = cfg.method or recon.get("method", "unknown")
 
-        gt_z = _read("ground_truth", cfg.ground_truth, read_pfm, shape)
-        if cfg.ground_truth_mask is not None:
-            gt_mask = _read("ground_truth_mask", cfg.ground_truth_mask, load_mask, shape)
-        else:
-            sibling = cfg.ground_truth.parent / "mask.pgm"
-            gt_mask = (_read("ground_truth", sibling, load_mask, shape) if sibling.exists()
-                       else gt_z > 0)
-        grids = _load_input_images(cfg.images, shape)
+        reference = _read_depth("ground_truth", cfg.ground_truth, shape,
+                                mask=(("ground_truth_mask", cfg.ground_truth_mask)
+                                      if cfg.ground_truth_mask else None))
 
     with timer.stage("align"):
-        _, mse_raw, mse_normalized = align_depth(DepthMap(z=est_z, mask=est_mask),
-                                                 DepthMap(z=gt_z, mask=gt_mask))
-        del est_z, gt_z
+        _, mse_raw, mse_normalized = align_depth(estimate, reference)
+        est_mask, gt_mask = estimate.mask, reference.mask
+        del estimate, reference
 
     with timer.stage("reproject"):
+        # read once the depth maps are let go, so the two are never held together
+        grids = _load_input_images(cfg.images, shape)
         grad = GradientField(gx=gx, gy=gy, mask=est_mask)
-        del gx, gy
+        # grad holds its own copy of the estimate's mask
+        del gx, gy, est_mask
         albedo = None
         if cfg.reprojection_model == MODEL_LAMBERTIAN and (est / "albedo.pfm").exists():
             albedo = _read("estimate_dir", est / "albedo.pfm", read_pfm, shape)
@@ -321,9 +331,9 @@ def run_evaluate(cfg: PipelineConfig):
         "mse_normalized": mse_normalized,
         "mse_reprojection": reprojection,
         "pixels": {
-            "estimate": int(est_mask.sum()),
+            "estimate": int(grad.mask.sum()),
             "reference": int(gt_mask.sum()),
-            "joint": int((est_mask & gt_mask).sum()),
+            "joint": int((grad.mask & gt_mask).sum()),
         },
     }
     write_json(cfg.out / "evaluation.json", payload)

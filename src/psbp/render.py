@@ -93,7 +93,7 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, 
     halfway vector h of the light and the view ray (x, y, f) (skipped when
     k_s == 0).  clamp clamps the diffuse term at 0 as a renderer must; left
     unclamped the shading is smooth in the gradient, as a least-squares
-    residual needs.
+    residual needs, and only then are derivatives given.
 
     Yields one entry per light, in order: with derivatives,
     (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
@@ -154,9 +154,12 @@ def shade_from_coefficients(gx, gy, x, y, coefficients, shininess, focal_length,
     the lobe takes one pow, t = max(u, 0)^(n - 1), as t*max(u, 0), and its
     slope factor is g = k_s*l_s*n*t, which is 0 where u <= 0 (also at n = 1,
     where t = 1).  Then dR/dgx = (A + g*a_h - (R_d + g*u)*d|m|/dgx)/|m|,
-    and dR/dgy alike with B and b_h.  The clamped diffuse term, and its part
-    of the slope, are 0 where R_d <= 0.
+    and dR/dgy alike with B and b_h.  The clamped diffuse term is 0 where
+    R_d <= 0.  Derivatives are taken of the unclamped shading only: asking
+    for them with clamp raises ValueError.
     """
+    if clamp and derivatives:
+        raise ValueError("clamped shading has no derivatives; pass clamp=False")
     f = focal_length
     w = x * gx + y * gy + 1.0
     inv = 1.0 / np.sqrt((f * gx) ** 2 + (f * gy) ** 2 + w * w)
@@ -171,16 +174,15 @@ def shade_from_coefficients(gx, gy, x, y, coefficients, shininess, focal_length,
 
 def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, clamp):
     """One light of shade_from_coefficients: its shading, or with d_norm
-    (shading, dR/dgx, dR/dgy).  Its arrays are formed in place where they
-    can be and are let go on return, so that few full-size ones are alive
-    at once."""
+    (shading, dR/dgx, dR/dgy) of the unclamped shading.  Its arrays are
+    formed in place where they can be and are let go on return, so that few
+    full-size ones are alive at once."""
     a_d, b_d, c_d = diffuse
     diffuse = a_d * gx
     diffuse += b_d * gy
     diffuse += c_d * w
     diffuse *= inv
     if clamp:
-        lit = diffuse > 0.0
         diffuse = np.maximum(diffuse, 0.0)
     if specular is None:
         shading = diffuse
@@ -214,8 +216,6 @@ def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, cla
         # the diffuse term's A or B, then the lobe's g*a_h or g*b_h; one
         # slope is formed at a time
         slope = coefficient + c_d * coord
-        if clamp:
-            slope = np.where(lit, slope, 0.0)
         if specular is not None:
             slope = slope + t * specular[c]
         slope -= s * d_norm[c]
@@ -249,8 +249,9 @@ def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: Cam
     nothing.  Returns one row per light, (len(lights),) + the shape of the
     pixels: each light's shading at those pixels, in the mask's row-major
     order."""
-    return _shade_at(grad.gx, grad.gy, *pixel_axes(grad.width, grad.height, intr), pix, lights,
-                     material, intr.focal_length)
+    h, w = grad.mask.shape
+    return _shade_at(grad.gx, grad.gy, *pixel_axes(w, h, intr), pix, lights, material,
+                     intr.focal_length)
 
 
 def _shade_at(gx, gy, x, y, pix, lights, material: Material, focal_length):
@@ -284,7 +285,7 @@ def make_sphere_depth(
 
     Perspective pixels trace t*(x, y, f); orthographic pixels trace a
     vertical ray through (x, y).  Depth is the nearest intersection's
-    coordinate along the optical axis.
+    coordinate along the optical axis; DepthMap sets it to 0 off the mask.
     """
     center = np.asarray(center, dtype=np.float64).reshape(3)
     if radius <= 0:
@@ -296,16 +297,14 @@ def make_sphere_depth(
         dc = X * center[0] + Y * center[1] + f * center[2]
         disc = dc * dc - dd * (center @ center - radius * radius)
         hit = disc >= 0.0
-        t = np.where(hit, (dc - np.sqrt(np.maximum(disc, 0.0))) / dd, 0.0)
-        z = t * f
+        z = (dc - np.sqrt(np.maximum(disc, 0.0))) / dd * f
     elif projection == PROJECTION_ORTHOGRAPHIC:
         rad = radius * radius - (X - center[0]) ** 2 - (Y - center[1]) ** 2
         hit = rad >= 0.0
-        z = np.where(hit, center[2] - np.sqrt(np.maximum(rad, 0.0)), 0.0)
+        z = center[2] - np.sqrt(np.maximum(rad, 0.0))
     else:
         raise ValueError(f"unknown projection {projection!r}")
-    mask = hit & (z > 0.0)
-    return DepthMap(z=np.where(mask, z, 0.0), mask=mask)
+    return DepthMap(z=z, mask=hit & (z > 0.0))
 
 
 def _masked_difference(values, mask, step, axis):
@@ -334,7 +333,8 @@ def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics) -> GradientFiel
     """Log-depth gradient field of a depth map by masked central differences."""
     if np.any(depth.z[depth.mask] <= 0):
         raise ValueError("log-depth gradients require strictly positive depth")
-    nu = np.where(depth.mask, np.log(np.where(depth.mask, depth.z, 1.0)), 0.0)
+    # ln 1 = 0 off the mask
+    nu = np.log(np.where(depth.mask, depth.z, 1.0))
     gx, okx = _masked_difference(nu, depth.mask, intr.h_x, axis=1)
     gy, oky = _masked_difference(nu, depth.mask, intr.h_y, axis=0)
     mask = depth.mask & okx & oky
@@ -344,14 +344,11 @@ def log_depth_gradients(depth: DepthMap, intr: CameraIntrinsics) -> GradientFiel
 def depth_to_normals_orthographic(depth: DepthMap, intr: CameraIntrinsics) -> NormalField:
     """Normals of a depth map under orthographic viewing, frontal convention:
     unnormalized direction (z_x, z_y, 1)."""
-    z = np.where(depth.mask, depth.z, 0.0)
-    zx, okx = _masked_difference(z, depth.mask, intr.h_x, axis=1)
-    zy, oky = _masked_difference(z, depth.mask, intr.h_y, axis=0)
-    mask = depth.mask & okx & oky
+    zx, okx = _masked_difference(depth.z, depth.mask, intr.h_x, axis=1)
+    zy, oky = _masked_difference(depth.z, depth.mask, intr.h_y, axis=0)
     n = np.stack([zx, zy, np.ones_like(zx)], axis=-1)
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    n[~mask] = (0.0, 0.0, 1.0)
-    return NormalField(n=n, mask=mask)
+    return NormalField(n=n, mask=depth.mask & okx & oky)
 
 
 @dataclass
@@ -395,7 +392,8 @@ def render_scene(scene: SceneSpec):
     else:
         geom = log_depth_gradients(scene.depth, intr)
         gx, gy, f = geom.gx, geom.gy, intr.focal_length
-        x, y = pixel_axes(geom.width, geom.height, intr)
+        h, w = geom.mask.shape
+        x, y = pixel_axes(w, h, intr)
     pix = ... if geom.mask.all() else geom.mask
     shadings = _shade_at(gx, gy, x, y, pix, scene.lights, material, f)
     if pix is not ...:

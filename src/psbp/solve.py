@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    AlbedoMap,
     CameraIntrinsics,
     GradientField,
     Image,
@@ -73,14 +74,6 @@ INDICATOR_THRESHOLD = 1e-12
 # 13.6k; blocks of 2^15 split the 256^2 noisy sphere's 55k pixels in two, and
 # each half's slow LM tail made its solve 8% slower.
 LM_BLOCK = 2**16
-
-
-@dataclass
-class AlbedoMap:
-    """Per-pixel diffuse albedo estimate."""
-
-    values: np.ndarray
-    mask: np.ndarray
 
 
 @dataclass
@@ -139,8 +132,7 @@ def woodham_normals(images, lights, mask=None):
 
     Solves L_hat @ (k_d * n_hat) = I / l_d per pixel; the solution's norm is
     the diffuse albedo and its direction the normal.  Near-zero solutions
-    (shadowed or empty pixels) and normals with n3 = 0 are masked out, with
-    normal (0, 0, 1).
+    (shadowed or empty pixels) and normals with n3 = 0 are masked out.
     """
     grids, mask = _inputs(images, lights, mask)
     dirs, norms, ld = _light_arrays(lights)
@@ -152,11 +144,9 @@ def woodham_normals(images, lights, mask=None):
     b = rhs @ np.linalg.inv(lmat).T
     albedo = np.linalg.norm(b, axis=-1)
     ok = mask & (albedo > 1e-12)
-    n = np.where(ok[..., None], b / np.where(ok, albedo, 1.0)[..., None], 0.0)
+    n = b / np.where(ok, albedo, 1.0)[..., None]
     ok &= n[..., 2] != 0.0
-    n[~ok] = (0.0, 0.0, 1.0)
-    normals = NormalField(n=n, mask=ok)
-    return normals, AlbedoMap(values=np.where(ok, albedo, 0.0), mask=ok.copy())
+    return NormalField(n=n, mask=ok), AlbedoMap(values=albedo, mask=ok)
 
 
 def _scaled_intensities(grids, norms, ld):
@@ -187,15 +177,15 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
     """The closed form at checked grids with pixel coordinates X, Y
     (geometry.pixel_axes' row and column): its log-depth gradients gx, gy,
     zero off the mask ok of the pixels it solved, and ok.  With albedo, also
-    lambertian_pps_closed_form's diffuse albedo, zero off its mask, and that
-    mask.  The frames are solved in pixel_blocks of rows, each written into
-    its rows of the preallocated outputs, so that a block's arrays stay in
+    lambertian_pps_closed_form's diffuse albedo on its mask, and that mask.
+    The frames are solved in pixel_blocks of rows, each written into its
+    rows of the preallocated outputs, so that a block's arrays stay in
     cache; the albedo is shaded inside the same block."""
     f = focal_length
     gx, gy = np.zeros((2,) + mask.shape)
     ok = np.zeros(mask.shape, dtype=bool)
     if albedo:
-        values = np.zeros(mask.shape)
+        values = np.empty(mask.shape)
         ok_alb = np.zeros(mask.shape, dtype=bool)
     for rows in pixel_blocks(mask.shape):
         y = Y[rows]
@@ -207,7 +197,7 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
             [shading] = perspective_shading(gx[rows], gy[rows], X, y, lights[:1], Material(), f,
                                             clamp=False)
             lit = ok[rows] & (np.abs(shading) > 1e-12)
-            values[rows] = np.where(lit, grids[0][rows] / np.where(lit, shading, 1.0), 0.0)
+            values[rows] = grids[0][rows] / np.where(lit, shading, 1.0)
             ok_alb[rows] = lit
     return (gx, gy, ok, values, ok_alb) if albedo else (gx, gy, ok)
 
@@ -242,7 +232,9 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     X, Y = pixel_axes(w, h, intr)
     gx, gy, ok, albedo, ok_alb = _closed_form_gradient(grids, lights, X, Y, intr.focal_length,
                                                        mask, albedo=True)
-    return GradientField(gx=gx, gy=gy, mask=ok), AlbedoMap(values=albedo, mask=ok_alb)
+    # the albedo's frame is let go before the gradients' frames are copied
+    albedo = AlbedoMap(values=albedo, mask=ok_alb)
+    return GradientField(gx=gx, gy=gy, mask=ok), albedo
 
 
 def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> ConditioningReport:
@@ -401,13 +393,13 @@ class _ShadingModel:
             del shade, j0, j1
         return _squared_norms(f), grad, hess
 
-    def fit(self, x0, sub=None):
-        """LM from x0 over the pixels sub (all when None), in the fewest
-        equal blocks of at most LM_BLOCK problems, one engine call on each
-        block's own model, so the engine's memory and the coefficient rows
-        follow the block, not the image.  A pixel's fit does not depend on
-        the other problems of its call, so the blocks change no bit.
-        Returns (x, residual norm, ok) with ok marking convergence."""
+    def fit(self, x0):
+        """LM from x0 over the pixels, in the fewest equal blocks of at most
+        LM_BLOCK problems, one engine call on each block's own model, so the
+        engine's memory and the coefficient rows follow the block, not the
+        image.  A pixel's fit does not depend on the other problems of its
+        call, so the blocks change no bit.  Returns (x, residual norm, ok)
+        with ok marking convergence."""
         n = len(x0)
         blocks = max(1, -(-n // LM_BLOCK))
         x = np.empty((n, 2))
@@ -415,7 +407,7 @@ class _ShadingModel:
         ok = np.empty(n, dtype=bool)
         bounds = [n * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            block = self.block(slice(lo, hi) if sub is None else sub[lo:hi])
+            block = self.block(slice(lo, hi))
             x[lo:hi], a[lo:hi], conv, fail = levenberg_marquardt_batch(
                 block.cost, block.normal_equations, x0[lo:hi])
             ok[lo:hi] = conv & ~fail
@@ -431,7 +423,7 @@ class _ShadingModel:
         retry = (~ok | (a > ACCEPT_TOL)) & (np.abs(x0) > 0).any(axis=1)
         if retry.any():
             sub = np.nonzero(retry)[0]
-            x2, a2, ok2 = self.fit(np.zeros((sub.size, 2)), sub=sub)
+            x2, a2, ok2 = self.block(sub).fit(np.zeros((sub.size, 2)))
             better = (ok2 & ~ok[sub]) | (ok2 & (a2 < a[sub]))
             x[sub[better]] = x2[better]
             a[sub[better]] = a2[better]
@@ -462,14 +454,12 @@ def blinn_phong_pps_solve(
     grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
     X, Y = pixel_axes(w, h, intr)
-    init_grad = GradientField(*_closed_form_gradient(grids, lights, X, Y, intr.focal_length,
-                                                     mask))
+    # the start is zero at the pixels the closed form masks
+    gx, gy, _ = _closed_form_gradient(grids, lights, X, Y, intr.focal_length, mask)
     x, y = (np.broadcast_to(c, mask.shape)[mask] for c in (X, Y))
     model = _ShadingModel(x, y, _intensities(grids, mask), lights, material, intr.focal_length)
-    nu, a, ok = model.fit_with_retry(np.stack([init_grad.gx[mask], init_grad.gy[mask]], axis=1))
+    nu, a, ok = model.fit_with_retry(np.stack([gx[mask], gy[mask]], axis=1))
 
-    # GradientField zeroes the gradients of the rejected pixels
-    gx, gy = np.zeros((2, h, w))
     gx[mask], gy[mask] = nu.T
     valid = np.zeros((h, w), dtype=bool)
     valid[mask] = ok & (a <= ACCEPT_TOL)
@@ -486,8 +476,7 @@ def blinn_phong_ortho_solve(
     whose shading of (a, b) is the orthographic shading of that normal; as
     in bp-pps, the diffuse cosine is left unclamped.  The start is the slope
     (n1, n2)/|n3| of the linear Lambertian solve, with the zero-start retry
-    of bp-pps.  Pixels whose fit does not converge are masked out, with
-    normal (0, 0, 1).
+    of bp-pps.  Pixels whose fit does not converge are masked out.
     """
     grids, mask = _inputs(images, lights, mask)
     init_normals, _ = woodham_normals(grids, lights, mask=mask)
@@ -495,11 +484,8 @@ def blinn_phong_ortho_solve(
     model = _ShadingModel(0.0, 0.0, _intensities(grids, mask), lights, material, 1.0)
     x, _, good = model.fit_with_retry(n0[:, :2] / np.abs(n0[:, 2:]))
 
-    # slope 0 is the normal (0, 0, 1)
-    x[~good] = 0.0
     m = np.column_stack([x, np.ones(len(x))])
     n = np.zeros(grids[0].shape + (3,))
-    n[..., 2] = 1.0
     n[mask] = m / np.linalg.norm(m, axis=1, keepdims=True)
     ok = np.zeros(grids[0].shape, dtype=bool)
     ok[mask] = good

@@ -239,13 +239,14 @@ def test_projections_shade_alike_at_the_principal_point(f):
 def test_lights_shaded_together_match_lights_shaded_alone(clamp):
     # One call shares the pixels' geometry across its lights; each light's
     # shading and slopes must keep the bits of a call with that light alone.
+    # Slopes are given of the unclamped shading only.
     rng = np.random.default_rng(8)
     g = rng.uniform(-2.0, 2.0, size=(2, 500))
     x, y = rng.uniform(-0.3, 0.3, size=(2, 500))
     lights = [LightSource(np.array(d), 1.2, 0.9)
               for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0))]
     for mat in (Material(k_d=0.5, k_s=0.5, shininess=150.0), Material(k_d=0.7)):
-        for derivatives in (False, True):
+        for derivatives in (False,) if clamp else (False, True):
             together = list(perspective_shading(g[0], g[1], x, y, lights, mat, 2.5,
                                                 clamp=clamp, derivatives=derivatives))
             assert len(together) == 3
@@ -253,6 +254,15 @@ def test_lights_shaded_together_match_lights_shaded_alone(clamp):
                 [alone] = perspective_shading(g[0], g[1], x, y, [li], mat, 2.5,
                                               clamp=clamp, derivatives=derivatives)
                 assert np.array_equal(np.asarray(shaded), np.asarray(alone))
+
+
+def test_clamped_shading_has_no_derivatives():
+    # Nothing asks for the slopes of the renderer's clamped shading, so the
+    # kernel does not form them.
+    light = LightSource(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="clamped shading has no derivatives"):
+        list(perspective_shading(np.zeros(4), np.zeros(4), 0.0, 0.0, [light], Material(), 1.0,
+                                 clamp=True, derivatives=True))
 
 
 def test_render_scene_returns_consistent_stack():

@@ -1,6 +1,5 @@
 """Per-pixel reconstruction solvers: orthographic and perspective paths."""
 
-import functools
 import re
 import tracemalloc
 
@@ -386,12 +385,11 @@ def specular_plane_scene(size=16, gx=0.4, gy=-0.25, seed=None):
     return images, lights, intr, grad, mat
 
 
-def _shading_model(x, y, lights, mat, intr, clamp=False):
-    """Per-light shading and its derivatives: unclamped as bp-pps fits it,
-    clamped as the renderer draws it."""
+def _shading_model(x, y, lights, mat, intr):
+    """Per-light shading and its derivatives, unclamped as bp-pps fits it."""
     def shade(v, derivatives=False):
         return list(perspective_shading(v[0], v[1], x, y, lights, mat, intr.focal_length,
-                                        clamp=clamp, derivatives=derivatives))
+                                        clamp=False, derivatives=derivatives))
 
     residual = lambda v: np.array(shade(v))
     jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
@@ -403,12 +401,11 @@ def test_residual_jacobian_matches_finite_differences():
     X, Y = np.broadcast_arrays(*pixel_axes(16, 16, intr))
     f = intr.focal_length
     halfway = list(halfway_vectors(X, Y, f, lights))
-    models = (_shading_model, functools.partial(_shading_model, clamp=True))
     rng = np.random.default_rng(4)
     # Random states near the surface, plus steep ones that turn the normal
     # away from some light's halfway vector (u <= 0: that lobe is off; at
     # shininess 1 its slope jumps there) and away from some light (the
-    # clamped model's diffuse term is off, and so is its slope).
+    # unclamped diffuse term goes negative).
     states = [*rng.uniform(-1.0, 1.0, size=(10, 2)), (-6.0, 0.0), (0.0, -6.0), (-4.0, -4.0)]
     lobe_off = 0
     diffuse_off = 0
@@ -421,12 +418,11 @@ def test_residual_jacobian_matches_finite_differences():
         at = np.asarray(state)
         for shininess in (mat.shininess, 1.0):
             material = Material(k_d=mat.k_d, k_s=mat.k_s, shininess=shininess)
-            for model in models:
-                residual, jacobian = model(x, y, lights, material, intr)
-                jac = jacobian(at)
-                fd = finite_difference_jacobian(residual, at)
-                assert jac.shape == (3, 2)
-                assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
+            residual, jacobian = _shading_model(x, y, lights, material, intr)
+            jac = jacobian(at)
+            fd = finite_difference_jacobian(residual, at)
+            assert jac.shape == (3, 2)
+            assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
     assert lobe_off >= 3
     assert diffuse_off >= 3
 
