@@ -146,6 +146,15 @@ def _vector(payload, name, length, required=False, default=None):
     return tuple(numbers)
 
 
+def _size(block, name, required=False, default=None):
+    """The block's "size", a [W, H] of positive integers, as a tuple of ints;
+    name is the field a bad size is reported under."""
+    size = _vector(block, "size", 2, required, default)
+    if size[0] < 1 or size[1] < 1 or size != (int(size[0]), int(size[1])):
+        _fail(name, f"expected positive integers, got {list(size)}")
+    return int(size[0]), int(size[1])
+
+
 def _string(payload, name, required=False, default=None, choices=None):
     value = _get(payload, name, required, default)
     if value is None:
@@ -228,10 +237,7 @@ def _parse_scene(payload, base_dir):
                     choices={MODEL_LAMBERTIAN, MODEL_BLINN_PHONG})
     scene = SceneConfig(type=kind, projection=projection, model=model)
     if kind == SCENE_SPHERE:
-        size = _vector(block, "size", 2, default=(128.0, 128.0))
-        if size[0] < 1 or size[1] < 1 or size != (int(size[0]), int(size[1])):
-            _fail("scene.size", f"expected positive integers, got {list(size)}")
-        scene.size = (int(size[0]), int(size[1]))
+        scene.size = _size(block, "scene.size", default=(128.0, 128.0))
         scene.center = _vector(block, "center", 3, default=(0.0, 0.0, 4.0))
         radius = _number(block, "radius", default=1.0)
         if radius <= 0:
@@ -295,10 +301,7 @@ def parse_config(payload, base_dir=".") -> PipelineConfig:
         block = _get(payload, "conditioning", True)
         if not isinstance(block, dict):
             _fail("conditioning", "expected an object")
-        size = _vector(block, "size", 2, required=True)
-        if size[0] < 1 or size[1] < 1 or size != (int(size[0]), int(size[1])):
-            _fail("conditioning.size", f"expected positive integers, got {list(size)}")
-        cfg.conditioning_size = (int(size[0]), int(size[1]))
+        cfg.conditioning_size = _size(block, "conditioning.size", required=True)
     return cfg
 
 

@@ -227,6 +227,16 @@ class AlbedoMap:
         self.values, self.mask = _masked_frame(self.values, self.mask, 0.0, "albedo")
 
 
+def _grids(images):
+    """The grids of a stack of images, each an Image's data or an array as
+    a 2-d float64 grid, checked to share one shape: the one conversion of
+    the input images for the mask, the solvers and the reprojection check."""
+    grids = [img.data if isinstance(img, Image) else _as_grid(img, "image") for img in images]
+    if any(g.shape != grids[0].shape for g in grids):
+        raise ValueError("input images must share one shape")
+    return grids
+
+
 def input_mask(images, low=1e-4, high=None):
     """Joint validity mask for a stack of input images.
 
@@ -235,12 +245,8 @@ def input_mask(images, low=1e-4, high=None):
     for data loaded from clipped integer files; float renders have no full
     scale, so it defaults to None.
     """
-    grids = [img.data if isinstance(img, Image) else _as_grid(img, "image") for img in images]
-    shape = grids[0].shape
-    for g in grids:
-        if g.shape != shape:
-            raise ValueError("input images must share one shape")
-    mask = np.ones(shape, dtype=bool)
+    grids = _grids(images)
+    mask = np.ones(grids[0].shape, dtype=bool)
     for g in grids:
         mask &= g > low
         if high is not None:

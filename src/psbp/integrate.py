@@ -337,15 +337,15 @@ def exp_depth(potential, mask=None) -> DepthMap:
 
 
 def align_depth(estimate: DepthMap, reference: DepthMap):
-    """Fit the free global scale of an estimated depth map to a reference.
+    """Score an estimated depth map against a reference, up to the
+    estimate's free global scale.
 
-    Every score is taken over the joint mask's pixels alone.  The offset c
-    minimizing sum (ln z_est + c - ln z_ref)^2 is the mean log ratio, and
-    mse_raw is the mean squared difference of z_est * exp(c) and z_ref.
-    mse_normalized compares the two after each is min-max normalized over
-    the joint pixels, making it insensitive to global scale and offset.
-    Returns (aligned, mse_raw, mse_normalized), where aligned holds
-    z_est * exp(c) on the joint mask and zero off it.
+    Every score is taken over the joint mask's pixels alone, so values off
+    it do not count.  The offset c minimizing sum (ln z_est + c - ln z_ref)^2
+    is the mean log ratio, and mse_raw is the mean squared difference of
+    z_est * exp(c) and z_ref.  mse_normalized compares the two after each is
+    min-max normalized over the joint pixels, making it insensitive to
+    global scale and offset.  Returns (mse_raw, mse_normalized).
     """
     if estimate.z.shape != reference.z.shape:
         raise ValueError("depth map shapes do not match")
@@ -356,24 +356,21 @@ def align_depth(estimate: DepthMap, reference: DepthMap):
     zr = reference.z[joint]
     if np.any(ze <= 0) or np.any(zr <= 0):
         raise ValueError("depth alignment requires strictly positive depths")
-    log_ratio = np.log(zr)
-    log_ratio -= np.log(ze)
-    za = ze * np.exp(float(np.mean(log_ratio)))
-    # gone before the aligned frame is formed, which keeps the peak at the logs'
-    del log_ratio, ze
-    z = np.zeros(joint.shape)
-    z[joint] = za
-    aligned = DepthMap(z=z, mask=joint)
-    d = za - zr
+    # the gathers are scaled, differenced and normalized in place, so no
+    # vector but d is formed after them
+    d = np.log(zr)
+    d -= np.log(ze)
+    ze *= np.exp(float(np.mean(d)))
+    np.subtract(ze, zr, out=d)
     d *= d
     raw = float(np.mean(d))
-    # each vector onto its own unit range, in place
-    for v in (za, zr):
+    # each vector onto its own unit range
+    for v in (ze, zr):
         lo, hi = float(np.min(v)), float(np.max(v))
         if hi - lo == 0.0:
             raise ValueError("cannot normalize a depth map with zero range")
         v -= lo
         v /= hi - lo
-    za -= zr
-    za *= za
-    return aligned, raw, float(np.mean(za))
+    np.subtract(ze, zr, out=d)
+    d *= d
+    return raw, float(np.mean(d))

@@ -9,6 +9,7 @@ Artifact layout (all inside the configured output directory):
                   report.json timings.json
     evaluate:     evaluation.json timings.json
     conditioning: indicator_01.pgm .. indicator_11.pgm conditioning.json
+                  timings.json
 
 evaluate scores only the joint pixels: depth on the pixels valid in both
 the estimate's and the reference's masks, and reprojection on the
@@ -45,6 +46,7 @@ from .core import (
     GradientField,
     Material,
     NumericalError,
+    _grids,
     input_mask,
 )
 from .fileio import (
@@ -67,7 +69,6 @@ from .render import (
     render_scene,
     shade_pixels,
 )
-from . import render
 from .solve import (
     INDICATOR_THRESHOLD,
     blinn_phong_ortho_solve,
@@ -77,12 +78,12 @@ from .solve import (
     woodham_normals,
 )
 
-# The pipeline shades through render_scene and shade_pixels alone.  The two
-# one-light renderers stay bound here only because perfbench/tracing.py
-# looks them up on this module by name, until its tracer drops them
+# The pipeline shades through render_scene and shade_pixels alone.
+# perfbench/tracing.py looks these two names up on this module and wraps
+# what they hold, so they stay bound, to None, until its tracer drops them
 # (ROADMAP item 1).
-render_blinn_phong_perspective = render.render_blinn_phong_perspective
-render_lambertian_perspective = render.render_lambertian_perspective
+render_blinn_phong_perspective = None
+render_lambertian_perspective = None
 
 IMAGE_NAMES = ("image_1.pgm", "image_2.pgm", "image_3.pgm")
 SATURATION_THRESHOLD = 0.999
@@ -146,10 +147,8 @@ def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
     return _read_depth("scene.path", scene.path)
 
 
-def run_render(cfg: PipelineConfig):
+def run_render(cfg: PipelineConfig, timer: _StageTimer):
     """Render the three photometric-stereo inputs plus ground truth."""
-    timer = _StageTimer()
-    cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("scene"):
         depth = _load_scene_depth(cfg)
     scene = SceneSpec(
@@ -174,23 +173,23 @@ def run_render(cfg: PipelineConfig):
             "images": list(IMAGE_NAMES),
         }
         write_json(cfg.out / "report.json", payload)
-    write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
     return payload
 
 
 def _load_input_images(paths, shape=None):
-    """The input images, each of the given shape, or else of the first's."""
+    """The input images, each of the given shape, or else of the first's,
+    and their input_mask under the one saturation rule of reconstruct and
+    evaluate: the files are integer images of a clipped full scale, so a
+    pixel at or above SATURATION_THRESHOLD in any image is masked."""
     first = _read("images", paths[0], load_image, shape)
-    return [first] + [_read("images", p, load_image, first.shape) for p in paths[1:]]
+    grids = [first] + [_read("images", p, load_image, first.shape) for p in paths[1:]]
+    return grids, input_mask(grids, high=SATURATION_THRESHOLD)
 
 
-def run_reconstruct(cfg: PipelineConfig):
+def run_reconstruct(cfg: PipelineConfig, timer: _StageTimer):
     """Reconstruct a depth map from three input images."""
-    timer = _StageTimer()
-    cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("load"):
-        grids = _load_input_images(cfg.images)
-        mask = input_mask(grids, high=SATURATION_THRESHOLD)
+        grids, mask = _load_input_images(cfg.images)
 
     normals = None
     albedo = None
@@ -233,7 +232,6 @@ def run_reconstruct(cfg: PipelineConfig):
             "solved_pixels": int(grad.mask.sum()),
         }
         write_json(cfg.out / "report.json", payload)
-    write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
     return payload
 
 
@@ -247,11 +245,10 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     place of the material's constant diffuse coefficient.  Each MSE is the
     mean of the squared differences in mask order.
     """
-    grids = [np.asarray(getattr(img, "data", img), dtype=np.float64) for img in images]
+    grids = _grids(images)
     joint = grad.mask if mask is None else (grad.mask & mask)
-    for grid in grids:
-        if grid.shape != joint.shape:
-            raise ValueError(f"grid shapes {grid.shape} and {joint.shape} do not match")
+    if grids[0].shape != joint.shape:
+        raise ValueError(f"grid shapes {grids[0].shape} and {joint.shape} do not match")
     if not joint.any():
         raise ValueError("mse mask is empty")
     pix = ... if joint.all() else joint
@@ -270,10 +267,8 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
     return errors
 
 
-def run_evaluate(cfg: PipelineConfig):
+def run_evaluate(cfg: PipelineConfig, timer: _StageTimer):
     """Score a reconstruction against ground truth."""
-    timer = _StageTimer()
-    cfg.out.mkdir(parents=True, exist_ok=True)
     with timer.stage("load"):
         est = cfg.estimate_dir
         # the PFMs stay float32 until DepthMap and GradientField widen them
@@ -294,13 +289,13 @@ def run_evaluate(cfg: PipelineConfig):
                                       if cfg.ground_truth_mask else None))
 
     with timer.stage("align"):
-        _, mse_raw, mse_normalized = align_depth(estimate, reference)
+        mse_raw, mse_normalized = align_depth(estimate, reference)
         est_mask, gt_mask = estimate.mask, reference.mask
         del estimate, reference
 
     with timer.stage("reproject"):
         # read once the depth maps are let go, so the two are never held together
-        grids = _load_input_images(cfg.images, shape)
+        grids, photometric = _load_input_images(cfg.images, shape)
         grad = GradientField(gx=gx, gy=gy, mask=est_mask)
         # grad holds its own copy of the estimate's mask
         del gx, gy, est_mask
@@ -313,7 +308,6 @@ def run_evaluate(cfg: PipelineConfig):
                 "config field 'material': required for reprojection when the "
                 "reconstruction provides no albedo map"
             )
-        photometric = input_mask(grids, high=SATURATION_THRESHOLD)
         reprojection = reprojection_error(
             grad, grids, cfg.lights, cfg.material, cfg.intrinsics,
             model=cfg.reprojection_model, albedo=albedo, mask=photometric,
@@ -337,14 +331,11 @@ def run_evaluate(cfg: PipelineConfig):
         },
     }
     write_json(cfg.out / "evaluation.json", payload)
-    write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
     return payload
 
 
-def run_conditioning(cfg: PipelineConfig):
+def run_conditioning(cfg: PipelineConfig, timer: _StageTimer):
     """Write per-expression degeneracy maps for the configured light rig."""
-    timer = _StageTimer()
-    cfg.out.mkdir(parents=True, exist_ok=True)
     width, height = cfg.conditioning_size
     with timer.stage("indicator"):
         report = sensitivity_indicator(cfg.lights, width, height, cfg.intrinsics)
@@ -360,18 +351,22 @@ def run_conditioning(cfg: PipelineConfig):
             "threshold": INDICATOR_THRESHOLD,
         }
         write_json(cfg.out / "conditioning.json", payload)
-    write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
     return payload
 
 
+_MODE_RUNS = {MODE_RENDER: run_render, MODE_RECONSTRUCT: run_reconstruct,
+              MODE_EVALUATE: run_evaluate, MODE_CONDITIONING: run_conditioning}
+
+
 def run_pipeline(cfg: PipelineConfig):
-    """Dispatch one validated configuration; returns the report payload."""
-    if cfg.mode == MODE_RENDER:
-        return run_render(cfg)
-    if cfg.mode == MODE_RECONSTRUCT:
-        return run_reconstruct(cfg)
-    if cfg.mode == MODE_EVALUATE:
-        return run_evaluate(cfg)
-    if cfg.mode == MODE_CONDITIONING:
-        return run_conditioning(cfg)
-    raise ConfigError(f"config field 'mode': unknown mode {cfg.mode!r}")
+    """Dispatch one validated configuration; returns the report payload.
+    The mode runs in cfg.out, created first, with one _StageTimer, whose
+    stage seconds go to timings.json once the mode has returned."""
+    run = _MODE_RUNS.get(cfg.mode)
+    if run is None:
+        raise ConfigError(f"config field 'mode': unknown mode {cfg.mode!r}")
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    timer = _StageTimer()
+    payload = run(cfg, timer)
+    write_json(cfg.out / "timings.json", {"stage_seconds": timer.seconds})
+    return payload

@@ -44,7 +44,6 @@ from .core import (
     DepthMap,
     GradientField,
     Image,
-    LightSource,
     Material,
     NormalField,
 )
@@ -222,24 +221,6 @@ def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, cla
         slope *= inv
         slopes.append(slope)
     return (shading, *slopes)
-
-
-def render_lambertian_perspective(
-    grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
-) -> Image:
-    """Shade log-depth gradients under the perspective Lambertian model."""
-    return render_blinn_phong_perspective(grad, light, replace(material, k_s=0.0), intr)
-
-
-def render_blinn_phong_perspective(
-    grad: GradientField, light: LightSource, material: Material, intr: CameraIntrinsics,
-) -> Image:
-    """Perspective Blinn-Phong of one light over the whole frame.  Nothing in
-    the package shades through it, or through render_lambertian_perspective;
-    both are kept for perfbench's tracer, which looks them up on
-    psbp.pipeline (ROADMAP item 1)."""
-    [shading] = shade_pixels(grad, ..., [light], material, intr)
-    return Image(shading)
 
 
 def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: CameraIntrinsics):

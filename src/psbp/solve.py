@@ -48,9 +48,9 @@ from .core import (
     AlbedoMap,
     CameraIntrinsics,
     GradientField,
-    Image,
     Material,
     NormalField,
+    _grids,
     input_mask,
 )
 from .geometry import pixel_axes
@@ -101,11 +101,9 @@ def _inputs(images, lights, mask):
     one shape, after checking every light is frontal with a positive diffuse
     intensity (every solver divides by it), and the mask (input_mask of the
     grids when None, else checked to have their shape)."""
-    grids = [img.data if isinstance(img, Image) else np.asarray(img, float) for img in images]
+    grids = _grids(images)
     if len(grids) != 3:
         raise ValueError("exactly 3 input images are required")
-    if any(g.shape != grids[0].shape for g in grids):
-        raise ValueError("input images must share one shape")
     for li in lights:
         li.require_frontal()
         if li.diffuse_intensity <= 0:
@@ -182,6 +180,7 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
     rows of the preallocated outputs, so that a block's arrays stay in
     cache; the albedo is shaded inside the same block."""
     f = focal_length
+    arrays = _light_arrays(lights)
     gx, gy = np.zeros((2,) + mask.shape)
     ok = np.zeros(mask.shape, dtype=bool)
     if albedo:
@@ -189,7 +188,7 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
         ok_alb = np.zeros(mask.shape, dtype=bool)
     for rows in pixel_blocks(mask.shape):
         y = Y[rows]
-        gx[rows], gy[rows], ok[rows] = _closed_form_rows([g[rows] for g in grids], lights, X, y,
+        gx[rows], gy[rows], ok[rows] = _closed_form_rows([g[rows] for g in grids], arrays, X, y,
                                                          f, mask[rows])
         if albedo:
             # Material() is k_d = 1, k_s = 0, so the first image over this
@@ -202,11 +201,11 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
     return (gx, gy, ok, values, ok_alb) if albedo else (gx, gy, ok)
 
 
-def _closed_form_rows(grids, lights, X, Y, focal_length, mask):
+def _closed_form_rows(grids, arrays, X, Y, focal_length, mask):
     """One block of _closed_form_gradient: its gx, gy and ok at the rows
-    of the grids given, with their mask and coordinates X, Y; its
-    temporaries are let go on return."""
-    dirs, norms, ld = _light_arrays(lights)
+    of the grids given, with their mask, coordinates X, Y and the lights'
+    _light_arrays; its temporaries are let go on return."""
+    dirs, norms, ld = arrays
     m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
                                                  X, Y, focal_length)
 

@@ -20,7 +20,7 @@ from psbp.fileio import (
     write_json,
     write_pfm,
 )
-from psbp.pipeline import reprojection_error
+from psbp.pipeline import reprojection_error, run_pipeline
 from psbp.render import log_depth_gradients, make_sphere_depth, shade_pixels
 
 
@@ -100,10 +100,15 @@ def test_images_field_errors_name_the_field(tmp_path):
 
 
 def test_mode_and_method_choices(tmp_path):
-    payload = sphere_render_payload(tmp_path)
+    payload = sphere_render_payload(tmp_path / "out")
+    cfg = parse_config(payload)
     payload["mode"] = "train"
     with pytest.raises(ConfigError):
         parse_config(payload)
+    # run_pipeline rejects a mode it has no stage for before it makes cfg.out
+    with pytest.raises(ConfigError, match="unknown mode 'train'"):
+        run_pipeline(replace(cfg, mode="train"))
+    assert not (tmp_path / "out").exists()
     payload = reconstruct_payload(tmp_path, tmp_path)
     payload["method"] = "bp-direct"
     with pytest.raises(ConfigError):
@@ -204,17 +209,24 @@ def test_render_artifacts(rendered_sphere):
 
 
 def test_render_lambertian_model_equals_zero_specular(tmp_path):
-    a_dir = tmp_path / "a"
-    b_dir = tmp_path / "b"
-    pa = sphere_render_payload(a_dir)
-    pa["material"] = {"diffuse": 0.5, "specular": 0.0, "shininess": 150.0}
-    pb = sphere_render_payload(b_dir)
-    pb["material"] = {"diffuse": 0.5}
-    pb["scene"]["model"] = "lambertian"
-    assert main(["render", "--config", _write_cfg(tmp_path, pa)]) == 0
-    assert main(["render", "--config", _write_cfg(tmp_path, pb)]) == 0
-    for i in (1, 2, 3):
-        assert (a_dir / f"image_{i}.pgm").read_bytes() == (b_dir / f"image_{i}.pgm").read_bytes()
+    # the perspective sphere, and an orthographic one of radius 0.25, which
+    # renders on a partial mask of 2,244 pixels
+    for name, scene in (("persp", {}),
+                        ("ortho", {"radius": 0.25, "projection": "orthographic"})):
+        a_dir = tmp_path / name / "a"
+        b_dir = tmp_path / name / "b"
+        pa = sphere_render_payload(a_dir)
+        pa["material"] = {"diffuse": 0.5, "specular": 0.0, "shininess": 150.0}
+        pa["scene"].update(scene)
+        pb = sphere_render_payload(b_dir)
+        pb["material"] = {"diffuse": 0.5}
+        pb["scene"].update(scene, model="lambertian")
+        assert main(["render", "--config", _write_cfg(tmp_path, pa)]) == 0
+        assert main(["render", "--config", _write_cfg(tmp_path, pb)]) == 0
+        for i in (1, 2, 3):
+            assert ((a_dir / f"image_{i}.pgm").read_bytes()
+                    == (b_dir / f"image_{i}.pgm").read_bytes())
+    assert read_json(tmp_path / "ortho" / "a" / "report.json")["pixels_in_mask"] == 2244
 
 
 def test_cli_closed_loop_reconstruct_and_evaluate(rendered_sphere, tmp_path):
@@ -385,8 +397,8 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
     align = psbp.pipeline.align_depth
 
     def nan_raw(estimate, reference):
-        aligned, _, normalized = align(estimate, reference)
-        return aligned, float("nan"), normalized
+        _, normalized = align(estimate, reference)
+        return float("nan"), normalized
 
     monkeypatch.setattr(psbp.pipeline, "align_depth", nan_raw)
     ev = tmp_path / "eval"
@@ -399,8 +411,9 @@ def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypa
 
 def test_evaluate_peak_memory_in_frames(tmp_path):
     # evaluate of a full-frame 256x192 Lambertian relief, reprojected with
-    # the albedo.pfm that lambert-pps writes, holds at most 12.45 float64
-    # frames of numpy buffers at its peak (11.90 measured; 11.94 when
+    # the albedo.pfm that lambert-pps writes, holds at most 11.25 float64
+    # frames of numpy buffers at its peak (10.77 measured; 11.90 when
+    # align_depth built an aligned DepthMap that evaluate dropped; 11.94 when
     # DepthMap gathered its pixels to check them; 12.37 when
     # GradientField widened its float32 input before zeroing it off the
     # mask and the reprojection shaded whole frames; 18.9 when the
@@ -445,7 +458,7 @@ def test_evaluate_peak_memory_in_frames(tmp_path):
     assert json.loads(result)["pixels"]["joint"] == width * height
     frames = peak / (width * height * 8)
     print(f"evaluate peak: {frames:.2f} float64 frames")
-    assert frames <= 12.45
+    assert frames <= 11.25
 
 
 def test_reconstruct_exits_2_on_a_non_finite_potential(rendered_sphere, tmp_path, monkeypatch,

@@ -61,6 +61,9 @@ def test_exported_names_are_the_documented_library():
 # Top-level public names that stay without a caller in src/, with the reason.
 UNREFERENCED_ALLOWED = {
     "finite_difference_jacobian": "the tests' reference for every analytic Jacobian",
+    # bound to None on psbp.pipeline
+    "render_blinn_phong_perspective": "kept for perfbench's tracer until ROADMAP item 1",
+    "render_lambertian_perspective": "kept for perfbench's tracer until ROADMAP item 1",
 }
 
 

@@ -136,9 +136,9 @@ def test_bp_ortho_solve_is_finite_on_specular_scenes():
 def run_cli_loop(scene, depth_path, root):
     """The CLI on a scene's depth map, in root: render it (16-bit images),
     requantize the images to 8 bits, and from each bit depth reconstruct
-    with lambert-pps, lambert-ppn and bp-pps and evaluate, the Lambertian
-    methods under the Lambertian model with their albedo and bp-pps under
-    Blinn-Phong.  Every config holds paths relative to root."""
+    with lambert-pps, lambert-ppn, bp-pps and bp-ppn and evaluate, the
+    Lambertian methods under the Lambertian model with their albedo and the
+    Blinn-Phong ones under Blinn-Phong.  Every config holds paths relative to root."""
     intr, material = scene.intrinsics, scene.material
     common = {
         "intrinsics": {"focal_length": intr.focal_length, "pixel_pitch": [intr.h_x, intr.h_y],
@@ -154,7 +154,7 @@ def run_cli_loop(scene, depth_path, root):
     for bits in (8, 16):
         images = [f"{'render8' if bits == 8 else 'render'}/image_{i}.pgm" for i in (1, 2, 3)]
         for method, model in (("lambert-pps", "lambertian"), ("lambert-ppn", "lambertian"),
-                              ("bp-pps", "blinn-phong")):
+                              ("bp-pps", "blinn-phong"), ("bp-ppn", "blinn-phong")):
             recon = f"recon{bits}_{method}"
             runs += [dict(common, mode="reconstruct", out=recon, method=method, images=images),
                      dict(common, mode="evaluate", out=f"eval{bits}_{method}", images=images,
@@ -186,10 +186,10 @@ def test_cli_artifacts_are_deterministic(seed, tmp_path, monkeypatch):
     monkeypatch.setattr(render_module, "PIXEL_BLOCK", 37)
     run_cli_loop(scene, tmp_path / "depth.pfm", tmp_path / "blocks_of_37")
     first = artifacts(tmp_path / "first")
-    # 13 configs, 6 render files, 3 8-bit images, and per bit depth 6
-    # lambert-pps files, 7 lambert-ppn files, 5 bp-pps files and 3
-    # evaluation.json
-    assert len(first) == 64
+    # 17 configs, 6 render files, 3 8-bit images, and per bit depth 6
+    # lambert-pps files, 7 lambert-ppn files, 5 bp-pps files, 6 bp-ppn
+    # files and 4 evaluation.json
+    assert len(first) == 82
     assert artifacts(tmp_path / "rerun") == first
     assert artifacts(tmp_path / "blocks_of_37") == first
     for bits in (8, 16):
