@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SHADOW_THRESHOLD = 1e-4
+
 
 class ConfigError(ValueError):
     """Invalid configuration or input naming the offending field."""
@@ -78,14 +80,6 @@ class Image:
             raise ValueError("image intensities must be finite")
         if np.any(self.data < 0):
             raise ValueError("image intensities must be non-negative")
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
-    def height(self):
-        return self.data.shape[0]
 
 
 @dataclass
@@ -237,18 +231,18 @@ def _grids(images):
     return grids
 
 
-def input_mask(images, low=1e-4, high=None):
+def input_mask(images, high=None):
     """Joint validity mask for a stack of input images.
 
-    Pixels where any image falls below `low` (shadow / out of scene) are
-    masked out.  `high` masks saturated pixels and should be set to 0.999
-    for data loaded from clipped integer files; float renders have no full
-    scale, so it defaults to None.
+    Pixels where any image is at or below SHADOW_THRESHOLD (shadow / out of
+    scene) are masked out.  `high` masks saturated pixels and should be set
+    to 0.999 for data loaded from clipped integer files; float renders have
+    no full scale, so it defaults to None.
     """
     grids = _grids(images)
     mask = np.ones(grids[0].shape, dtype=bool)
     for g in grids:
-        mask &= g > low
+        mask &= g > SHADOW_THRESHOLD
         if high is not None:
             mask &= g < high
     return mask

@@ -1,10 +1,11 @@
 """Binary PGM / PFM image files and deterministic JSON reports.
 
 PGM files are written as binary "P5" with either 8- or 16-bit samples;
-16-bit samples are big-endian per the Netpbm convention.  PFM files are
-little-endian float32 (scale header -1.0) with the customary bottom-up row
-order; "Pf" carries one channel, "PF" three.  JSON output is fully
-deterministic: sorted keys, two-space indent, trailing newline.
+16-bit samples are big-endian per the Netpbm convention, and read_pgm
+returns them as read, for load_image to widen and load_mask to test.  PFM
+files are little-endian float32 (scale header -1.0) with the customary
+bottom-up row order; "Pf" carries one channel, "PF" three.  JSON output is
+fully deterministic: sorted keys, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -60,15 +61,8 @@ def _read_samples(stream, path, shape, dtype):
 
 
 def read_pgm(path):
-    """Read a binary PGM; returns (data, maxval) with data as uint8/uint16."""
-    data, maxval = _read_pgm(path)
-    # 16-bit samples are big-endian in the file
-    return (data.astype(np.uint16) if maxval > 255 else data), maxval
-
-
-def _read_pgm(path):
-    """read_pgm's (data, maxval), with 16-bit samples left big-endian, as
-    read."""
+    """Read a binary PGM; returns (data, maxval) with the samples as read:
+    uint8, or big-endian uint16 (">u2")."""
     with open(path, "rb") as fh:
         magic = _read_token(fh, path)
         if magic != b"P5":
@@ -104,8 +98,7 @@ def write_pgm(path, data, maxval=65535):
 
 def load_image(path):
     """Read a PGM into floats scaled to [0, 1] by its maxval."""
-    # widened straight from the samples as read, big-endian or not
-    data, maxval = _read_pgm(path)
+    data, maxval = read_pgm(path)
     values = data.astype(np.float64)
     values /= float(maxval)
     return values

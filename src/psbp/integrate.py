@@ -2,11 +2,12 @@
 
 poisson_integrate recovers the potential u minimizing the discrete
 least-squares misfit sum ||grad u - g||^2 with free (homogeneous Neumann)
-boundaries, i.e. it solves the five-point Laplacian with the divergence of g
-on the right-hand side.  The input gradients are per-pixel, as the solvers
-return them; each edge between two neighbouring pixels of the mask takes the
-mean of its two pixels' gradients.  On the full rectangle a cosine transform
-diagonalizes the operator.  A partial mask is assembled once into the sparse
+boundaries, i.e. it solves the normal equations +grad^T grad u = +grad^T g
+(the five-point Laplacian), whose one right-hand side _divergence forms.
+The input gradients are per-pixel, as the solvers return them; each edge
+between two neighbouring pixels of the mask takes the mean of its two
+pixels' gradients.  On the full rectangle a cosine transform diagonalizes
+the operator.  A partial mask is assembled once into the sparse
 normal equations, singular once per 4-connected component, and one block of
 them is factorized by sparse LU (SuperLU), with one node pinned in each
 component that lies wholly inside the block.  The pinned block is symmetric
@@ -83,14 +84,17 @@ BAND_WIDTH = 4
 
 
 def _divergence(ex, ey, hx, hy):
-    """Right-hand side sum of backward differences of the edge samples."""
+    """The right-hand side +grad^T g of the edge samples g: each edge's
+    sample over its spacing, subtracted at its first pixel and added at its
+    second."""
     h, w = ex.shape[0], ey.shape[1]
     b = np.zeros((h, w))
-    b[:, :-1] -= ex / hx
-    b[:, 1:] += ex / hx
-    b[:-1, :] -= ey / hy
-    b[1:, :] += ey / hy
-    return -b
+    for edges, step, first, second in ((ex, hx, np.s_[:, :-1], np.s_[:, 1:]),
+                                       (ey, hy, np.s_[:-1, :], np.s_[1:, :])):
+        g = edges / step
+        b[first] -= g
+        b[second] += g
+    return b
 
 
 def _neumann_eigenvalues(h, w, hx, hy):
@@ -111,14 +115,6 @@ def _neumann_solve(b, lam):
     bh /= lam
     bh[0, 0] = 0.0
     return scipy.fft.idctn(bh, type=2, norm="ortho", overwrite_x=True)
-
-
-def _poisson_dct(ex, ey, hx, hy):
-    h, w = ex.shape[0], ey.shape[1]
-    # The cosine eigenvalues belong to +grad^T grad, whose matching
-    # right-hand side is the negated divergence.
-    b = -_divergence(ex, ey, hx, hy)
-    return _neumann_solve(b, _neumann_eigenvalues(h, w, hx, hy))
 
 
 def _dct_preconditioner(mask, hx, hy):
@@ -175,7 +171,7 @@ def _masked_system(ex, ey, mask, hx, hy):
     # to its two ends, so the right-hand side sums to zero on every component
     okx = mask[:, :-1] & mask[:, 1:]
     oky = mask[:-1, :] & mask[1:, :]
-    rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
+    rhs = _divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
 
     # each edge's two ends, listed in mask order (a pixel's right neighbour is
     # the next masked pixel), and per pixel whether it is such an end
@@ -301,7 +297,7 @@ def _integrate_edges(ex, ey, mask, hx, hy):
     """Potential of edge gradients ex (h, w-1) and ey (h-1, w) on the mask;
     edges that leave the mask are dropped and masked-out pixels are zero."""
     if mask.all():
-        u = _poisson_dct(ex, ey, hx, hy)
+        u = _neumann_solve(_divergence(ex, ey, hx, hy), _neumann_eigenvalues(*mask.shape, hx, hy))
         u -= np.mean(u[mask])
         return u
     return _poisson_masked(ex, ey, mask, hx, hy)
@@ -318,13 +314,12 @@ def poisson_integrate(grad: GradientField, hx=1.0, hy=1.0):
     return _integrate_edges(ex, ey, grad.mask, hx, hy)
 
 
-def exp_depth(potential, mask=None) -> DepthMap:
-    """Exponentiate an integrated log-depth potential into a depth map.  The
-    depth is written as float32, so a masked log-depth must lie between the
-    logarithms of float32's smallest normal and largest values."""
+def exp_depth(potential, mask) -> DepthMap:
+    """Exponentiate an integrated log-depth potential into a depth map on
+    the mask, 0 off it.  The depth is written as float32, so a masked
+    log-depth must lie between the logarithms of float32's smallest normal
+    and largest values."""
     u = np.asarray(potential, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(u.shape, dtype=bool)
     lo, hi = np.log([np.finfo(np.float32).tiny, np.finfo(np.float32).max], dtype=np.float64)
     for bad, what in ((~np.isfinite(u), "non-finite log-depth"),
                       ((u < lo) | (u > hi),

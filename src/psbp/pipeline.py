@@ -41,6 +41,7 @@ from .config import (
     SCENE_SPHERE,
 )
 from .core import (
+    AlbedoMap,
     ConfigError,
     DepthMap,
     GradientField,
@@ -59,7 +60,7 @@ from .fileio import (
     write_json,
     write_pfm,
 )
-from .geometry import normals_to_perspective_gradient
+from .geometry import normals_to_perspective_gradient, pixel_axes
 from .integrate import align_depth, exp_depth, poisson_integrate
 from .render import (
     MODEL_BLINN_PHONG,
@@ -100,25 +101,32 @@ class _StageTimer:
         self.seconds[name] = time.perf_counter() - start
 
 
-def _read(field, path, reader, shape=None):
-    """reader(path) for a file that config field `field` names: the one
-    place a bad input file is reported.  Every such file but report.json is
-    one single-channel grid, and with shape it must have those dimensions.
-    A file that cannot be read, parsed or used raises ConfigError naming
-    the field and the file.  Callers pass this module's readers, looked up
-    when they call, so that a tracer may rebind them."""
+@contextmanager
+def _input(field, path):
+    """The one place a bad input file is reported: an OSError or ValueError
+    raised inside, by reading the file at path, which config field `field`
+    names, or by a masked type (core) that rejects its values on the mask,
+    raises ConfigError naming the field and the file."""
     try:
-        data = reader(path)
+        yield
     except (OSError, ValueError) as exc:
-        # fileio's and the system's messages name the file; json's do not
+        # fileio's and the system's messages name the file; json's and the
+        # masked types' do not
         reason = str(exc) if str(path) in str(exc) else f"{path}: {exc}"
         raise ConfigError(f"config field {field!r}: {reason}") from exc
-    if isinstance(data, np.ndarray) and data.ndim != 2:
-        raise ConfigError(f"config field {field!r}: {path} has dimensions {data.shape}, "
-                          "not one channel")
-    if shape is not None and data.shape != shape:
-        raise ConfigError(f"config field {field!r}: {path} has dimensions {data.shape}, "
-                          f"not {shape}")
+
+
+def _read(field, path, reader, shape=None):
+    """reader(path) for a file that config field `field` names, in _input.
+    Every such file but report.json is one single-channel grid, and with
+    shape it must have those dimensions.  Callers pass this module's
+    readers, looked up when they call, so that a tracer may rebind them."""
+    with _input(field, path):
+        data = reader(path)
+        if isinstance(data, np.ndarray) and data.ndim != 2:
+            raise ValueError(f"{path} has dimensions {data.shape}, not one channel")
+        if shape is not None and data.shape != shape:
+            raise ValueError(f"{path} has dimensions {data.shape}, not {shape}")
     return data
 
 
@@ -127,37 +135,29 @@ def _read_depth(field, path, shape=None, mask=None):
     with shape when given.  Its mask is read from the file that `mask`, a
     (field, path) pair, names; by default from the PFM's sibling mask.pgm
     when there is one, and otherwise it is z > 0.  Both files are read
-    through _read."""
+    through _read, and a depth that DepthMap rejects is the PFM's fault."""
     z = _read(field, path, read_pfm, shape)
-    if mask is None:
-        sibling = path.parent / "mask.pgm"
-        if not sibling.exists():
-            return DepthMap(z=z, mask=z > 0)
+    sibling = path.parent / "mask.pgm"
+    if mask is None and sibling.exists():
         mask = (field, sibling)
-    return DepthMap(z=z, mask=_read(*mask, load_mask, z.shape))
-
-
-def _load_scene_depth(cfg: PipelineConfig) -> DepthMap:
-    scene = cfg.scene
-    if scene.type == SCENE_SPHERE:
-        return make_sphere_depth(
-            scene.size[0], scene.size[1], cfg.intrinsics, scene.center, scene.radius,
-            projection=scene.projection,
-        )
-    return _read_depth("scene.path", scene.path)
+    valid = z > 0 if mask is None else _read(*mask, load_mask, z.shape)
+    with _input(field, path):
+        return DepthMap(z=z, mask=valid)
 
 
 def run_render(cfg: PipelineConfig, timer: _StageTimer):
     """Render the three photometric-stereo inputs plus ground truth."""
+    scene = cfg.scene
     with timer.stage("scene"):
-        depth = _load_scene_depth(cfg)
-    scene = SceneSpec(
-        depth=depth, material=cfg.material, lights=cfg.lights,
-        intrinsics=cfg.intrinsics, projection=cfg.scene.projection,
-        model=cfg.scene.model,
-    )
+        if scene.type == SCENE_SPHERE:
+            depth = make_sphere_depth(scene.size[0], scene.size[1], cfg.intrinsics, scene.center,
+                                      scene.radius, projection=scene.projection)
+        else:
+            depth = _read_depth("scene.path", scene.path)
+    spec = SceneSpec(depth=depth, material=cfg.material, lights=cfg.lights,
+                     intrinsics=cfg.intrinsics, projection=scene.projection, model=scene.model)
     with timer.stage("shade"):
-        images, _, mask = render_scene(scene)
+        images, _, mask = render_scene(spec)
     with timer.stage("write"):
         for name, img in zip(IMAGE_NAMES, images):
             save_image(cfg.out / name, img.data)
@@ -165,9 +165,9 @@ def run_render(cfg: PipelineConfig, timer: _StageTimer):
         save_mask(cfg.out / "mask.pgm", mask)
         payload = {
             "mode": MODE_RENDER,
-            "scene": cfg.scene.type,
-            "model": cfg.scene.model,
-            "projection": cfg.scene.projection,
+            "scene": scene.type,
+            "model": scene.model,
+            "projection": scene.projection,
             "size": list(depth.mask.shape[::-1]),
             "pixels_in_mask": int(mask.sum()),
             "images": list(IMAGE_NAMES),
@@ -235,18 +235,18 @@ def run_reconstruct(cfg: PipelineConfig, timer: _StageTimer):
     return payload
 
 
-def reprojection_error(grad: GradientField, images, lights, material, intr,
-                       model=MODEL_LAMBERTIAN, albedo=None, mask=None):
+def reprojection_error(grad: GradientField, images, lights, material, intr, mask,
+                       model=MODEL_LAMBERTIAN, albedo=None):
     """Per-image MSE between inputs and re-rendered images from a gradient.
 
     The gradient is shaded back through the chosen reflectance model, as the
-    renderer shades it, at the joint mask's pixels only and with all lights
-    in one pass; the Lambertian model accepts a per-pixel albedo grid in
-    place of the material's constant diffuse coefficient.  Each MSE is the
-    mean of the squared differences in mask order.
+    renderer shades it, at the pixels of grad.mask & mask only and with all
+    lights in one pass; the Lambertian model accepts a per-pixel albedo grid
+    in place of the material's constant diffuse coefficient.  Each MSE is
+    the mean of the squared differences in mask order.
     """
     grids = _grids(images)
-    joint = grad.mask if mask is None else (grad.mask & mask)
+    joint = grad.mask & mask
     if grids[0].shape != joint.shape:
         raise ValueError(f"grid shapes {grids[0].shape} and {joint.shape} do not match")
     if not joint.any():
@@ -258,8 +258,10 @@ def reprojection_error(grad: GradientField, images, lights, material, intr,
             material, scale = Material(k_d=1.0, k_s=0.0, shininess=1.0), albedo[pix]
         else:
             material = replace(material, k_s=0.0)
+    h, w = joint.shape
     errors = []
-    for grid, pred in zip(grids, shade_pixels(grad, pix, lights, material, intr)):
+    for grid, pred in zip(grids, shade_pixels(grad.gx, grad.gy, *pixel_axes(w, h, intr), pix,
+                                              lights, material, intr.focal_length)):
         if scale is not None:
             pred *= scale
         pred -= grid[pix]
@@ -296,22 +298,30 @@ def run_evaluate(cfg: PipelineConfig, timer: _StageTimer):
     with timer.stage("reproject"):
         # read once the depth maps are let go, so the two are never held together
         grids, photometric = _load_input_images(cfg.images, shape)
-        grad = GradientField(gx=gx, gy=gy, mask=est_mask)
+        try:
+            grad = GradientField(gx=gx, gy=gy, mask=est_mask)
+        except ValueError as exc:
+            # a non-finite gradient on the mask: the first file that holds one
+            name = "grad_x.pfm" if not np.isfinite(gx[est_mask]).all() else "grad_y.pfm"
+            with _input("estimate_dir", est / name):
+                raise exc
         # grad holds its own copy of the estimate's mask
         del gx, gy, est_mask
         albedo = None
-        if cfg.reprojection_model == MODEL_LAMBERTIAN and (est / "albedo.pfm").exists():
-            albedo = _read("estimate_dir", est / "albedo.pfm", read_pfm, shape)
+        path = est / "albedo.pfm"
+        if cfg.reprojection_model == MODEL_LAMBERTIAN and path.exists():
+            albedo = _read("estimate_dir", path, read_pfm, shape)
+            with _input("estimate_dir", path):
+                # checked on the mask; the float32 grid is cast as it multiplies
+                AlbedoMap(values=albedo, mask=grad.mask)
         needs_material = cfg.reprojection_model == MODEL_BLINN_PHONG or albedo is None
         if needs_material and cfg.material is None:
             raise ConfigError(
                 "config field 'material': required for reprojection when the "
                 "reconstruction provides no albedo map"
             )
-        reprojection = reprojection_error(
-            grad, grids, cfg.lights, cfg.material, cfg.intrinsics,
-            model=cfg.reprojection_model, albedo=albedo, mask=photometric,
-        )
+        reprojection = reprojection_error(grad, grids, cfg.lights, cfg.material, cfg.intrinsics,
+                                          photometric, model=cfg.reprojection_model, albedo=albedo)
 
     metrics = [("mse_raw", mse_raw), ("mse_normalized", mse_normalized),
                *((f"mse_reprojection[{i}]", e) for i, e in enumerate(reprojection))]
@@ -345,7 +355,7 @@ def run_conditioning(cfg: PipelineConfig, timer: _StageTimer):
         payload = {
             "mode": MODE_CONDITIONING,
             "size": [width, height],
-            "flagged_counts": report.flagged_counts(),
+            "flagged_counts": [int(f.sum()) for f in report.flags],
             "non_coplanar": report.non_coplanar,
             "det_proxy_min": float(report.det_proxy.min()),
             "threshold": INDICATOR_THRESHOLD,

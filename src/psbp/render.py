@@ -2,27 +2,24 @@
 
 The Blinn-Phong model is computed in one kernel, perspective_shading, for a
 sequence of lights at log-depth gradients with normal direction
-m = (f*gx, f*gy, x*gx + y*gy + 1), with its derivatives on request.  The
-kernel is written in linear-coefficient form: every dot product m.v is
-a_v*gx + b_v*gy + v_2, with coefficients a_v = f*v_0 + x*v_2 and
-b_v = f*v_1 + y*v_2 that are also its derivatives.  It runs in two steps.
-The coefficient step, shading_coefficients, forms each light's
-coefficients: constants for the light direction, and rows for its
-per-pixel halfway vector.  The shading step, shade_from_coefficients,
-shades over them, sharing the per-pixel geometry across the lights, with
-one pow per light for the lobe and its slope.  The renderers run both steps
+m = (f*gx, f*gy, x*gx + y*gy + 1).  The kernel is written in
+linear-coefficient form: every dot product m.v is a_v*gx + b_v*gy + v_2,
+with coefficients a_v = f*v_0 + x*v_2 and b_v = f*v_1 + y*v_2 that are also
+its derivatives.  It runs in two steps.  The coefficient step,
+shading_coefficients, forms each light's coefficients: constants for the
+light direction, and rows for its per-pixel halfway vector.  The shading
+step, shade_from_coefficients, shades over them, sharing the per-pixel
+geometry across the lights, with one pow per light for the lobe and its
+slope, and gives the derivatives on request.  The renderers run both steps
 per call; the Blinn-Phong solvers (bp-pps and bp-ppn) form the coefficient
-rows once per LM block and run the shading step on every LM step.  Each
-caller shades one pixel set with all its lights in one call: the solvers
-their masked pixels, and render_scene and the reprojection check
-(shade_pixels) only the pixels of their mask, which they scatter into zero
-frames or score.  A mask that covers the whole frame is indexed with ...,
-which gathers nothing.  These two shade in pixel_blocks of at most
-PIXEL_BLOCK pixels, rows of the frame for a full mask and runs of the
-mask's pixels otherwise, writing each block into one preallocated array per
-light, so that a block's temporaries stay in cache; every pixel is shaded
-alone, so the blocks move no bit.  render_scene shades both projections in
-that one call: the perspective one at the log-depth gradients and the
+rows once per LM block and run the shading step, with its derivatives, on
+every LM step.  Each caller shades one pixel set with all its lights in one
+call: the solvers their masked pixels, and render_scene and the
+reprojection check, through their one pixel walk shade_pixels, only the
+pixels of their mask, in pixel_blocks (rows of a full frame, which ...
+indexes without a gather, or runs of the mask's pixels) that keep a block's
+temporaries in cache and move no bit.  render_scene shades both
+projections so: the perspective one at the log-depth gradients and the
 pixels' image points, the orthographic one at the slope (n1/n3, n2/n3) of
 each normal at the principal point x = y = 0 with f = 1, where the view is
 (0, 0, 1) and the perspective shading is the orthographic shading of n.
@@ -67,19 +64,22 @@ PROJECTION_ORTHOGRAPHIC = "orthographic"
 PIXEL_BLOCK = 2**14
 
 
-def pixel_blocks(shape):
-    """Slices along the leading axis of an array of this shape, in order,
-    each spanning whole leading-axis entries (frame rows, or single pixels
-    of a vector) and at most PIXEL_BLOCK pixels, but at least one entry.
-    Each pixel is computed alone in these stages, so the blocks move no
-    bit."""
+def pixel_blocks(*arrays):
+    """Each block's views of the arrays: the first array, a frame or a
+    gathered vector, in runs of whole leading-axis entries (frame rows, or
+    pixels) of at most PIXEL_BLOCK pixels but at least one entry, every
+    array whose leading axis spans the first's alike, and the rest, such as
+    pixel_axes' row of columns or a scalar, whole.  Callers write their
+    outputs into their views.  Each pixel is computed alone in these
+    stages, so the blocks move no bit."""
+    shape = np.shape(arrays[0])
     step = max(1, PIXEL_BLOCK // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
-        yield slice(start, start + step)
+        rows = slice(start, start + step)
+        yield [a[rows] if np.shape(a)[:1] == shape[:1] else a for a in arrays]
 
 
-def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, clamp=True,
-                        derivatives=False):
+def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, clamp=True):
     """Blinn-Phong shading of a sequence of lights at log-depth gradients:
     the coefficient step (shading_coefficients) and the shading step
     (shade_from_coefficients) of the one kernel, the only place the
@@ -92,17 +92,16 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, 
     halfway vector h of the light and the view ray (x, y, f) (skipped when
     k_s == 0).  clamp clamps the diffuse term at 0 as a renderer must; left
     unclamped the shading is smooth in the gradient, as a least-squares
-    residual needs, and only then are derivatives given.
+    residual needs.
 
-    Yields one entry per light, in order: with derivatives,
-    (shading, d/dgx, d/dgy) computed in the same pass; otherwise the shading
-    alone.  Each light's coefficients are formed, and the light shaded, when
-    its entry is asked for, so a caller that is done with one light's arrays
-    before it asks for the next holds one light's arrays at a time.
+    Yields each light's shading, in order.  Each light's coefficients are
+    formed, and the light shaded, when its entry is asked for, so a caller
+    that is done with one light's arrays before it asks for the next holds
+    one light's arrays at a time.
     """
     return shade_from_coefficients(
         gx, gy, x, y, shading_coefficients(x, y, lights, material, focal_length),
-        material.shininess, focal_length, clamp=clamp, derivatives=derivatives)
+        material.shininess, focal_length, clamp=clamp)
 
 
 def shading_coefficients(x, y, lights, material: Material, focal_length):
@@ -223,24 +222,14 @@ def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, cla
     return (shading, *slopes)
 
 
-def shade_pixels(grad: GradientField, pix, lights, material: Material, intr: CameraIntrinsics):
-    """Clamped perspective_shading of the lights at the pixels pix of a
-    gradient field, all lights in one call: the path of the reprojection
-    check.  pix is a boolean mask, or ... for the whole frame, which gathers
-    nothing.  Returns one row per light, (len(lights),) + the shape of the
-    pixels: each light's shading at those pixels, in the mask's row-major
-    order."""
-    h, w = grad.mask.shape
-    return _shade_at(grad.gx, grad.gy, *pixel_axes(w, h, intr), pix, lights, material,
-                     intr.focal_length)
-
-
-def _shade_at(gx, gy, x, y, pix, lights, material: Material, focal_length):
-    """shade_pixels of frames gx, gy of log-depth gradients at image points
-    x, y: scalars, or pixel_axes' row and column, which broadcast to the
-    frame.  The pixels are shaded in pixel_blocks: rows of the frame, or
-    runs of the mask's pixels, each written into its slice of one array per
-    light, so that a block's arrays stay in cache."""
+def shade_pixels(gx, gy, x, y, pix, lights, material: Material, focal_length):
+    """Clamped perspective_shading of all the lights at the pixels pix (a
+    boolean mask, or ... for the whole frame) of log-depth gradient frames
+    gx, gy at image points x, y (scalars, or pixel_axes' row and column):
+    the pixel walk of render_scene and the reprojection check.  Each of
+    its pixel_blocks is written into its view of one array per light.
+    Returns the arrays, (len(lights),) + the shape of the pixels, in the
+    mask's row-major order."""
     for light in lights:
         light.require_frontal()
     # x follows the column and y the row: a mask gathers them without
@@ -249,12 +238,11 @@ def _shade_at(gx, gy, x, y, pix, lights, material: Material, focal_length):
         x, y = (np.broadcast_to(c, pix.shape)[pix] if np.ndim(c) else c for c in (x, y))
         gx, gy = gx[pix], gy[pix]
     shadings = np.empty((len(lights),) + gx.shape)
-    for rows in pixel_blocks(gx.shape):
-        # pixel_axes' row spans every row of the frame, and scalars every pixel
-        at = [c[rows] if np.shape(c)[:1] == gx.shape[:1] else c for c in (gx, gy, x, y)]
-        for shading, block in zip(shadings, perspective_shading(*at, lights, material,
+    for block in pixel_blocks(gx, gy, x, y, *shadings):
+        # the block's gx, gy, x and y, then its view of each light's array
+        for view, shading in zip(block[4:], perspective_shading(*block[:4], lights, material,
                                                                 focal_length)):
-            shading[rows] = block
+            view[...] = shading
     return shadings
 
 
@@ -376,7 +364,7 @@ def render_scene(scene: SceneSpec):
         h, w = geom.mask.shape
         x, y = pixel_axes(w, h, intr)
     pix = ... if geom.mask.all() else geom.mask
-    shadings = _shade_at(gx, gy, x, y, pix, scene.lights, material, f)
+    shadings = shade_pixels(gx, gy, x, y, pix, scene.lights, material, f)
     if pix is not ...:
         frames = np.zeros((len(shadings),) + geom.mask.shape)
         frames[:, pix] = shadings

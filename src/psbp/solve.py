@@ -92,9 +92,6 @@ class ConditioningReport:
     non_coplanar: bool
     det_proxy: np.ndarray
 
-    def flagged_counts(self):
-        return [int(f.sum()) for f in self.flags]
-
 
 def _inputs(images, lights, mask):
     """The solvers' common preamble: the three image grids, checked to share
@@ -147,10 +144,6 @@ def woodham_normals(images, lights, mask=None):
     return NormalField(n=n, mask=ok), AlbedoMap(values=albedo, mask=ok)
 
 
-def _scaled_intensities(grids, norms, ld):
-    return [grids[k] * norms[k] / ld[k] for k in range(3)]
-
-
 def _closed_form_system(r, dirs, X, Y, focal_length):
     """Coefficients (m1, m2, m3, m4, h1, h2) of the per-pixel 2x2 system
     m1*gx + m2*gy = h1, m3*gx + m4*gy = h2 of the perspective Lambertian
@@ -177,28 +170,23 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
     zero off the mask ok of the pixels it solved, and ok.  With albedo, also
     lambertian_pps_closed_form's diffuse albedo on its mask, and that mask.
     The frames are solved in pixel_blocks of rows, each written into its
-    rows of the preallocated outputs, so that a block's arrays stay in
+    views of the preallocated outputs, so that a block's arrays stay in
     cache; the albedo is shaded inside the same block."""
     f = focal_length
     arrays = _light_arrays(lights)
-    gx, gy = np.zeros((2,) + mask.shape)
-    ok = np.zeros(mask.shape, dtype=bool)
+    outputs = [*np.zeros((2,) + mask.shape), np.zeros(mask.shape, dtype=bool)]
     if albedo:
-        values = np.empty(mask.shape)
-        ok_alb = np.zeros(mask.shape, dtype=bool)
-    for rows in pixel_blocks(mask.shape):
-        y = Y[rows]
-        gx[rows], gy[rows], ok[rows] = _closed_form_rows([g[rows] for g in grids], arrays, X, y,
-                                                         f, mask[rows])
+        outputs += [np.empty(mask.shape), np.zeros(mask.shape, dtype=bool)]
+    for m, x, y, i1, i2, i3, gx, gy, ok, *alb in pixel_blocks(mask, X, Y, *grids, *outputs):
+        gx[...], gy[...], ok[...] = _closed_form_rows([i1, i2, i3], arrays, x, y, f, m)
         if albedo:
+            values, lit = alb
             # Material() is k_d = 1, k_s = 0, so the first image over this
             # shading is the albedo
-            [shading] = perspective_shading(gx[rows], gy[rows], X, y, lights[:1], Material(), f,
-                                            clamp=False)
-            lit = ok[rows] & (np.abs(shading) > 1e-12)
-            values[rows] = grids[0][rows] / np.where(lit, shading, 1.0)
-            ok_alb[rows] = lit
-    return (gx, gy, ok, values, ok_alb) if albedo else (gx, gy, ok)
+            [shading] = perspective_shading(gx, gy, x, y, lights[:1], Material(), f, clamp=False)
+            lit[...] = ok & (np.abs(shading) > 1e-12)
+            values[...] = i1 / np.where(lit, shading, 1.0)
+    return outputs
 
 
 def _closed_form_rows(grids, arrays, X, Y, focal_length, mask):
@@ -206,8 +194,9 @@ def _closed_form_rows(grids, arrays, X, Y, focal_length, mask):
     of the grids given, with their mask, coordinates X, Y and the lights'
     _light_arrays; its temporaries are let go on return."""
     dirs, norms, ld = arrays
-    m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
-                                                 X, Y, focal_length)
+    # the scaled intensities r_k are let go once the system is formed
+    m1, m2, m3, m4, h1, h2 = _closed_form_system([g * n / d for g, n, d in zip(grids, norms, ld)],
+                                                 dirs, X, Y, focal_length)
 
     det = m1 * m4 - m2 * m3
     ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)

@@ -362,7 +362,8 @@ def test_analytic_jacobian_matches_finite_differences():
     grad = GradientField(gx=np.full((16, 16), 0.4), gy=np.full((16, 16), -0.25))
     material = Material(k_d=0.5, k_s=0.5, shininess=30.0)
     lights = rig(1.2, 1.2)
-    images = list(shade_pixels(grad, ..., lights, material, intr))
+    images = list(shade_pixels(grad.gx, grad.gy, *pixel_axes(16, 16, intr), ..., lights,
+                               material, intr.focal_length))
     X, Y = np.broadcast_arrays(*pixel_axes(16, 16, intr))
     block = _ShadingModel(X.ravel(), Y.ravel(),
                           np.stack([img.ravel() for img in images]),

@@ -20,6 +20,7 @@ from psbp.fileio import (
     write_json,
     write_pfm,
 )
+from psbp.geometry import pixel_axes
 from psbp.pipeline import reprojection_error, run_pipeline
 from psbp.render import log_depth_gradients, make_sphere_depth, shade_pixels
 
@@ -339,8 +340,8 @@ def test_reprojection_error_vanishes_on_ground_truth(rendered_sphere):
     grad = log_depth_gradients(depth, cfg.intrinsics)
     images = [load_image(rendered_sphere / f"image_{i}.pgm") for i in (1, 2, 3)]
     usable = input_mask(images, high=0.999)  # drop clipped specular peaks
-    errors = reprojection_error(grad, images, cfg.lights, cfg.material, cfg.intrinsics,
-                                model="blinn-phong", mask=usable)
+    errors = reprojection_error(grad, images, cfg.lights, cfg.material, cfg.intrinsics, usable,
+                                model="blinn-phong")
     # file quantization is the only error source left
     assert max(errors) < 1e-8
 
@@ -357,17 +358,18 @@ def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_spher
     rng = np.random.default_rng(12)
     images = [load_image(rendered_sphere / f"image_{i}.pgm") for i in (1, 2, 3)]
     if full:
-        grad, usable = GradientField(*rng.uniform(-0.5, 0.5, size=(2, 64, 64))), None
+        grad = GradientField(*rng.uniform(-0.5, 0.5, size=(2, 64, 64)))
+        usable = np.ones((64, 64), dtype=bool)
     else:
         grad = log_depth_gradients(make_sphere_depth(64, 64, intr, (0, 0, 4.0), 1.0), intr)
         grad = GradientField(grad.gx * 1.01 + 1e-3, grad.gy, grad.mask)
         usable = input_mask(images, high=0.999)
-    joint = grad.mask if usable is None else grad.mask & usable
+    joint = grad.mask & usable
     assert joint.all() == full and joint.any()
     model = "blinn-phong" if case == "blinn-phong" else "lambertian"
     albedo = rng.uniform(0.3, 0.9, size=(64, 64)) if case == "lambertian-albedo" else None
-    got = reprojection_error(grad, images, cfg.lights, cfg.material, intr, model=model,
-                             albedo=albedo, mask=usable)
+    got = reprojection_error(grad, images, cfg.lights, cfg.material, intr, usable, model=model,
+                             albedo=albedo)
     if model == "blinn-phong":
         material = cfg.material
     elif albedo is not None:
@@ -376,7 +378,8 @@ def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_spher
         material = replace(cfg.material, k_s=0.0)
     want = []
     for light, img in zip(cfg.lights, images):
-        [pred] = shade_pixels(grad, ..., [light], material, intr)
+        [pred] = shade_pixels(grad.gx, grad.gy, *pixel_axes(64, 64, intr), ..., [light],
+                              material, intr.focal_length)
         if albedo is not None:
             pred = albedo * pred
         d = pred[joint] - img[joint]
@@ -384,8 +387,8 @@ def test_reprojection_error_matches_per_light_renders_bit_for_bit(rendered_spher
     assert min(want) > 0.0
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
     with pytest.raises(ValueError, match="mask is empty"):
-        reprojection_error(grad, images, cfg.lights, cfg.material, intr, model=model,
-                           albedo=albedo, mask=np.zeros((64, 64), dtype=bool))
+        reprojection_error(grad, images, cfg.lights, cfg.material, intr,
+                           np.zeros((64, 64), dtype=bool), model=model, albedo=albedo)
 
 
 def test_evaluate_rejects_a_nonfinite_metric(rendered_sphere, tmp_path, monkeypatch, capsys):
@@ -679,3 +682,55 @@ def test_cli_names_the_field_and_file_of_a_malformed_input(rendered_sphere, lamb
     err = capsys.readouterr().err
     assert f"config field '{field}'" in err and str(bad) in err and says in err, err
     assert "Traceback" not in err
+
+
+def write_pfm_with(path, row, col, value):
+    """Rewrite the single-channel PFM at path with one sample set to value,
+    which may be NaN or inf, as write_pfm refuses to write them."""
+    data = read_pfm(path)
+    data[row, col] = value
+    header = b"Pf\n%d %d\n-1.0\n" % (data.shape[1], data.shape[0])
+    path.write_bytes(header + np.ascontiguousarray(data[::-1]).astype("<f4").tobytes())
+
+
+# (mode, config field, file under tmp_path, value): each file's value at a
+# pixel on its mask is set to NaN or inf, or, as only a depth must be
+# non-negative, a depth's to -1
+BAD_VALUE_FILES = [("evaluate", "estimate_dir", "recon/albedo.pfm"),
+                   ("evaluate", "estimate_dir", "recon/depth.pfm"),
+                   ("evaluate", "estimate_dir", "recon/grad_x.pfm"),
+                   ("evaluate", "estimate_dir", "recon/grad_y.pfm"),
+                   ("evaluate", "ground_truth", "in/depth_gt.pfm"),
+                   ("render", "scene.path", "in/depth_gt.pfm")]
+
+
+@pytest.mark.parametrize("mode, field, name, value", [
+    (*case, value) for case in BAD_VALUE_FILES
+    for value in (NAN, INF, *((-1.0,) if "depth" in case[2] else ()))
+])
+def test_cli_names_the_field_and_file_of_a_bad_value(rendered_sphere, lambert_recon, tmp_path,
+                                                      capsys, mode, field, name, value):
+    """A value that a masked type rejects on its mask is an input error
+    (exit 1) that names the config field and the file, not a bare message
+    or a numerical failure."""
+    shutil.copytree(rendered_sphere, tmp_path / "in")
+    shutil.copytree(lambert_recon, tmp_path / "recon")
+    out = tmp_path / "out"
+    if mode == "render":
+        payload = sphere_render_payload(out)
+        payload["scene"] = {"type": "depth-map", "path": str(tmp_path / "in" / "depth_gt.pfm")}
+    else:
+        # the default reprojection model, Lambertian, reads albedo.pfm
+        payload = evaluate_payload(tmp_path / "in", tmp_path / "recon", out)
+        assert "reprojection_model" not in payload
+    # a pixel on the rendered and on the estimated mask
+    joint = load_mask(tmp_path / "in" / "mask.pgm") & load_mask(tmp_path / "recon" / "mask.pgm")
+    row, col = np.argwhere(joint)[joint.sum() // 2]
+    bad = tmp_path / name
+    write_pfm_with(bad, row, col, value)
+    capsys.readouterr()
+    assert main([mode, "--config", _write_cfg(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert f"config field '{field}': {bad}: " in err, err
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert not out.exists() or not any(out.glob("*.json"))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from psbp import core
 from psbp.core import (
     AlbedoMap,
     CameraIntrinsics,
@@ -20,8 +21,7 @@ from psbp.core import (
 
 def test_image_basic():
     img = Image(np.ones((4, 6)))
-    assert img.width == 6
-    assert img.height == 4
+    assert img.data.shape == (4, 6)
 
 
 def test_image_rejects_negative_and_nonfinite():
@@ -256,14 +256,15 @@ def test_depth_map_from_float32_peaks_at_one_frame():
     assert peak / (z.size * 8) <= 1.25
 
 
-def test_input_mask_thresholds():
+def test_input_mask_thresholds(monkeypatch):
     a = np.array([[0.5, 0.0], [0.2, 0.9999]])
     b = np.array([[0.5, 0.5], [0.3, 0.5]])
     m = input_mask([a, b])
     assert m.tolist() == [[True, False], [True, True]]
     m2 = input_mask([a, b], high=0.999)
     assert m2.tolist() == [[True, False], [True, False]]
-    m3 = input_mask([Image(a), Image(b)], low=0.25)
+    monkeypatch.setattr(core, "SHADOW_THRESHOLD", 0.25)
+    m3 = input_mask([Image(a), Image(b)])
     assert m3.tolist() == [[True, False], [False, True]]
     with pytest.raises(ValueError):
         input_mask([a, np.zeros((3, 3))])

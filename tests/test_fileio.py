@@ -24,7 +24,8 @@ def test_pgm_16bit_round_trip(tmp_path):
     write_pgm(p, data)
     back, maxval = read_pgm(p)
     assert maxval == 65535
-    assert back.dtype == np.uint16
+    # the samples as read: big-endian, as the file holds them
+    assert back.dtype == np.dtype(">u2")
     assert np.array_equal(back, data)
 
 

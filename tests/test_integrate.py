@@ -17,7 +17,6 @@ from psbp.integrate import (
     _divergence,
     _integrate_edges,
     _masked_system,
-    _poisson_dct,
     _poisson_masked,
     align_depth,
     exp_depth,
@@ -152,16 +151,17 @@ def test_projection_property_masked_domain():
 
 
 def test_dct_and_cg_agree_on_full_rectangle(monkeypatch):
-    """A full mask has no band, so with the limit lowered to the band's size
-    CG runs with the full-frame preconditioner alone and factorizes
-    nothing."""
+    """_integrate_edges solves a full mask by the cosine transform.  A full
+    mask has no band, so with the limit lowered to the band's size CG runs
+    with the full-frame preconditioner alone and factorizes nothing."""
     rng = np.random.default_rng(9)
     u = rng.standard_normal((32, 48))
     ex, ey = edge_gradient(u)
     monkeypatch.setattr(psbp.integrate, "DIRECT_MAX_UNKNOWNS", 0)
     factorizations = count_factorizations(monkeypatch)
-    v1 = _poisson_dct(ex, ey, 1.0, 1.0)
-    v2 = _poisson_masked(ex, ey, np.ones((32, 48), dtype=bool), 1.0, 1.0)
+    full = np.ones((32, 48), dtype=bool)
+    v1 = _integrate_edges(ex, ey, full, 1.0, 1.0)
+    v2 = _poisson_masked(ex, ey, full, 1.0, 1.0)
     assert np.abs(v1 - v2).max() < 1e-9
     assert factorizations == []
 
@@ -372,6 +372,31 @@ def test_band_over_the_limit_is_not_factorized(monkeypatch):
     assert np.abs(v[mask] - (u[mask] - u[mask].mean())).max() < 1e-8
 
 
+def test_divergence_keeps_the_bits_of_the_twice_negated_formula():
+    """_divergence forms +grad^T g, dividing each edge once.  It keeps the
+    bits of the formula it replaced, written here: four steps on a zero
+    frame, each dividing its edges, the result negated, and negated again
+    by both of its callers.  Some samples are zeroed, of either sign, as
+    the masked route zeroes the edges that leave its mask, so some pixels
+    sum to zero, whose sign must be kept too."""
+    rng = np.random.default_rng(21)
+    h, w, hx, hy = 23, 31, 0.37, 1.9
+    ex = rng.standard_normal((h, w - 1))
+    ey = rng.standard_normal((h - 1, w))
+    for e in (ex, ey):
+        e[rng.random(e.shape) < 0.5] = 0.0
+        e[rng.random(e.shape) < 0.2] = -0.0
+    b = np.zeros((h, w))
+    b[:, :-1] -= ex / hx
+    b[:, 1:] += ex / hx
+    b[:-1, :] -= ey / hy
+    b[1:, :] += ey / hy
+    want = -(-b)
+    got = _divergence(ex, ey, hx, hy)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.count_nonzero(got == 0.0) > 10
+
+
 def quadruple_system(ex, ey, mask, hx, hy, comp, pin):
     """The reference assembly of _masked_system, and with pin of the whole
     mask's pinned block: four COO entries per edge, (p, p), (q, q), (p, q)
@@ -383,7 +408,7 @@ def quadruple_system(ex, ey, mask, hx, hy, comp, pin):
     idx[mask] = np.arange(n)
     okx = mask[:, :-1] & mask[:, 1:]
     oky = mask[:-1, :] & mask[1:, :]
-    rhs = -_divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
+    rhs = _divergence(np.where(okx, ex, 0.0), np.where(oky, ey, 0.0), hx, hy)[mask]
     rows, cols, vals = [], [], []
     for ok, p_idx, q_idx, step in ((okx, idx[:, :-1], idx[:, 1:], hx),
                                    (oky, idx[:-1, :], idx[1:, :], hy)):
@@ -560,22 +585,23 @@ def test_masked_solve_that_cannot_converge_raises_at_the_iteration_cap(monkeypat
 
 def test_exp_depth_basic_and_overflow():
     u = np.array([[0.0, np.log(2.0)], [np.log(3.0), 1.0]])
-    d = exp_depth(u)
+    d = exp_depth(u, np.ones((2, 2), dtype=bool))
     assert np.allclose(d.z, np.exp(u))
     mask = np.array([[True, False], [True, True]])
     d2 = exp_depth(u, mask=mask)
     assert d2.z[0, 1] == 0.0
     # depth.pfm is float32: a log-depth of 100 would overflow to inf there,
     # and one of -110 would flush a masked depth to zero
+    row = np.ones((1, 2), dtype=bool)
     for value in (800.0, 100.0, -110.0):
         with pytest.raises(NumericalError, match=r"outside float32's range .* \(col=1, row=0\)"):
-            exp_depth(np.array([[0.0, value]]))
+            exp_depth(np.array([[0.0, value]]), row)
         # masked overflow is ignored
         exp_depth(np.array([[0.0, value]]), mask=np.array([[True, False]]))
     # the bounds, ln of float32's smallest normal and largest values, keep a
     # finite, non-zero float32 depth
     f32 = np.finfo(np.float32)
-    z = exp_depth(np.log([[float(f32.tiny), float(f32.max)]])).z.astype(np.float32)
+    z = exp_depth(np.log([[float(f32.tiny), float(f32.max)]]), row).z.astype(np.float32)
     assert np.all(np.isfinite(z)) and np.all(z > 0.0)
 
 
@@ -587,7 +613,7 @@ def test_exp_depth_rejects_a_non_finite_potential(value):
     u = np.zeros((3, 2))
     u[1, 0] = u[2, 1] = value
     with pytest.raises(NumericalError, match=r"non-finite log-depth at pixel \(col=0, row=1\)"):
-        exp_depth(u)
+        exp_depth(u, np.ones((3, 2), dtype=bool))
     mask = np.ones((3, 2), dtype=bool)
     mask[1, 0] = mask[2, 1] = False
     assert np.all(exp_depth(u, mask=mask).z[mask] == 1.0)

@@ -18,7 +18,7 @@ from psbp.optim import (
     finite_difference_jacobian,
     levenberg_marquardt_batch,
 )
-from psbp.render import perspective_shading
+from psbp.render import shade_from_coefficients, shading_coefficients
 from psbp.solve import _ShadingModel
 
 
@@ -229,8 +229,10 @@ def test_normal_equations_match_batched_einsum_exactly(seed):
     idx = rng.permutation(1000)
     states = rng.uniform(-3.0, 3.0, (2, 1000))
 
-    shaded = list(perspective_shading(states[0], states[1], x[idx], y[idx], lights, mat, 1.0,
-                                      clamp=False, derivatives=True))
+    xi, yi = x[idx], y[idx]
+    shaded = list(shade_from_coefficients(states[0], states[1], xi, yi,
+                                          shading_coefficients(xi, yi, lights, mat, 1.0),
+                                          mat.shininess, 1.0, clamp=False, derivatives=True))
     f = intensities[:, idx].T - np.stack([s[0] for s in shaded], axis=1)
     jac = -np.stack([np.stack(s[1:], axis=1) for s in shaded], axis=1)
     hess = np.einsum("nmp,nmq->npq", jac, jac)

@@ -26,12 +26,22 @@ from psbp.render import (
     make_sphere_depth,
     perspective_shading,
     render_scene,
+    shade_from_coefficients,
     shade_pixels,
+    shading_coefficients,
 )
 
 INTR = CameraIntrinsics(focal_length=1.0, h_x=0.0046875, h_y=0.0046875,
                         delta_x=63.5, delta_y=63.5)
 SPHERE_CENTER = (0.0, 0.0, 4.0)
+
+
+def shade_frame(grad, lights, material, intr):
+    """shade_pixels over the whole frame of a gradient field, at its pixels'
+    image points."""
+    h, w = grad.mask.shape
+    return shade_pixels(grad.gx, grad.gy, *pixel_axes(w, h, intr), ..., lights, material,
+                        intr.focal_length)
 
 
 def ray_march_sphere_depth(x, y, f, center, radius):
@@ -108,7 +118,7 @@ def test_flat_wall_lambertian_intensity():
     grad = GradientField(gx=np.zeros((8, 8)), gy=np.zeros((8, 8)))
     light = LightSource(np.array([1.0, 0.0, 2.0]), diffuse_intensity=1.2)
     mat = Material(k_d=0.5)
-    [img] = shade_pixels(grad, ..., [light], mat, INTR)
+    [img] = shade_frame(grad, [light], mat, INTR)
     expected = 0.5 * 1.2 * 2.0 / np.sqrt(5.0)
     assert np.allclose(img, expected, atol=1e-14)
 
@@ -138,7 +148,7 @@ def test_specular_term_value_at_known_pixel():
     light = LightSource(np.array([0.5, 0.5, 1.5]), diffuse_intensity=0.9,
                         specular_intensity=1.1)
     mat = Material(k_d=0.3, k_s=0.6, shininess=25.0)
-    [img] = shade_pixels(grad, ..., [light], mat, intr)
+    [img] = shade_frame(grad, [light], mat, intr)
 
     x, y, f = 0.1, 0.0, 2.0  # pixel (col=2, row=1)
     w = x * gx + y * gy + 1.0
@@ -156,8 +166,8 @@ def test_higher_shininess_dims_off_peak_specular():
     depth = make_sphere_depth(128, 128, INTR, SPHERE_CENTER, 1.0)
     grad = log_depth_gradients(depth, INTR)
     light = LightSource(np.array([1.0, 0.0, 2.0]), 1.0, 1.0)
-    [lo] = shade_pixels(grad, ..., [light], Material(k_d=0.0, k_s=0.5, shininess=50.0), INTR)
-    [hi] = shade_pixels(grad, ..., [light], Material(k_d=0.0, k_s=0.5, shininess=200.0), INTR)
+    [lo] = shade_frame(grad, [light], Material(k_d=0.0, k_s=0.5, shininess=50.0), INTR)
+    [hi] = shade_frame(grad, [light], Material(k_d=0.0, k_s=0.5, shininess=200.0), INTR)
     lit = grad.mask & (lo > 1e-6) & (lo < 0.5 * lo.max())
     assert lit.any()
     assert np.all(hi[lit] <= lo[lit])
@@ -170,7 +180,7 @@ def test_lambertian_render_linear_in_diffuse_intensity():
     intr = CameraIntrinsics(1.0, 0.009375, 0.009375, 31.5, 31.5)
     grad = log_depth_gradients(depth, intr)
     lights = [LightSource(np.array([0.0, 1.0, 2.0]), diffuse_intensity=d) for d in (1.0, 2.0)]
-    one, two = shade_pixels(grad, ..., lights, Material(k_d=0.5), intr)
+    one, two = shade_frame(grad, lights, Material(k_d=0.5), intr)
     assert np.allclose(two, 2.0 * one, atol=1e-14)
 
 
@@ -179,7 +189,7 @@ def test_renders_require_frontal_light():
     lights = [LightSource(np.array(d)) for d in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0),
                                                  (1.0, 0.0, 0.0))]
     with pytest.raises(ValueError, match="positive third component"):
-        shade_pixels(grad, ..., lights, Material(k_d=0.5), INTR)
+        shade_frame(grad, lights, Material(k_d=0.5), INTR)
     for projection in (PROJECTION_PERSPECTIVE, PROJECTION_ORTHOGRAPHIC):
         with pytest.raises(ValueError, match="positive third component"):
             render_scene(SceneSpec(DepthMap(np.full((2, 2), 3.0)), Material(k_d=0.5), lights,
@@ -247,13 +257,19 @@ def test_lights_shaded_together_match_lights_shaded_alone(clamp):
               for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0))]
     for mat in (Material(k_d=0.5, k_s=0.5, shininess=150.0), Material(k_d=0.7)):
         for derivatives in (False,) if clamp else (False, True):
-            together = list(perspective_shading(g[0], g[1], x, y, lights, mat, 2.5,
-                                                clamp=clamp, derivatives=derivatives))
+            together = list(shade_from_coefficients(
+                g[0], g[1], x, y, shading_coefficients(x, y, lights, mat, 2.5), mat.shininess,
+                2.5, clamp=clamp, derivatives=derivatives))
             assert len(together) == 3
             for li, shaded in zip(lights, together):
-                [alone] = perspective_shading(g[0], g[1], x, y, [li], mat, 2.5,
-                                              clamp=clamp, derivatives=derivatives)
+                [alone] = shade_from_coefficients(
+                    g[0], g[1], x, y, shading_coefficients(x, y, [li], mat, 2.5), mat.shininess,
+                    2.5, clamp=clamp, derivatives=derivatives)
                 assert np.array_equal(np.asarray(shaded), np.asarray(alone))
+                if not derivatives:
+                    # the kernel's two steps in one call
+                    [one] = perspective_shading(g[0], g[1], x, y, [li], mat, 2.5, clamp=clamp)
+                    assert np.array_equal(shaded, one)
 
 
 def test_clamped_shading_has_no_derivatives():
@@ -261,8 +277,9 @@ def test_clamped_shading_has_no_derivatives():
     # kernel does not form them.
     light = LightSource(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="clamped shading has no derivatives"):
-        list(perspective_shading(np.zeros(4), np.zeros(4), 0.0, 0.0, [light], Material(), 1.0,
-                                 clamp=True, derivatives=True))
+        list(shade_from_coefficients(np.zeros(4), np.zeros(4), 0.0, 0.0,
+                                     shading_coefficients(0.0, 0.0, [light], Material(), 1.0),
+                                     1.0, 1.0, clamp=True, derivatives=True))
 
 
 def test_render_scene_returns_consistent_stack():
@@ -360,7 +377,8 @@ def test_shade_pixels_matches_one_unblocked_call_bit_for_bit(full, block, monkey
     x, y = np.broadcast_arrays(*pixel_axes(61, 67, intr))
     want = list(perspective_shading(grad.gx[pix], grad.gy[pix], x[pix], y[pix], lights,
                                     material, intr.focal_length))
-    got = shade_pixels(grad, pix, lights, material, intr)
+    got = shade_pixels(grad.gx, grad.gy, *pixel_axes(61, 67, intr), pix, lights, material,
+                       intr.focal_length)
     assert len(got) == 3
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))

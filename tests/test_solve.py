@@ -25,13 +25,14 @@ from psbp.render import (
     make_sphere_depth,
     perspective_shading,
     render_scene,
+    shade_from_coefficients,
     shade_pixels,
+    shading_coefficients,
 )
 from psbp.solve import (
     _closed_form_system,
     _light_arrays,
     _ShadingModel,
-    _scaled_intensities,
     blinn_phong_ortho_solve,
     blinn_phong_pps_solve,
     lambertian_pps_closed_form,
@@ -45,6 +46,22 @@ FRONTAL_RIG = [
     LightSource(np.array([0.5, 0.0, 1.0])),
     LightSource(np.array([0.0, 0.5, 1.0])),
 ]
+
+
+def shade_frame(grad, lights, material, intr):
+    """shade_pixels over the whole frame of a gradient field, at its pixels'
+    image points."""
+    h, w = grad.mask.shape
+    return shade_pixels(grad.gx, grad.gy, *pixel_axes(w, h, intr), ..., lights, material,
+                        intr.focal_length)
+
+
+def unclamped_shading(gx, gy, x, y, lights, material, focal_length):
+    """Per light (R, dR/dgx, dR/dgy) of the unclamped shading, as bp-pps
+    fits it."""
+    return list(shade_from_coefficients(
+        gx, gy, x, y, shading_coefficients(x, y, lights, material, focal_length),
+        material.shininess, focal_length, clamp=False, derivatives=True))
 
 
 def chord_angle(a, b):
@@ -183,7 +200,7 @@ def smooth_log_depth_scene(size=32, seed=0, k_d=0.6):
         LightSource(np.array([1.0, 0.0, 2.0]), 1.2),
         LightSource(np.array([0.0, 1.0, 2.0]), 1.2),
     ]
-    images = [Image(shading) for shading in shade_pixels(grad, ..., lights, mat, intr)]
+    images = [Image(shading) for shading in shade_frame(grad, lights, mat, intr)]
     assert min(img.data.min() for img in images) > 1e-3  # nothing in shadow
     return images, lights, intr, grad, mat
 
@@ -205,7 +222,7 @@ def test_closed_form_system_single_pixel_by_hand():
     x, y = X[r, c], Y[r, c]
     f = intr.focal_length
     dirs, norms, ld = _light_arrays(lights)
-    scaled = _scaled_intensities([img.data for img in images], norms, ld)
+    scaled = [img.data * norms[k] / ld[k] for k, img in enumerate(images)]
     m1, m2, m3, m4, h1, h2 = _closed_form_system(scaled, dirs, X, Y, f)
     ri = []
     for img, li in zip(images, lights):
@@ -265,8 +282,8 @@ def test_closed_form_blocks_keep_every_bit(block, monkeypatch):
 
     X, Y = pixel_axes(130, 130, intr)
     dirs, norms, ld = _light_arrays(lights)
-    m1, m2, m3, m4, h1, h2 = _closed_form_system(_scaled_intensities(grids, norms, ld), dirs,
-                                                 X, Y, intr.focal_length)
+    scaled = [grids[k] * norms[k] / ld[k] for k in range(3)]
+    m1, m2, m3, m4, h1, h2 = _closed_form_system(scaled, dirs, X, Y, intr.focal_length)
     det = m1 * m4 - m2 * m3
     ok = mask & (np.abs(det) >= solve.SINGULAR_DET_THRESHOLD)
     safe = np.where(ok, det, 1.0)
@@ -321,7 +338,7 @@ def test_indicator_rig_level_expressions():
     assert np.allclose(report.expressions[0], 1.0)
     assert np.allclose(report.expressions[1], 2.0)
     assert np.allclose(report.expressions[2], 1.0)
-    counts = report.flagged_counts()
+    counts = report.flags.sum(axis=(1, 2))
     assert counts[0] == counts[1] == counts[2] == 0
 
 
@@ -330,10 +347,10 @@ def test_indicator_flags_duplicate_lights():
     b = LightSource(np.array([0.0, 0.5, 1.0]))
     # first expression pairs lights 1 and 3
     report = sensitivity_indicator([a, b, a], 4, 4, INTR)
-    assert report.flagged_counts()[0] == 16
+    assert report.flags[0].sum() == 16
     # second expression pairs lights 1 and 2
     report2 = sensitivity_indicator([a, a, b], 4, 4, INTR)
-    assert report2.flagged_counts()[1] == 16
+    assert report2.flags[1].sum() == 16
 
 
 def test_indicator_in_plane_rig_flags_pixel_expressions():
@@ -343,7 +360,7 @@ def test_indicator_in_plane_rig_flags_pixel_expressions():
         LightSource(np.array([1.0, 1.0, 0.0])),
     ]
     report = sensitivity_indicator(rig, 16, 16, INTR)
-    counts = report.flagged_counts()
+    counts = report.flags.sum(axis=(1, 2))
     for i in range(3, 11):
         assert counts[i] == 256
     assert not report.non_coplanar
@@ -381,18 +398,16 @@ def specular_plane_scene(size=16, gx=0.4, gy=-0.25, seed=None):
         LightSource(np.array([1.0, 0.0, 2.0]), 1.2, 1.2),
         LightSource(np.array([0.0, 1.0, 2.0]), 1.2, 1.2),
     ]
-    images = [Image(shading) for shading in shade_pixels(grad, ..., lights, mat, intr)]
+    images = [Image(shading) for shading in shade_frame(grad, lights, mat, intr)]
     return images, lights, intr, grad, mat
 
 
 def _shading_model(x, y, lights, mat, intr):
     """Per-light shading and its derivatives, unclamped as bp-pps fits it."""
-    def shade(v, derivatives=False):
-        return list(perspective_shading(v[0], v[1], x, y, lights, mat, intr.focal_length,
-                                        clamp=False, derivatives=derivatives))
-
-    residual = lambda v: np.array(shade(v))
-    jacobian = lambda v: np.array([d[1:] for d in shade(v, derivatives=True)])
+    residual = lambda v: np.array(list(perspective_shading(v[0], v[1], x, y, lights, mat,
+                                                           intr.focal_length, clamp=False)))
+    jacobian = lambda v: np.array([d[1:] for d in unclamped_shading(v[0], v[1], x, y, lights,
+                                                                    mat, intr.focal_length)])
     return residual, jacobian
 
 
@@ -456,8 +471,7 @@ def test_fused_residuals_equal_residuals_bit_for_bit():
         lobe_off = np.any([np.einsum("kc,ck->k", n, h) <= 0.0 for h in halfway], axis=0)
         assert lobe_off.sum() >= 3
 
-        shaded = list(perspective_shading(grads[:, 0], grads[:, 1], xi, yi, lights, mat, focal,
-                                          clamp=False, derivatives=True))
+        shaded = unclamped_shading(grads[:, 0], grads[:, 1], xi, yi, lights, mat, focal)
         res = intensities[:, idx].T - np.stack([s[0] for s in shaded], axis=1)
         jac = -np.stack([np.stack(s[1:], axis=1) for s in shaded], axis=1)
         hess = np.einsum("nmp,nmq->npq", jac, jac)
@@ -511,7 +525,8 @@ def test_model_blocks_shade_as_the_renderer():
     rng = np.random.default_rng(9)
     states = GradientField(gx=grad.gx + rng.uniform(-0.3, 0.3, grad.gx.shape),
                            gy=grad.gy + rng.uniform(-0.3, 0.3, grad.gy.shape), mask=grad.mask)
-    rendered = np.stack(list(shade_pixels(states, mask, lights, material, intr)))
+    rendered = shade_pixels(states.gx, states.gy, *pixel_axes(128, 128, intr), mask, lights,
+                            material, intr.focal_length)
     X, Y = np.broadcast_arrays(*pixel_axes(128, 128, intr))
     x, y = X[mask], Y[mask]
     nu = np.stack([states.gx[mask], states.gy[mask]])
