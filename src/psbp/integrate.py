@@ -94,6 +94,7 @@ def _divergence(ex, ey, hx, hy):
         g = edges / step
         b[first] -= g
         b[second] += g
+        del g  # before the next division, so the peak stays two frames
     return b
 
 
