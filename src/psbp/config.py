@@ -17,12 +17,14 @@ Mode-specific blocks:
 
     render:        "scene" — {"type": "sphere", "size" [W, H], "center",
                    "radius", "projection", "model"} or {"type": "depth-map",
-                   "path", "projection", "model"}
+                   "path", "projection", "model"}; a depth-map's mask is
+                   the sibling mask.pgm when present, else its z != 0
     reconstruct:   "method" ("lambert-pps" | "bp-pps" | "lambert-ppn" |
                    "bp-ppn") and "images" (exactly 3 PGM paths)
     evaluate:      "images", "estimate_dir" (a reconstruct output
-                   directory), "ground_truth" (PFM; sibling mask.pgm used
-                   when present, or "ground_truth_mask"), optional
+                   directory), "ground_truth" (PFM; its mask is
+                   "ground_truth_mask" when given, else the sibling
+                   mask.pgm when present, else its z != 0), optional
                    "reprojection_model"
     conditioning:  "conditioning": {"size" [W, H]}
 

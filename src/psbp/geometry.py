@@ -7,8 +7,8 @@ pixel is t * (x, y, f).  A camera in raw pixel units is the special case
 h_x = h_y = 1, delta_x = delta_y = 0 with f in pixels.  Surface normals
 follow the frontal convention in which a fronto-parallel plane has normal
 (0, 0, 1) and lights have positive third component.  Halfway vectors are
-laid out components first, (3, ...), so that the shading reads each
-component as one contiguous array.
+laid out lights first and components next, (lights, 3, ...), so that the
+shading reads each light's component as one contiguous array.
 """
 
 from __future__ import annotations
@@ -32,26 +32,25 @@ def halfway_vectors(x, y, focal_length, lights):
     """Unit halfway vectors between each light and the view vector
     (x, y, f)/||(x, y, f)|| at image points x, y (arrays or scalars).
 
-    Yields one array per light, components first, (3, ...), formed when it
-    is asked for; the view vector is computed once.  Each halfway is
-    normalized by sqrt((h0^2 + h1^2) + h2^2), the order in which
-    np.linalg.norm adds a vector's three squares, so it keeps that norm's
-    bits.  A light opposing the view direction raises ValueError.
+    Returns one array for all the lights, lights first and components
+    next, (lights, 3, ...).  Each halfway is normalized by
+    sqrt((h0^2 + h1^2) + h2^2), the order in which np.linalg.norm adds a
+    vector's three squares, so it keeps that norm's bits.  A light opposing
+    the view direction raises ValueError.
     """
     p = np.sqrt(x * x + y * y + focal_length * focal_length)
     view = np.stack(np.broadcast_arrays(x, y, focal_length))
     view /= p
-    column = (3,) + (1,) * np.ndim(p)
-    for light in lights:
-        h = light.unit.reshape(column) + view
-        norm = h[0] * h[0]
-        norm += h[1] * h[1]
-        norm += h[2] * h[2]
-        norm = np.sqrt(norm)
-        if np.any(norm < 1e-12):
-            raise ValueError("degenerate halfway vector: light opposes the view direction")
-        h /= norm
-        yield h
+    units = np.stack([light.unit for light in lights])
+    h = units.reshape(units.shape + (1,) * np.ndim(p)) + view
+    norm = h[:, 0] * h[:, 0]
+    norm += h[:, 1] * h[:, 1]
+    norm += h[:, 2] * h[:, 2]
+    norm = np.sqrt(norm)
+    if np.any(norm < 1e-12):
+        raise ValueError("degenerate halfway vector: light opposes the view direction")
+    h /= norm[:, None]
+    return h
 
 
 def normals_to_perspective_gradient(normals: NormalField,

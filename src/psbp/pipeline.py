@@ -134,13 +134,14 @@ def _read_depth(field, path, shape=None, mask=None):
     """The DepthMap of the PFM at path, which config field `field` names,
     with shape when given.  Its mask is read from the file that `mask`, a
     (field, path) pair, names; by default from the PFM's sibling mask.pgm
-    when there is one, and otherwise it is z > 0.  Both files are read
+    when there is one, and otherwise it is z != 0, so that a NaN, inf or
+    negative depth is reported, not dropped.  Both files are read
     through _read, and a depth that DepthMap rejects is the PFM's fault."""
     z = _read(field, path, read_pfm, shape)
     sibling = path.parent / "mask.pgm"
     if mask is None and sibling.exists():
         mask = (field, sibling)
-    valid = z > 0 if mask is None else _read(*mask, load_mask, z.shape)
+    valid = z != 0 if mask is None else _read(*mask, load_mask, z.shape)
     with _input(field, path):
         return DepthMap(z=z, mask=valid)
 
@@ -255,7 +256,7 @@ def reprojection_error(grad: GradientField, images, lights, material, intr, mask
     scale = None
     if model != MODEL_BLINN_PHONG:
         if albedo is not None:
-            material, scale = Material(k_d=1.0, k_s=0.0, shininess=1.0), albedo[pix]
+            material, scale = Material(), albedo[pix]
         else:
             material = replace(material, k_s=0.0)
     h, w = joint.shape

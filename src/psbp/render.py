@@ -6,27 +6,27 @@ m = (f*gx, f*gy, x*gx + y*gy + 1).  The kernel is written in
 linear-coefficient form: every dot product m.v is a_v*gx + b_v*gy + v_2,
 with coefficients a_v = f*v_0 + x*v_2 and b_v = f*v_1 + y*v_2 that are also
 its derivatives.  It runs in two steps.  The coefficient step,
-shading_coefficients, forms each light's coefficients: constants for the
-light direction, and rows for its per-pixel halfway vector.  The shading
-step, shade_from_coefficients, shades over them, sharing the per-pixel
-geometry across the lights, with one pow per light for the lobe and its
-slope, and gives the derivatives on request.  The renderers run both steps
-per call; the Blinn-Phong solvers (bp-pps and bp-ppn) form the coefficient
-rows once per LM block and run the shading step, with its derivatives, on
-every LM step.  Each caller shades one pixel set with all its lights in one
-call: the solvers their masked pixels, and render_scene and the
-reprojection check, through their one pixel walk shade_pixels, only the
-pixels of their mask, in pixel_blocks (rows of a full frame, which ...
-indexes without a gather, or runs of the mask's pixels) that keep a block's
-temporaries in cache and move no bit.  render_scene shades both
-projections so: the perspective one at the log-depth gradients and the
-pixels' image points, the orthographic one at the slope (n1/n3, n2/n3) of
-each normal at the principal point x = y = 0 with f = 1, where the view is
-(0, 0, 1) and the perspective shading is the orthographic shading of n.
-Lambertian rendering is Blinn-Phong rendering with k_s = 0.  Renders clamp
-all dot products at zero; intensities are k_d * l_d * <diffuse> +
-k_s * l_s * <specular>^n and may legitimately exceed 1 for light
-intensities above 1.
+shading_coefficients, forms the coefficients of all the lights at once, as
+arrays: constants for the light directions, and rows for their per-pixel
+halfway vectors.  The shading step, shade_from_coefficients, shades over
+them light by light, sharing the per-pixel geometry across the lights, with
+one pow per light for the lobe and its slope, and gives the derivatives on
+request.  The renderers run both steps per call; the Blinn-Phong solvers
+(bp-pps and bp-ppn) form the coefficient rows once per LM block and run the
+shading step, with its derivatives, on every LM step.  Each caller shades
+one pixel set with all its lights in one call: the solvers their masked
+pixels, and render_scene and the reprojection check, through their one
+pixel walk shade_pixels, only the pixels of their mask, in pixel_blocks
+(rows of a full frame, which ... indexes without a gather, or runs of the
+mask's pixels) that keep a block's temporaries in cache and move no bit.
+render_scene shades both projections so: the perspective one at the
+log-depth gradients and the pixels' image points, the orthographic one at
+the slope (n1/n3, n2/n3) of each normal at the principal point x = y = 0
+with f = 1, where the view is (0, 0, 1) and the perspective shading is the
+orthographic shading of n.  Lambertian rendering is Blinn-Phong rendering
+with k_s = 0.  Renders clamp all dot products at zero; intensities are
+k_d * l_d * <diffuse> + k_s * l_s * <specular>^n and may legitimately
+exceed 1 for light intensities above 1.
 """
 
 from __future__ import annotations
@@ -94,10 +94,7 @@ def perspective_shading(gx, gy, x, y, lights, material: Material, focal_length, 
     unclamped the shading is smooth in the gradient, as a least-squares
     residual needs.
 
-    Yields each light's shading, in order.  Each light's coefficients are
-    formed, and the light shaded, when its entry is asked for, so a caller
-    that is done with one light's arrays before it asks for the next holds
-    one light's arrays at a time.
+    Yields each light's shading, in order.
     """
     return shade_from_coefficients(
         gx, gy, x, y, shading_coefficients(x, y, lights, material, focal_length),
@@ -110,40 +107,39 @@ def shading_coefficients(x, y, lights, material: Material, focal_length):
     Every dot product of m = (f*gx, f*gy, x*gx + y*gy + 1) with a vector v
     is linear in the gradient, m.v = a_v*gx + b_v*gy + v_2 with
     a_v = f*v_0 + x*v_2 and b_v = f*v_1 + y*v_2, which are also its
-    derivatives.  Yields one pair per light, formed when it is asked for:
+    derivatives.  Returns (diffuse, halfway, scale), formed for all the
+    lights at once:
 
-    * diffuse, (f*d_0, f*d_1, d_2) of the light direction scaled as
-      d = k_d*l_d*L/|L|.  These are constants: the diffuse term's
+    * diffuse (lights, 3), (f*d_0, f*d_1, d_2) of each light direction
+      scaled as d = k_d*l_d*L/|L|.  These are constants: the diffuse term's
       A = f*d_0 + x*d_2 and B = f*d_1 + y*d_2 are never held as rows, since
       m.d = f*d_0*gx + f*d_1*gy + d_2*w takes the w = x*gx + y*gy + 1 that
       every light shares.
-    * halfway, (a_h, b_h, h_2, k_s*l_s) of the light's unit halfway vector
-      (geometry.halfway_vectors), rows that broadcast like x and y, one
-      (3, ...) array; None when k_s == 0.
+    * halfway (lights, 3, ...), (a_h, b_h, h_2) of each light's unit
+      halfway vector (geometry.halfway_vectors), rows that broadcast like x
+      and y and have no pixel axis at scalar points; None when k_s == 0.
+    * scale (lights,), each light's k_s*l_s.
     """
     f = focal_length
-    halfway = halfway_vectors(x, y, f, lights) if material.k_s != 0.0 else None
-    for light in lights:
-        d = light.direction * (material.k_d * light.diffuse_intensity / light.norm)
-        diffuse = (f * d[0], f * d[1], d[2])
-        if halfway is None:
-            yield diffuse, None
-            continue
-        # a_h and b_h are written over h_0 and h_1
-        h = next(halfway)
-        h[:2] *= f
-        h[0] += x * h[2]
-        h[1] += y * h[2]
-        yield diffuse, (h[0], h[1], h[2], material.k_s * light.specular_intensity)
-        # let go before the next light's rows are formed
-        del h
+    diffuse = np.stack([light.direction * (material.k_d * light.diffuse_intensity / light.norm)
+                        for light in lights])
+    diffuse[:, :2] *= f
+    scale = np.array([material.k_s * light.specular_intensity for light in lights])
+    if material.k_s == 0.0:
+        return diffuse, None, scale
+    # a_h and b_h are written over h_0 and h_1
+    h = halfway_vectors(x, y, f, lights)
+    h[:, :2] *= f
+    h[:, 0] += x * h[:, 2]
+    h[:, 1] += y * h[:, 2]
+    return diffuse, h, scale
 
 
 def shade_from_coefficients(gx, gy, x, y, coefficients, shininess, focal_length, clamp=True,
                             derivatives=False):
     """The shading step of perspective_shading: each light's shading, and on
-    request its derivatives, from its shading_coefficients at the same
-    points x, y.
+    request its derivatives, in order, from the lights' shading_coefficients
+    at the same points x, y; light k's are row k of each of their arrays.
 
     The per-pixel geometry, w = x*gx + y*gy + 1, 1/|m| and d|m|/dgx,
     d|m|/dgy, is computed once per call and shared by every light.  The
@@ -164,10 +160,10 @@ def shade_from_coefficients(gx, gy, x, y, coefficients, shininess, focal_length,
     # dm/dgx = (f, 0, x) and dm/dgy = (0, f, y)
     d_norm = ([(f * f * g + c * w) * inv for g, c in ((gx, x), (gy, y))] if derivatives
               else None)
-    for diffuse, specular in coefficients:
-        yield _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, clamp)
-        # a light's rows are let go before the next light's are formed
-        del specular
+    diffuse, halfway, scale = coefficients
+    for k in range(len(diffuse)):
+        specular = None if halfway is None else (*halfway[k], scale[k])
+        yield _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse[k], specular, shininess, clamp)
 
 
 def _shade_light(gx, gy, x, y, w, inv, d_norm, diffuse, specular, shininess, clamp):

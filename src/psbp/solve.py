@@ -20,12 +20,12 @@ solved alone, so the blocks move no bit.  Both Blinn-Phong
 solvers fit one residual model, _ShadingModel: the absolute residuals
 I_k - R_k of the three images, shaded by render's one kernel as the
 renderers shade them, handed to the LM engine as their squared norm and
-normal equations.  The kernel's coefficient step (per light, the linear
-coefficients of the dot products of the normal direction m with the light
-and its halfway vector) runs once per LM block; each LM step gathers those
-rows for its unfinished pixels and runs the shading step over them, with one
-pow per light.  bp-ppn builds the model at the principal point x = y = 0
-with f = 1, where the perspective shading of the slope (a, b) is the
+normal equations.  The kernel's coefficient step (the linear coefficients
+of the dot products of the normal direction m with every light and its
+halfway vector, as arrays) runs once per LM block; each LM step gathers the
+halfway rows for its unfinished pixels in one take and runs the shading
+step over them, with one pow per light.  bp-ppn builds the model at the
+principal point x = y = 0 with f = 1, where the perspective shading of the slope (a, b) is the
 orthographic shading of the normal (a, b, 1)/||(a, b, 1)||, and where every
 coefficient is a constant, so its steps gather only the intensities.  Both
 take one path per pixel set: gather the mask's pixels by the boolean mask,
@@ -164,21 +164,22 @@ def _closed_form_system(r, dirs, X, Y, focal_length):
     )
 
 
-def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False):
-    """The closed form at checked grids with pixel coordinates X, Y
+def _closed_form_gradient(grids, lights, X, Y, focal_length, albedo=False):
+    """The closed form over checked grids with pixel coordinates X, Y
     (geometry.pixel_axes' row and column): its log-depth gradients gx, gy,
-    zero off the mask ok of the pixels it solved, and ok.  With albedo, also
-    lambertian_pps_closed_form's diffuse albedo on its mask, and that mask.
-    The frames are solved in pixel_blocks of rows, each written into its
-    views of the preallocated outputs, so that a block's arrays stay in
-    cache; the albedo is shaded inside the same block."""
+    zero off the mask ok of the pixels it solved, and ok; with albedo, also
+    the diffuse albedo on its mask lit, and lit.  Callers restrict the masks
+    to theirs.  The frames are solved in pixel_blocks of rows, each written
+    into its views of the outputs, so that a block's arrays stay in cache;
+    the albedo is shaded inside the same block."""
     f = focal_length
     arrays = _light_arrays(lights)
-    outputs = [*np.zeros((2,) + mask.shape), np.zeros(mask.shape, dtype=bool)]
+    shape = grids[0].shape
+    outputs = [*np.empty((2,) + shape), np.empty(shape, dtype=bool)]
     if albedo:
-        outputs += [np.empty(mask.shape), np.zeros(mask.shape, dtype=bool)]
-    for m, x, y, i1, i2, i3, gx, gy, ok, *alb in pixel_blocks(mask, X, Y, *grids, *outputs):
-        gx[...], gy[...], ok[...] = _closed_form_rows([i1, i2, i3], arrays, x, y, f, m)
+        outputs += [np.empty(shape), np.empty(shape, dtype=bool)]
+    for i1, i2, i3, x, y, gx, gy, ok, *alb in pixel_blocks(*grids, X, Y, *outputs):
+        gx[...], gy[...], ok[...] = _closed_form_rows([i1, i2, i3], arrays, x, y, f)
         if albedo:
             values, lit = alb
             # Material() is k_d = 1, k_s = 0, so the first image over this
@@ -189,9 +190,9 @@ def _closed_form_gradient(grids, lights, X, Y, focal_length, mask, albedo=False)
     return outputs
 
 
-def _closed_form_rows(grids, arrays, X, Y, focal_length, mask):
+def _closed_form_rows(grids, arrays, X, Y, focal_length):
     """One block of _closed_form_gradient: its gx, gy and ok at the rows
-    of the grids given, with their mask, coordinates X, Y and the lights'
+    of the grids given, with their coordinates X, Y and the lights'
     _light_arrays; its temporaries are let go on return."""
     dirs, norms, ld = arrays
     # the scaled intensities r_k are let go once the system is formed
@@ -199,7 +200,7 @@ def _closed_form_rows(grids, arrays, X, Y, focal_length, mask):
                                                  dirs, X, Y, focal_length)
 
     det = m1 * m4 - m2 * m3
-    ok = mask & (np.abs(det) >= SINGULAR_DET_THRESHOLD)
+    ok = np.abs(det) >= SINGULAR_DET_THRESHOLD
     safe = np.where(ok, det, 1.0)
     gx = np.where(ok, (h1 * m4 - m2 * h2) / safe, 0.0)
     gy = np.where(ok, (m1 * h2 - h1 * m3) / safe, 0.0)
@@ -218,11 +219,11 @@ def lambertian_pps_closed_form(images, lights, intr: CameraIntrinsics, mask=None
     grids, mask = _inputs(images, lights, mask)
     h, w = grids[0].shape
     X, Y = pixel_axes(w, h, intr)
-    gx, gy, ok, albedo, ok_alb = _closed_form_gradient(grids, lights, X, Y, intr.focal_length,
-                                                       mask, albedo=True)
+    gx, gy, ok, albedo, lit = _closed_form_gradient(grids, lights, X, Y, intr.focal_length,
+                                                    albedo=True)
     # the albedo's frame is let go before the gradients' frames are copied
-    albedo = AlbedoMap(values=albedo, mask=ok_alb)
-    return GradientField(gx=gx, gy=gy, mask=ok), albedo
+    albedo = AlbedoMap(values=albedo, mask=lit & mask)
+    return GradientField(gx=gx, gy=gy, mask=ok & mask), albedo
 
 
 def sensitivity_indicator(lights, width, height, intr: CameraIntrinsics) -> ConditioningReport:
@@ -293,8 +294,8 @@ class _ShadingModel:
     The pixels' render.shading_coefficients are formed when a callback
     first needs them, and kept.  fit runs the engine on the model of each
     block (block), so the rows are formed once per block, and the model of
-    the whole pixel set forms none.  A callback gathers a light's rows by
-    idx when it shades that light, or uses them as they are when idx is
+    the whole pixel set forms none.  A callback gathers every light's
+    halfway rows by idx in one take, or uses them as they are when idx is
     every pixel in order, and render.shade_from_coefficients shades the
     three lights as the renderers shade them, but with the diffuse term
     left unclamped so the residual stays smooth.  No Jacobian is held: the
@@ -313,8 +314,8 @@ class _ShadingModel:
 
     @functools.cached_property
     def coefficients(self):
-        """The pixels' render.shading_coefficients, per light."""
-        return list(shading_coefficients(self.x, self.y, self.lights, self.material, self.f))
+        """The pixels' render.shading_coefficients (diffuse, halfway, scale)."""
+        return shading_coefficients(self.x, self.y, self.lights, self.material, self.f)
 
     def block(self, part):
         """The model of the pixels part (a slice or an index array) of these."""
@@ -333,15 +334,15 @@ class _ShadingModel:
 
     def shading(self, nu, idx, derivatives):
         """The shading of the three lights at the states nu (2, k) of the
-        pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1).  A light's
-        coefficient rows are gathered when it is shaded."""
+        pixels idx: per light R_k, or (R_k, dR_k/dx0, dR_k/dx1)."""
         take = self._gather(idx)
-        coefficients = ((diffuse,
-                         None if halfway is None else (*map(take, halfway[:3]), halfway[3]))
-                        for diffuse, halfway in self.coefficients)
-        return shade_from_coefficients(nu[0], nu[1], take(self.x), take(self.y), coefficients,
-                                       self.material.shininess, self.f, clamp=False,
-                                       derivatives=derivatives)
+        diffuse, halfway, scale = self.coefficients
+        if np.ndim(halfway) > 2:
+            # bp-pps's rows in one take; bp-ppn's (lights, 3) are constants
+            halfway = take(halfway)
+        return shade_from_coefficients(nu[0], nu[1], take(self.x), take(self.y),
+                                       (diffuse, halfway, scale), self.material.shininess,
+                                       self.f, clamp=False, derivatives=derivatives)
 
     def residuals(self, x, idx):
         take = self._gather(idx)
@@ -396,9 +397,9 @@ class _ShadingModel:
         bounds = [n * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             block = self.block(slice(lo, hi))
-            x[lo:hi], a[lo:hi], conv, fail = levenberg_marquardt_batch(
+            # the engine's converged and failed never overlap
+            x[lo:hi], a[lo:hi], ok[lo:hi], _ = levenberg_marquardt_batch(
                 block.cost, block.normal_equations, x0[lo:hi])
-            ok[lo:hi] = conv & ~fail
         return x, a, ok
 
     def fit_with_retry(self, x0):
@@ -443,7 +444,7 @@ def blinn_phong_pps_solve(
     h, w = grids[0].shape
     X, Y = pixel_axes(w, h, intr)
     # the start is zero at the pixels the closed form masks
-    gx, gy, _ = _closed_form_gradient(grids, lights, X, Y, intr.focal_length, mask)
+    gx, gy, _ = _closed_form_gradient(grids, lights, X, Y, intr.focal_length)
     x, y = (np.broadcast_to(c, mask.shape)[mask] for c in (X, Y))
     model = _ShadingModel(x, y, _intensities(grids, mask), lights, material, intr.focal_length)
     nu, a, ok = model.fit_with_retry(np.stack([gx[mask], gy[mask]], axis=1))

@@ -695,13 +695,16 @@ def write_pfm_with(path, row, col, value):
 
 # (mode, config field, file under tmp_path, value): each file's value at a
 # pixel on its mask is set to NaN or inf, or, as only a depth must be
-# non-negative, a depth's to -1
+# non-negative, a depth's to -1.  A depth under lone/ has no mask.pgm beside
+# it, so its mask is its nonzero pixels, and the bad value is on it.
 BAD_VALUE_FILES = [("evaluate", "estimate_dir", "recon/albedo.pfm"),
                    ("evaluate", "estimate_dir", "recon/depth.pfm"),
                    ("evaluate", "estimate_dir", "recon/grad_x.pfm"),
                    ("evaluate", "estimate_dir", "recon/grad_y.pfm"),
                    ("evaluate", "ground_truth", "in/depth_gt.pfm"),
-                   ("render", "scene.path", "in/depth_gt.pfm")]
+                   ("evaluate", "ground_truth", "lone/depth_gt.pfm"),
+                   ("render", "scene.path", "in/depth_gt.pfm"),
+                   ("render", "scene.path", "lone/depth_gt.pfm")]
 
 
 @pytest.mark.parametrize("mode, field, name, value", [
@@ -715,18 +718,22 @@ def test_cli_names_the_field_and_file_of_a_bad_value(rendered_sphere, lambert_re
     or a numerical failure."""
     shutil.copytree(rendered_sphere, tmp_path / "in")
     shutil.copytree(lambert_recon, tmp_path / "recon")
+    (tmp_path / "lone").mkdir()
+    shutil.copy(tmp_path / "in" / "depth_gt.pfm", tmp_path / "lone")
     out = tmp_path / "out"
+    bad = tmp_path / name
     if mode == "render":
         payload = sphere_render_payload(out)
-        payload["scene"] = {"type": "depth-map", "path": str(tmp_path / "in" / "depth_gt.pfm")}
+        payload["scene"] = {"type": "depth-map", "path": str(bad)}
     else:
         # the default reprojection model, Lambertian, reads albedo.pfm
         payload = evaluate_payload(tmp_path / "in", tmp_path / "recon", out)
         assert "reprojection_model" not in payload
+        if field == "ground_truth":
+            payload["ground_truth"] = str(bad)
     # a pixel on the rendered and on the estimated mask
     joint = load_mask(tmp_path / "in" / "mask.pgm") & load_mask(tmp_path / "recon" / "mask.pgm")
     row, col = np.argwhere(joint)[joint.sum() // 2]
-    bad = tmp_path / name
     write_pfm_with(bad, row, col, value)
     capsys.readouterr()
     assert main([mode, "--config", _write_cfg(tmp_path, payload)]) == 1
@@ -734,3 +741,21 @@ def test_cli_names_the_field_and_file_of_a_bad_value(rendered_sphere, lambert_re
     assert f"config field '{field}': {bad}: " in err, err
     assert "Traceback" not in err and "numerical failure" not in err
     assert not out.exists() or not any(out.glob("*.json"))
+
+
+def test_a_depth_file_alone_masks_its_zeros(rendered_sphere, tmp_path):
+    """With no mask.pgm beside it, a depth file's mask is its nonzero
+    pixels: the rendered sphere's depth, which is 0 off its mask, renders
+    the same with its mask beside it and alone."""
+    (tmp_path / "lone").mkdir()
+    shutil.copy(rendered_sphere / "depth_gt.pfm", tmp_path / "lone")
+    outs = []
+    for src in (rendered_sphere, tmp_path / "lone"):
+        out = tmp_path / f"out_{src.name}"
+        payload = sphere_render_payload(out)
+        payload["scene"] = {"type": "depth-map", "path": str(src / "depth_gt.pfm")}
+        assert main(["render", "--config", _write_cfg(tmp_path, payload)]) == 0
+        outs.append(out)
+    for name in ("image_1.pgm", "image_2.pgm", "image_3.pgm", "depth_gt.pfm", "mask.pgm",
+                 "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -32,6 +32,7 @@ def test_halfway_vectors_match_scalar():
     X, Y = np.broadcast_arrays(*pixel_axes(5, 5, intr))
     [h] = halfway_vectors(X, Y, 1.0, [light])
     assert h.shape == (3, 5, 5)
+    assert halfway_vectors(X, Y, 1.0, [light]).shape == (1, 3, 5, 5)
     for i in range(5):
         for j in range(5):
             view = np.array([X[i, j], Y[i, j], 1.0])
@@ -54,23 +55,26 @@ def test_halfway_vectors_keep_the_bits_of_np_linalg_norm():
     x, y = rng.uniform(-2.0, 2.0, size=(2, 200_000))
     f = 1.7
     lights = [LightSource(d) for d in rng.uniform(-1.0, 1.0, size=(3, 3)) + (0.0, 0.0, 1.5)]
-    got = list(halfway_vectors(x, y, f, lights))
-    assert len(got) == 3
+    # every light's halfway vectors in one array, lights first
+    got = halfway_vectors(x, y, f, lights)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 3, x.size)
     for light, h in zip(lights, got):
-        assert h.shape == (3, x.size)
         want = np.moveaxis(stacked_halfway(x, y, f, light), -1, 0)
         assert np.array_equal(h.view(np.int64), want.view(np.int64))
-    # scalar image points, as render_scene passes them for an orthographic scene
-    [h] = halfway_vectors(0.0, 0.0, 1.0, lights[:1])
-    want = stacked_halfway(0.0, 0.0, 1.0, lights[0])
-    assert np.array_equal(h.view(np.int64), want.view(np.int64))
+    # scalar image points, as render_scene passes them for an orthographic
+    # scene, give no pixel axis
+    got = halfway_vectors(0.0, 0.0, 1.0, lights)
+    assert got.shape == (3, 3)
+    for light, h in zip(lights, got):
+        want = stacked_halfway(0.0, 0.0, 1.0, light)
+        assert np.array_equal(h.view(np.int64), want.view(np.int64))
 
 
 def test_halfway_vector_degenerate_light():
     # light exactly opposing the view direction has no halfway vector
     with pytest.raises(ValueError, match="degenerate halfway vector"):
-        list(halfway_vectors(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
-                             [LightSource(np.array([0.0, 0.0, -1.0]))]))
+        halfway_vectors(np.zeros((1, 1)), np.zeros((1, 1)), 1.0,
+                        [LightSource(np.array([0.0, 0.0, -1.0]))])
 
 
 def test_normals_to_perspective_gradient_round_trip():

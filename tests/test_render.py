@@ -14,7 +14,7 @@ from psbp.core import (
     Material,
     NormalField,
 )
-from psbp.geometry import pixel_axes
+from psbp.geometry import halfway_vectors, pixel_axes
 from psbp.render import (
     MODEL_BLINN_PHONG,
     MODEL_LAMBERTIAN,
@@ -280,6 +280,30 @@ def test_clamped_shading_has_no_derivatives():
         list(shade_from_coefficients(np.zeros(4), np.zeros(4), 0.0, 0.0,
                                      shading_coefficients(0.0, 0.0, [light], Material(), 1.0),
                                      1.0, 1.0, clamp=True, derivatives=True))
+
+
+def test_shading_coefficients_are_arrays_over_all_lights():
+    # The coefficient step returns (diffuse (lights, 3), halfway
+    # (lights, 3, ...) or None, scale (lights,)): light k's constants, its
+    # halfway rows (a_h, b_h, h_2) = (f*h_0 + x*h_2, f*h_1 + y*h_2, h_2)
+    # and its k_s*l_s, with no pixel axis at scalar points.
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(-0.3, 0.3, size=(2, 50))
+    f = 2.5
+    lights = [LightSource(np.array(d), 1.2, 0.9)
+              for d in ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0))]
+    mat = Material(k_d=0.5, k_s=0.5, shininess=150.0)
+    for px, py, shape in ((x, y, (3, 3, 50)), (0.0, 0.0, (3, 3))):
+        diffuse, halfway, scale = shading_coefficients(px, py, lights, mat, f)
+        assert diffuse.shape == (3, 3) and halfway.shape == shape and scale.shape == (3,)
+        for k, li in enumerate(lights):
+            d = li.direction * (mat.k_d * li.diffuse_intensity / li.norm)
+            assert np.array_equal(diffuse[k], [f * d[0], f * d[1], d[2]])
+            h = halfway_vectors(px, py, f, [li])[0]
+            assert np.array_equal(halfway[k], [f * h[0] + px * h[2], f * h[1] + py * h[2], h[2]])
+            assert scale[k] == mat.k_s * li.specular_intensity
+    # a diffuse material has no halfway rows
+    assert shading_coefficients(x, y, lights, Material(k_d=0.7), f)[1] is None
 
 
 def test_render_scene_returns_consistent_stack():
